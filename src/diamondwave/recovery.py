@@ -3,17 +3,18 @@
 The pipeline: a three-parameter source family produces, through the third
 cross derivative in the family parameters, an effective source that is the
 product of three wave packets.  Pairing the resulting field with a test
-packet gives the interaction integral I(tau).  Its tau-expansion
-I = I0 + I_{-1}/tau + O(tau^-2) contains, after subtracting a V-independent
-calibration run, line integrals of the potential along light-like segments.
-A limit in the covector-perturbation parameter sigma and a derivative in
-the segment length s0 then yield V pointwise.
+packet gives the interaction integral I(tau).  In its tau-expansion
+I = I0 + I_{-1}/tau + O(tau^-2) the potential enters I_{-1} only through
+line integrals along light-like segments, weighted by I0.  A limit in the
+covector-perturbation parameter sigma and a derivative in the segment
+length s0 then yield V pointwise.
 
 Two routes are implemented.  The full route drives the PDE solver: eight
 corner solves per epsilon stencil (`cross_derivative`) and a data-side
-pairing (`pairing_integral`).  The fast route (`asymptotic_I` and friends)
-evaluates the packet products by direct quadrature, skipping the solver
-entirely; it is what `recover_region` uses.
+pairing (`pairing_integral`).  The fast route skips the solver entirely:
+`interaction_series` reads the exact 1/tau coefficients off the
+closed-form packets by quadrature, which is what `recover_region` uses,
+and `asymptotic_I` evaluates I(tau) at one tau for any wave type.
 """
 
 import csv
@@ -37,11 +38,10 @@ _CORNERS = [s for s in itertools.product((-1, 1), repeat=3)]
 
 
 class EpsilonStencil:
-    """Eight corner solutions and their assembled third cross difference."""
+    """Third cross difference assembled from the eight corner solutions."""
 
-    def __init__(self, h_eps, corners, cross):
+    def __init__(self, h_eps, cross):
         self.h_eps = float(h_eps)
-        self.corners = corners
         self.cross = cross
 
     @property
@@ -79,18 +79,19 @@ def cross_derivative(family, solve, h_eps, check=True):
     corners = corners_at(h)
     cross = _assemble_cross(corners, h)
     if check:
-        fine = _assemble_cross(corners_at(h / 2), h / 2)
-        scale = float(np.max(np.abs(fine)))
         # a stencil at pure rounding level has nothing to disagree about
         corner_scale = max(float(np.max(np.abs(_as_array(u))))
                            for u in corners.values()) / (8.0 * h**3)
+        del corners     # free the h-step solutions before solving at h/2
+        fine = _assemble_cross(corners_at(h / 2), h / 2)
+        scale = float(np.max(np.abs(fine)))
         if scale > 1e-9 * corner_scale:
             disagree = float(np.max(np.abs(cross - fine))) / scale
             if disagree > 0.05:
                 raise RecoveryError(
                     f"epsilon-step outside asymptotic window "
                     f"(Richardson disagreement {disagree:.1%})")
-    return EpsilonStencil(h, corners, cross)
+    return EpsilonStencil(h, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,9 @@ class LinePacket:
     with no grid construction needed.  The potential integral runs along the
     characteristic through the evaluation point back to the anchoring
     hyperplane s = 0; it is computed by Gauss-Legendre nodes on the segment,
-    whose physical length stays O(1) even for rescaled covectors.
+    whose physical length stays O(1) even for rescaled covectors.  For the
+    standard bump, whose chi'' is zero outside (-1, 1), a1 vanishes
+    wherever a0 does.
     """
 
     def __init__(self, q, xi, delta, V=None, chi="bump", gl_nodes=64):
@@ -273,15 +276,28 @@ class LinePacket:
             out = out + wi * np.asarray(self.V(pts))
         return out * s / 2.0
 
+    def support(self, x):
+        """Mask of the spacetime points x where a0 is nonzero."""
+        _, w0, wt = self.coords(x)
+        inside = self.chi(w0 / self.delta) != 0
+        for i in range(wt.shape[-1]):
+            inside &= self.chi(wt[..., i] / self.delta) != 0
+        return inside
+
     def amplitudes(self, x):
-        """(a0, a1) at spacetime points x."""
+        """(a0, a1, c) at spacetime points x.
+
+        c = (1/2i) int_0^s V is the potential part of a1, which enters it
+        as a0 c.
+        """
         s, w0, wt = self.coords(x)
         a0, lap = self._profiles(w0, wt)
-        a1 = (s * lap + a0 * self._potential_integral(x, s)) / 2j
-        return a0, a1
+        vint = self._potential_integral(x, s)
+        a1 = (s * lap + a0 * vint) / 2j
+        return a0, a1, vint / 2j
 
     def amplitude_sum(self, tau, x):
-        a0, a1 = self.amplitudes(x)
+        a0, a1, _ = self.amplitudes(x)
         return a0 + a1 / tau
 
     def phase(self, x):
@@ -405,111 +421,51 @@ def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
     return complex(np.sum(w * integrand))
 
 
-def interaction_series(waves, taus, center, half_widths, nq=41, loc_tol=1e-3):
-    """I(tau) over a tau ensemble, reusing amplitude evaluations.
+def interaction_series(packets, center, half_widths, nq=41, loc_tol=1e-3):
+    """Exact leading coefficients (I0, Im1, csum) of I(tau) for line packets.
 
-    For GO packets the amplitude levels are tau-independent, so they are
-    evaluated once and recombined per tau; other wave types fall back to a
-    plain loop over `asymptotic_I`.
+    With covectors summing to zero the quadrature of I(tau) carries no
+    phase, so it is a polynomial in 1/tau with
+        I0 = sum w prod_j a0_j,   Im1 = sum w sum_j a1_j prod_{k != j} a0_k.
+    The potential enters a1_j only as a0_j c_j, so the V-dependent part of
+    Im1 over I0 is the weighted c-sum
+        csum = sum w prod_j a0_j sum_j c_j / I0,
+    which carries the line integrals.  Every term vanishes unless all a0
+    are nonzero (a1 vanishes where a0 does), so the packets are evaluated
+    on that joint support only.  A localization check requires prod a0 to
+    be negligible on the box boundary.
     """
-    taus = np.asarray(taus, dtype=float)
-    if not all(hasattr(wv, "amplitudes") and hasattr(wv, "xi")
-               for wv in waves):
-        return np.array([asymptotic_I(waves, t, center, half_widths, nq,
-                                      loc_tol) for t in taus])
+    if np.any(sum(pk.xi for pk in packets)):
+        raise RecoveryError("interaction coefficients need covectors "
+                            "summing to zero")
     pts, w, boundary = tensor_quadrature(center, half_widths, nq)
-    levels = [wv.amplitudes(pts) for wv in waves]
-    xi_tot = sum(wv.xi for wv in waves)
-    linphase = (pts @ xi_tot) if np.any(xi_tot) else None
-    a0_prod = np.ones(len(pts), dtype=complex)
-    for a0, _ in levels:
-        a0_prod = a0_prod * a0
-    if float(np.max(np.abs(a0_prod))) > 0:
-        leak = float(np.max(np.abs(a0_prod[boundary]))) \
-            / float(np.max(np.abs(a0_prod)))
+    joint = np.ones(len(pts), dtype=bool)
+    for pk in packets:
+        joint &= pk.support(pts)
+    levels = [pk.amplitudes(pts[joint]) for pk in packets]
+    w, boundary = w[joint], boundary[joint]
+    a0s = [a0 for a0, _, _ in levels]
+    a0_prod = np.prod(a0s, axis=0)
+    peak = float(np.max(np.abs(a0_prod), initial=0.0))
+    if peak > 0:
+        leak = float(np.max(np.abs(a0_prod[boundary]), initial=0.0)) / peak
         if leak > loc_tol:
             raise RecoveryError(
                 f"tube intersection not localized (boundary level {leak:.1e})")
-    out = np.empty(len(taus), dtype=complex)
-    for i, tau in enumerate(taus):
-        integrand = np.ones(len(pts), dtype=complex)
-        for a0, a1 in levels:
-            integrand = integrand * (a0 + a1 / tau)
-        if linphase is not None:
-            integrand = integrand * np.exp(1j * tau * linphase)
-        out[i] = np.sum(w * integrand)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# tau-series fit
-# ---------------------------------------------------------------------------
-
-class TauSeries:
-    """Weighted least-squares fit of I(tau) in the basis {1, 1/tau, 1/tau^2}."""
-
-    def __init__(self, tau, values, I0, Im1, Im2, residual, cond, flags,
-                 weights):
-        self.tau = np.asarray(tau, dtype=float)
-        self.values = np.asarray(values)
-        self.I0 = complex(I0)
-        self.Im1 = complex(Im1)
-        self.Im2 = complex(Im2)
-        self.residual = float(residual)
-        self.cond = float(cond)
-        self.flags = list(flags)
-        self.weights = weights
-
-
-def fit_tau_series(tau, values, weights=None):
-    """Fit I0 + Im1/tau + Im2/tau^2; the last term absorbs the remainder.
-
-    Columns are scaled by min(tau) so the Vandermonde system stays well
-    conditioned for wide geometric tau ranges.
-    """
-    tau = np.asarray(tau, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if len(tau) < 4:
-        raise RecoveryError("need at least 4 tau samples for the series fit")
-    if weights is None:
-        weights = np.ones(len(tau))
-    weights = np.asarray(weights, dtype=float)
-    t0 = tau.min()
-    A = np.stack([np.ones(len(tau)), t0 / tau, (t0 / tau) ** 2], axis=1)
-    Aw = A * weights[:, None]
-    cond = float(np.linalg.cond(Aw))
-    if cond >= 1e6:
-        raise RecoveryError(f"tau-series fit ill conditioned (cond {cond:.1e})")
-    coef, _, _, _ = np.linalg.lstsq(Aw, values * weights, rcond=None)
-    fitted = A @ coef
-    residual = float(np.linalg.norm((values - fitted) * weights))
-    I0, Im1, Im2 = coef[0], coef[1] * t0, coef[2] * t0**2
-    flags = []
-    if residual > 0.05 * max(abs(Im1) / t0, 1e-300):
-        flags.append("asymptotic regime not reached")
-    return TauSeries(tau, values, I0, Im1, Im2, residual, cond, flags, weights)
-
-
-# ---------------------------------------------------------------------------
-# extraction, sigma limit, differentiation
-# ---------------------------------------------------------------------------
-
-def extract_line_integrals(fit, calibration):
-    """sum_j c^{(j)}(p) from the measured and potential-free series fits.
-
-    The 1/tau coefficient splits into a V-independent part (identical in
-    both runs, since the leading amplitudes do not see V) and the c-part
-    carrying the potential line integrals; the difference isolates the
-    latter, and the shared leading coefficient supplies the geometric
-    weight.  The fits must agree on I0, which is V-independent.
-    """
-    scale = max(abs(fit.I0), abs(calibration.I0), 1e-300)
-    if abs(fit.I0 - calibration.I0) > 0.10 * scale:
-        raise RecoveryError("calibration/measurement inconsistency in I0")
-    if abs(fit.I0) < 1e-300:
+    I0 = complex(np.sum(w * a0_prod))
+    if abs(I0) < 1e-300:
         raise RecoveryError("vanishing interaction weight I0")
-    return (fit.Im1 - calibration.Im1) / fit.I0
+    Im1 = 0j
+    for j, (_, a1, _) in enumerate(levels):
+        others = np.prod(a0s[:j] + a0s[j + 1:], axis=0)
+        Im1 += complex(np.sum(w * a1 * others))
+    csum = complex(np.sum(w * a0_prod * sum(c for _, _, c in levels))) / I0
+    return I0, Im1, csum
 
+
+# ---------------------------------------------------------------------------
+# sigma limit, differentiation
+# ---------------------------------------------------------------------------
 
 def richardson_sigma(sigmas, values, tol=0.5):
     """sigma -> 0 limit of values sampled on a halving sigma schedule.
@@ -605,32 +561,15 @@ class RecoveryReport:
         return float(np.median(errs))
 
 
-def default_taus(delta, s0, sigma=None):
-    """tau ensemble placing the fit inside the asymptotic window.
-
-    The first-order amplitudes carry factors up to ~ s0/delta^2 from the
-    transverse curvature of the profile and ~ s0/sigma^2 from the rescaled
-    reversal covector, so the smallest tau is chosen an order of magnitude
-    above both; the quadrature cost does not grow with tau because the
-    assembled integrand carries no oscillatory phase.
-    """
-    scale = 1.0 / delta**2
-    if sigma is not None:
-        scale += 1.0 / sigma**2
-    base = 20.0 * max(s0, 1.0) * scale
-    return base * np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-
-
-def recover_point(metric, V, p, r, T, sigma0=0.1, taus=None, delta=0.1,
-                  ds0=0.05, nq=41, V_true=None, report=None):
-    """Recover V(p) by the quadrature route; returns (value, flags).
+def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
+                  nq=41, V_true=None, report=None):
+    """Recover V(p) by the quadrature route; returns (value, flags, report).
 
     Pipeline: returning geodesics fix the segment geometry; for three
     segment lengths s0 (sharing the upper anchor) and a halving sigma
-    schedule, interaction series are quadratured with the actual and the
-    zero potential, fitted in tau, and differenced into weighted c-sums;
-    Richardson extrapolation in sigma^2 gives the line integral L(s0) and
-    a central difference in s0 gives V(p).
+    schedule, the exact 1/tau coefficients of the packet quadrature give
+    weighted c-sums; Richardson extrapolation in sigma^2 gives the line
+    integral L(s0) and a central difference in s0 gives V(p).
     """
     p = np.asarray(p, dtype=float)
     if not isinstance(metric, geo.MinkowskiMetric) and metric.kind != "minkowski":
@@ -650,29 +589,20 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, taus=None, delta=0.1,
         sig_vals = []
         sigmas = [sigma0, sigma0 / 2, sigma0 / 4]
         for sig in sigmas:
-            tau_list = default_taus(delta, s0, sig) if taus is None else taus
             quad = PacketQuad(pp, s0, direction, sig, V=V, delta=delta)
-            cal = PacketQuad(pp, s0, direction, sig, V=None, delta=delta)
-            hw = 3.0 * delta
-            vals = interaction_series(quad.packets, tau_list, pp, hw, nq)
-            vals0 = interaction_series(cal.packets, tau_list, pp, hw, nq)
-            fit = fit_tau_series(tau_list, vals)
-            fit0 = fit_tau_series(tau_list, vals0)
-            csum = extract_line_integrals(fit, fit0)
+            I0, Im1, csum = interaction_series(quad.packets, pp, 3.0 * delta,
+                                               nq)
             # the reversal packet integrates from its anchor backwards along
             # the flow (its parameter at p is negative), so the rescaled
             # c-sum carries a minus sign relative to the down-segment
             # parametrization of the line integral
             Lsig = -2j * sig**2 * csum
             sig_vals.append(Lsig)
-            all_flags.extend(fit.flags)
             report.add(p_t=pp[0], p_x1=pp[1],
                        p_x2=pp[2] if len(pp) > 2 else "",
-                       sigma=sig, s0=s0,
-                       I0_re=fit.I0.real, I0_im=fit.I0.imag,
-                       Im1_re=fit.Im1.real, Im1_im=fit.Im1.imag,
-                       line_integral=Lsig.real,
-                       flags=";".join(fit.flags))
+                       sigma=sig, s0=s0, I0_re=I0.real, I0_im=I0.imag,
+                       Im1_re=Im1.real, Im1_im=Im1.imag,
+                       line_integral=Lsig.real)
         L, rflags = richardson_sigma(sigmas, sig_vals)
         all_flags.extend(rflags)
         if abs(L.imag) > 0.05 * max(abs(L.real), 1e-6):
@@ -873,15 +803,14 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
 
 def recover_region(metric, V, points, r, T, V_true=None, sigma0=0.1,
-                   taus=None, delta=0.1, ds0=0.05, nq=41):
+                   delta=0.1, ds0=0.05, nq=41):
     """Run `recover_point` over a point list; failures are recorded rows."""
     report = RecoveryReport()
     for p in points:
         p = np.asarray(p, dtype=float)
         try:
-            recover_point(metric, V, p, r, T, sigma0=sigma0, taus=taus,
-                          delta=delta, ds0=ds0, nq=nq, V_true=V_true,
-                          report=report)
+            recover_point(metric, V, p, r, T, sigma0=sigma0, delta=delta,
+                          ds0=ds0, nq=nq, V_true=V_true, report=report)
         except (RecoveryError, sources.SourceError, geo.GeometryError) as exc:
             report.add(p_t=p[0], p_x1=p[1],
                        p_x2=p[2] if len(p) > 2 else "",

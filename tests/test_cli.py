@@ -188,3 +188,13 @@ def test_recover_smoke(tmp_path, capsys):
     assert rel_err < 0.10
     rr = (tmp_path / "out" / "run_report.txt").read_text()
     assert "stage timings" in rr and "pass" in rr
+
+
+def test_recover_deterministic(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, RECOVER_CFG)
+    for run in ("a", "b"):
+        assert cli.main(["recover", cfgp, "--out", str(tmp_path / run)]) \
+            == cli.EXIT_OK
+    for name in ("report.csv", "recovered_profile.csv"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()

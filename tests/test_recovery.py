@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondwave import go, recovery as rc, solver, sources
 from diamondwave import geometry as geo
@@ -121,7 +122,7 @@ def test_line_packet_matches_grid_packet():
     pts = base + 0.15 * rng.standard_normal((40, 3))
     a0g = gp.amplitude(0, pts)
     a1g = gp.amplitude(1, pts)
-    a0l, a1l = lp.amplitudes(pts)
+    a0l, a1l, _ = lp.amplitudes(pts)
     # the grid packet interpolates its profile and differences its
     # laplacian, so it is the less accurate side near the tube edge
     assert np.max(np.abs(a0g - a0l)) < 5e-3
@@ -145,14 +146,16 @@ def test_line_packet_axis_oracles():
     s = 0.7
     x = q + s * lp.xi_sharp
     # one transverse direction at n = 2, with chi''(0) = -2 on the axis
-    _, b1 = lp0.amplitudes(x[None])
+    _, b1, c0 = lp0.amplitudes(x[None])
     expected_b1 = s * (-2.0 / 0.2**2) / 2j
     assert b1[0] == pytest.approx(expected_b1, rel=1e-12)
-    # the potential part is the 1-D line integral of V
-    _, a1 = lp.amplitudes(x[None])
+    assert c0[0] == 0.0
+    # the potential part is the 1-D line integral of V (a0 = 1 on the axis)
+    _, a1, c = lp.amplitudes(x[None])
     iv, _ = quad(lambda t: V((q + t * lp.xi_sharp)[None])[0], 0.0, s,
                  epsabs=1e-12)
     assert (a1 - b1)[0] == pytest.approx(iv / 2j, rel=1e-9)
+    assert c[0] == pytest.approx(iv / 2j, rel=1e-9)
 
 
 def test_line_packet_rejects_non_null():
@@ -173,6 +176,35 @@ def test_packet_quad_geometry():
     # anchors: reversal ends s0 up the reversed ray, incoming starts s0 below
     assert np.allclose(quad.anchors[0], [2.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(quad.anchors[1], [0.2, 0.0, 0.0], atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(direction=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3)
+       .filter(lambda d: np.linalg.norm(d) > 0.1),
+       sigma=st.floats(1e-6, 0.5))
+def test_packet_quad_dependence_bitwise(direction, sigma):
+    # the exact 1/tau coefficients need a phase-free quadrature
+    p = np.concatenate([[2.0], np.full(len(direction), 0.1)])
+    quad = rc.PacketQuad(p, 0.9, direction, sigma)
+    assert np.all(quad.xi_total() == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=st.floats(0.0, 2 * np.pi), scale=st.floats(0.01, 5.0),
+       delta=st.floats(0.05, 0.3), seed=st.integers(0, 2**16))
+def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed):
+    # what makes the joint-support restriction of the quadrature exact
+    q = np.array([0.1, -0.1, 0.0])
+    xi = scale * np.array([-1.0, np.cos(theta), np.sin(theta)])
+    lp = rc.LinePacket(q, xi, delta, V=gaussian_V([0.6, 0.5, 0.1]))
+    rng = np.random.default_rng(seed)
+    pts = q + 0.5 * lp.xi_sharp / scale \
+        + rng.uniform(-2 * delta, 2 * delta, (400, 3))
+    a0, a1, _ = lp.amplitudes(pts)
+    off = a0 == 0
+    assert off.any() and not off.all()
+    assert np.all(a1[off] == 0)
+    assert np.array_equal(lp.support(pts), ~off)
 
 
 def test_packet_quad_needs_transverse_direction():
@@ -206,74 +238,46 @@ def test_localization_gate():
     cal = rc.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1, delta=0.1)
     with pytest.raises(rc.RecoveryError, match="not localized"):
         rc.asymptotic_I(cal.packets, 100.0, p, 0.04, nq=21)
+    with pytest.raises(rc.RecoveryError, match="not localized"):
+        rc.interaction_series(cal.packets, p, 0.04, nq=21)
+
+
+def test_interaction_series_needs_dependence(go_quad):
+    p, V, quad, cal = go_quad
+    with pytest.raises(rc.RecoveryError, match="summing to zero"):
+        rc.interaction_series(quad.packets[:3] + quad.packets[:1], p, 0.3)
 
 
 def test_interaction_series_matches_asymptotic_I(go_quad):
+    # I(tau) is a polynomial in 1/tau: past the two exact coefficients the
+    # remainder shrinks like tau^-2
     p, V, quad, cal = go_quad
+    I0, Im1, _ = rc.interaction_series(quad.packets, p, 0.3, nq=25)
     taus = np.array([400.0, 800.0, 1600.0, 3200.0])
-    series = rc.interaction_series(quad.packets, taus, p, 0.3, nq=25)
-    direct = [rc.asymptotic_I(quad.packets, t, p, 0.3, nq=25) for t in taus]
-    assert np.allclose(series, direct, rtol=1e-12)
-
-
-# -- tau-series fit ----------------------------------------------------------
-
-def test_fit_exact_two_terms():
-    taus = np.array([10.0, 20.0, 40.0, 80.0])
-    fit = rc.fit_tau_series(taus, 3.0 + 5.0 / taus)
-    assert fit.I0 == pytest.approx(3.0, abs=1e-12)
-    assert fit.Im1 == pytest.approx(5.0, abs=1e-10)
-    assert not fit.flags
-
-
-def test_fit_exact_three_terms():
-    taus = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
-    fit = rc.fit_tau_series(taus, 3.0 + 5.0 / taus + 7.0 / taus**2)
-    assert fit.I0 == pytest.approx(3.0, abs=1e-9)
-    assert fit.Im1 == pytest.approx(5.0, abs=1e-9)
-    assert fit.Im2 == pytest.approx(7.0, abs=1e-7)
-
-
-def test_fit_needs_four_samples():
-    with pytest.raises(rc.RecoveryError, match="4 tau samples"):
-        rc.fit_tau_series([10.0, 20.0, 40.0], [1.0, 1.0, 1.0])
-
-
-def test_fit_residual_flag():
-    taus = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
-    fit = rc.fit_tau_series(taus, 1.0 + 1.0 / taus + 50.0 / taus**3)
-    assert "asymptotic regime not reached" in fit.flags
-
-
-def test_fit_conditioning_gate():
-    taus = np.array([10.0, 10.0 + 1e-9, 10.0 + 2e-9, 10.0 + 3e-9])
-    with pytest.raises(rc.RecoveryError, match="ill conditioned"):
-        rc.fit_tau_series(taus, np.ones(4))
+    rest = [abs(rc.asymptotic_I(quad.packets, t, p, 0.3, nq=25)
+                - I0 - Im1 / t) for t in taus]
+    slope = np.polyfit(np.log(taus), np.log(rest), 1)[0]
+    assert slope == pytest.approx(-2.0, abs=0.1)
+    assert rest[-1] < 0.1 * abs(Im1 / taus[-1])
 
 
 # -- extraction --------------------------------------------------------------
 
 def test_extraction_matches_c_oracle(go_quad):
     p, V, quad, cal = go_quad
-    taus = rc.default_taus(0.1, 0.9, 0.1)
-    vals = rc.interaction_series(quad.packets, taus, p, 0.3, nq=41)
-    vals0 = rc.interaction_series(cal.packets, taus, p, 0.3, nq=41)
-    csum = rc.extract_line_integrals(rc.fit_tau_series(taus, vals),
-                                     rc.fit_tau_series(taus, vals0))
+    _, _, csum = rc.interaction_series(quad.packets, p, 0.3, nq=41)
     oracle = np.sum(quad.c_values(V))
     assert abs(csum - oracle) < 0.01 * abs(oracle)
 
 
 def test_extraction_zero_potential_is_exact(go_quad):
     p, V, quad, cal = go_quad
-    taus = rc.default_taus(0.1, 0.9, 0.1)
-    vals0 = rc.interaction_series(cal.packets, taus, p, 0.3, nq=33)
-    fit0 = rc.fit_tau_series(taus, vals0)
-    assert rc.extract_line_integrals(fit0, fit0) == 0.0
+    _, _, csum = rc.interaction_series(cal.packets, p, 0.3, nq=33)
+    assert csum == 0.0
 
 
 def test_extraction_shift_by_constant(go_quad):
-    # c-parts are linear in V, and the V-free parts drop out identically
+    # c-parts are linear in V
     p, V, quad, cal = go_quad
     def Vshift(pts):
         return np.asarray(V(pts)) + 1.0
@@ -281,23 +285,9 @@ def test_extraction_shift_by_constant(go_quad):
     quadc = rc.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1,
                           V=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
                           delta=0.1)
-    taus = rc.default_taus(0.1, 0.9, 0.1)
-    fits = {}
-    for key, q in (("V", quad), ("V1", quad1), ("one", quadc), ("cal", cal)):
-        vals = rc.interaction_series(q.packets, taus, p, 0.3, nq=33)
-        fits[key] = rc.fit_tau_series(taus, vals)
-    c_v = rc.extract_line_integrals(fits["V"], fits["cal"])
-    c_v1 = rc.extract_line_integrals(fits["V1"], fits["cal"])
-    c_one = rc.extract_line_integrals(fits["one"], fits["cal"])
+    c_v, c_v1, c_one = (rc.interaction_series(q.packets, p, 0.3, nq=33)[2]
+                        for q in (quad, quad1, quadc))
     assert abs((c_v1 - c_v) - c_one) < 1e-3 * abs(c_one)
-
-
-def test_extraction_inconsistent_I0_rejected():
-    taus = np.array([10.0, 20.0, 40.0, 80.0])
-    fa = rc.fit_tau_series(taus, 1.0 + 1.0 / taus)
-    fb = rc.fit_tau_series(taus, 2.0 + 1.0 / taus)
-    with pytest.raises(rc.RecoveryError, match="inconsistency"):
-        rc.extract_line_integrals(fa, fb)
 
 
 # -- sigma limit and differentiation ----------------------------------------
