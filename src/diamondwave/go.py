@@ -23,6 +23,8 @@ except ImportError:  # older scipy
     cumulative_simpson = None
 from scipy.integrate import cumulative_trapezoid
 
+from .solver import _shift
+
 
 class GOError(RuntimeError):
     pass
@@ -80,22 +82,6 @@ def _deriv(u, h, axis, order):
             continue
         out += c * _shift(u, off, axis)
     return out / h**order
-
-
-def _shift(u, off, ax):
-    if off == 0:
-        return u.copy()
-    out = np.zeros_like(u)
-    src = [slice(None)] * u.ndim
-    dst = [slice(None)] * u.ndim
-    if off > 0:
-        src[ax] = slice(off, None)
-        dst[ax] = slice(None, -off)
-    else:
-        src[ax] = slice(None, off)
-        dst[ax] = slice(-off, None)
-    out[tuple(dst)] = u[tuple(src)]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ line integrals along light-like segments, weighted by I0.  A limit in the
 covector-perturbation parameter sigma and a derivative in the segment
 length s0 then yield V pointwise.
 
-Two routes are implemented.  The full route drives the PDE solver: eight
-corner solves per epsilon stencil (`cross_derivative`) and a data-side
-pairing (`pairing_integral`).  The fast route skips the solver entirely:
-`interaction_series` reads the exact 1/tau coefficients off the
-closed-form packets by quadrature, which is what `recover_region` uses,
-and `asymptotic_I` evaluates I(tau) at one tau for any wave type.
+Two routes are implemented.  The full route drives the PDE solver: four
+corner solves per epsilon stencil (`cross_derivative`; with zero data the
+source-to-solution map is odd, so the other four corners are exact
+negatives) and a data-side pairing (`pairing_integral`).  The fast route
+skips the solver entirely: `interaction_series` reads the exact 1/tau
+coefficients off the closed-form packets by quadrature, which is what
+`recover_region` uses, and `asymptotic_I` evaluates I(tau) at one tau for
+any wave type.
 """
 
 import csv
@@ -323,6 +325,8 @@ class PacketQuad:
         n = len(p) - 1
         if n < 2:
             raise RecoveryError("covector perturbations need n >= 2")
+        if not 0 < sigma < 1:
+            raise RecoveryError(f"sigma must lie in (0, 1), got {sigma!r}")
         self.p = p
         self.s0 = float(s0)
         self.sigma = float(sigma)
@@ -547,6 +551,11 @@ class RecoveryReport:
     def summary_rows(self):
         return [r for r in self.rows if r["V_recovered"] != ""]
 
+    def point_rows(self):
+        """One row per point: its summary row, or its failure row."""
+        return [r for r in self.rows if r["V_recovered"] != ""
+                or r["flags"].startswith("failed")]
+
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
@@ -662,6 +671,27 @@ def _shift_potential(V, t_shift):
     return shifted
 
 
+def _odd(solve):
+    """`solve` for a map that is odd in eps, marching each sign pair once.
+
+    With zero Cauchy data and a cubic nonlinearity the source-to-solution
+    map is odd, and every step of the march (the linear family, the
+    stencils, u**3) commutes with negation exactly in floating point, so
+    solve(-eps) equals -solve(eps) bit for bit (up to the sign of zeros).
+    The first of a sign pair is solved and kept until its partner is asked
+    for, which gets the negation.
+    """
+    kept = {}
+
+    def odd_solve(eps):
+        partner = tuple(-e for e in eps)
+        if partner in kept:
+            return -kept.pop(partner)
+        kept[eps] = u = solve(eps)
+        return u
+    return odd_solve
+
+
 class FullPathResult:
     """PDE-route interaction integral next to its quadrature prediction."""
 
@@ -696,10 +726,13 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                           nq=41, check=True, consistency=False):
     """Interaction integral I(tau) through the nonlinear solver.
 
-    Eight corner solves of the three-parameter source family (plus eight at
+    The eight corners of the three-parameter source family (plus eight at
     half step for the Richardson gate) yield the third cross derivative;
     its data-side pairing with the surgery test function is the PDE-route
     value of I, returned next to the quadrature of the same four packets.
+    The source-to-solution map is odd in the family parameters, so only
+    four corners per stencil are marched and the other four are their
+    exact negatives (`_odd`).
 
     Memory is kept at desk scale by confining the surgery and the pairing
     to short time windows around the two anchor slabs and streaming the
@@ -768,17 +801,18 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
             return fld[m] if m < nwin else zero_slice
         return solver.SourceTerm(grid, closure=closure, name="window family")
 
-    def solve(src_w):
+    def solve(eps):
         buf = np.zeros((mt + 1,) + grid.shape, dtype=complex)
 
         def obs(mi, t, sl):
             if m0 <= mi <= m0 + mt:
                 buf[mi - m0] = sl
-        solver.solve_forward(metric, grid, V, lift(src_w), nonlinear=True,
+        solver.solve_forward(metric, grid, V, lift(fam(eps)), nonlinear=True,
                              store="none", observers=(obs,))
         return buf
 
-    stencil = cross_derivative(fam, solve, h_eps, check=check)
+    stencil = cross_derivative(lambda eps: eps, _odd(solve), h_eps,
+                               check=check)
     vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
     pairing = pairing_integral(metric, tgrid, _shift_potential(V, tshift),
                                vfield, fplus)
@@ -811,7 +845,8 @@ def recover_region(metric, V, points, r, T, V_true=None, sigma0=0.1,
         try:
             recover_point(metric, V, p, r, T, sigma0=sigma0, delta=delta,
                           ds0=ds0, nq=nq, V_true=V_true, report=report)
-        except (RecoveryError, sources.SourceError, geo.GeometryError) as exc:
+        except (RecoveryError, sources.SourceError, geo.GeometryError,
+                solver.SolverError, np.linalg.LinAlgError) as exc:
             report.add(p_t=p[0], p_x1=p[1],
                        p_x2=p[2] if len(p) > 2 else "",
                        flags=f"failed: {exc}")

@@ -41,6 +41,7 @@ class Grid:
         self.nt = int(round(self.T / self.dt)) + 1
         if abs((self.nt - 1) * self.dt - self.T) > 1e-9 * max(self.T, 1.0):
             raise SolverError("T is not an integer number of time steps")
+        self._mesh = None
 
     @classmethod
     def for_ball(cls, n, radius, T, h, dt, pad=None):
@@ -59,7 +60,13 @@ class Grid:
         return self.dt * np.arange(self.nt)
 
     def meshgrid(self):
-        return np.meshgrid(*[self.axis(i) for i in range(self.n)], indexing="ij")
+        """Spatial coordinate arrays, built once per grid and read-only."""
+        if self._mesh is None:
+            self._mesh = np.meshgrid(*[self.axis(i) for i in range(self.n)],
+                                     indexing="ij")
+            for X in self._mesh:
+                X.flags.writeable = False
+        return self._mesh
 
     def spacetime_slice(self, m):
         """Points (t_m, x') of slice m, shape (*shape, 1+n)."""
@@ -129,14 +136,89 @@ class GridField:
 # spatial operators
 
 
+_LAP4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+_GHOST = 2      # ghost cells per side: the reach of the 4th-order stencil
+
+
+class _PaddedLayout:
+    """Zero-ghosted arrays for one grid shape, _GHOST cells per side.
+
+    The band is the flat index range from the first to the last interior
+    cell, and a stencil offset `off` along axis `ax` moves it by
+    off * strides[ax].  Elementwise work on the band runs over one
+    contiguous range; it also fills the ghost cells lying between interior
+    rows, which `clear_ghosts` resets to zero.
+    """
+
+    def __init__(self, shape):
+        self.padded = tuple(s + 2 * _GHOST for s in shape)
+        self.strides = [int(np.prod(self.padded[ax + 1:]))
+                        for ax in range(len(shape))]
+        self.start = _GHOST * sum(self.strides)
+        self.stop = self.start + sum(
+            (s - 1) * st for s, st in zip(shape, self.strides)) + 1
+
+    def zeros(self, dtype):
+        return np.zeros(self.padded, dtype=dtype)
+
+    @staticmethod
+    def interior(P):
+        return P[(slice(_GHOST, -_GHOST),) * P.ndim]
+
+    def band(self, P, shift=0):
+        return P.reshape(-1)[self.start + shift:self.stop + shift]
+
+    @staticmethod
+    def clear_ghosts(P):
+        """Zero the ghost cells that band writes reach (axes 1..n-1)."""
+        for ax in range(1, P.ndim):
+            for side in (slice(None, _GHOST), slice(-_GHOST, None)):
+                view = [slice(None)] * P.ndim
+                view[ax] = side
+                P[tuple(view)] = 0
+
+
+class _Laplacian4:
+    """4th-order Laplacian of a zero-ghosted array, into a preallocated one.
+
+    A stencil value k u[i+off] equals the product k P read at an offset, so
+    the three distinct products k P are formed once per call and the 5n
+    terms are summed from shifted bands of them, axis by axis and offset
+    -2..2 as in the zero-extension formula.  The interior of the result is
+    that formula bit for bit (up to the sign of zeros); the ghost cells of
+    `out` hold garbage.
+    """
+
+    def __init__(self, layout, dtype, h, n):
+        c = _LAP4 / (12.0 * h * h)
+        self.products = {}          # coefficient -> buffer for k * P
+        self.terms = []
+        for ax in range(n):
+            for k, off in zip(c, (-2, -1, 0, 1, 2)):
+                if k not in self.products:
+                    self.products[k] = layout.zeros(dtype)
+                self.terms.append(layout.band(self.products[k],
+                                              off * layout.strides[ax]))
+        self.out = layout.zeros(dtype)
+        self.out_band = layout.band(self.out)
+
+    def __call__(self, P):
+        for k, buf in self.products.items():
+            np.multiply(k, P, out=buf)
+        out = self.out_band
+        np.add(self.terms[0], self.terms[1], out=out)
+        for term in self.terms[2:]:
+            np.add(out, term, out=out)
+        return self.out
+
+
 def laplacian_4th(u, h, n):
     """4th-order Laplacian with zero extension outside the array."""
-    out = np.zeros_like(u)
-    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    for ax in range(n):
-        for k, off in zip(c, (-2, -1, 0, 1, 2)):
-            out += k * _shift(u, off, ax)
-    return out
+    u = np.asarray(u)
+    layout = _PaddedLayout(u.shape)
+    P = layout.zeros(u.dtype)
+    layout.interior(P)[...] = u
+    return layout.interior(_Laplacian4(layout, u.dtype, h, n)(P))
 
 
 def _shift(u, off, ax):
@@ -294,7 +376,8 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
     """March box u + V u (+ u^3) = f forward with zero Cauchy data at t=0.
 
     `store`: "all" keeps every slice; "none" keeps only the last three.
-    `observers`: callables (m, t, slice) invoked at every accepted slice.
+    `observers`: callables (m, t, slice) invoked at every accepted slice;
+    the slice is a view that later steps overwrite, so copy what you keep.
     Returns a GridField ("none" -> field of zeros except final slices).
     """
     return _march(metric, grid, V, f, nonlinear, store, observers,
@@ -304,6 +387,55 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
 def solve_backward(metric, grid, V, f: SourceTerm, store="all", observers=()):
     """Solve the linear backward problem with zero data at t=T."""
     return _march(metric, grid, V, f, False, store, observers, 1e6, backward=True)
+
+
+class _Leapfrog:
+    """Minkowski leapfrog step u+ = (2u - u-) + dt^2 (lap u - V u + f - u^3).
+
+    The three time levels live in rotating zero-ghosted buffers and every
+    intermediate goes to a preallocated one, so a step allocates nothing.
+    Terms that do not involve V or f run over the contiguous band.  The
+    expression order is that of the plain array formula, so the result
+    equals it bit for bit (up to the sign of zeros).
+    """
+
+    def __init__(self, grid, dtype, u1, nonlinear):
+        lay = _PaddedLayout(grid.shape)
+        self.layout = lay
+        self.levels = [lay.zeros(dtype) for _ in range(3)]     # u-, u, u+
+        self.inner = [lay.interior(P) for P in self.levels]
+        self.bands = [lay.band(P) for P in self.levels]
+        self.inner[1][...] = u1
+        self.lap = _Laplacian4(lay, dtype, grid.h, grid.n)
+        tmp = lay.zeros(dtype)
+        self.tmp_inner, self.tmp_band = lay.interior(tmp), lay.band(tmp)
+        self.rhs_inner = lay.interior(self.lap.out)
+        self.dt2 = grid.dt * grid.dt
+        self.nonlinear = nonlinear
+
+    def step(self, v, f):
+        """Advance by one step with potential slice v (None for no
+        potential) and source slice f.  Returns the new slice as a view of
+        a buffer that the step after next overwrites."""
+        u_prev, u, u_next = self.bands
+        rhs, tmp = self.lap.out_band, self.tmp_band
+        self.lap(self.levels[1])
+        if v is not None:
+            np.multiply(v, self.inner[1], out=self.tmp_inner)
+            np.subtract(self.rhs_inner, self.tmp_inner, out=self.rhs_inner)
+        np.add(self.rhs_inner, f, out=self.rhs_inner)
+        if self.nonlinear:
+            np.power(u, 3, out=tmp)
+            np.subtract(rhs, tmp, out=rhs)
+        np.multiply(2, u, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        np.multiply(self.dt2, rhs, out=rhs)
+        np.add(u_next, rhs, out=u_next)
+        self.layout.clear_ghosts(self.levels[2])
+        new = self.inner[2]
+        for lst in (self.levels, self.inner, self.bands):
+            lst.append(lst.pop(0))
+        return new
 
 
 def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
@@ -361,14 +493,12 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     u_curr = 0.5 * dt * dt * f0
     emit(1, u_curr)
 
+    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear) if is_mink else None
+    absbuf = np.empty(shape)
     for m in range(1, nt - 1):
         t_m = time_index(m) * dt
         if is_mink:
-            lap = laplacian_4th(u_curr, grid.h, grid.n)
-            rhs = lap - pot(m) * u_curr + src(m)
-            if nonlinear:
-                rhs = rhs - u_curr ** 3
-            u_next = 2 * u_curr - u_prev + dt * dt * rhs
+            u_next = leapfrog.step(None if V is None else pot(m), src(m))
         else:
             S = coeffs.spatial_term(u_curr, t_m)
             sq, _, _ = coeffs.at_time(t_m)
@@ -380,7 +510,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
                 rhs = rhs - u_curr ** 3
             u_next = u_curr + (w_m / w_p) * (u_curr - u_prev) \
                 + dt * dt * (sq / w_p) * rhs
-        amax = np.max(np.abs(u_next))
+        amax = np.max(np.abs(u_next, out=absbuf))
         if not np.isfinite(amax) or amax > blowup_factor * fscale:
             raise SolverError("nonlinear solution left smallness regime")
         emit(m + 1, u_next)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diamondwave import cli, solver
+from diamondwave import cli, recovery, solver
 
 
 # -- config parsing ----------------------------------------------------------
@@ -98,6 +98,13 @@ T = 5.0
 [pipeline]
 points = 2.5 1.0
 """)))
+
+
+@pytest.mark.parametrize("sigma0", ["0", "1.5"])
+def test_experiment_config_sigma0_range(tmp_path, sigma0):
+    with pytest.raises(cli.ConfigError, match="sigma0"):
+        cli.ExperimentConfig(cli.parse_config(write_cfg(
+            tmp_path, GOOD_CFG + f"sigma0 = {sigma0}\n")))
 
 
 # -- exit codes --------------------------------------------------------------
@@ -198,3 +205,47 @@ def test_recover_deterministic(tmp_path, capsys):
     for name in ("report.csv", "recovered_profile.csv"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+def test_recover_rejects_split_metric(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, RECOVER_CFG.replace(
+        "kind = minkowski", "kind = split\nbeta = 1 + 0.05*sin(x1)"))
+    assert cli.main(["recover", cfgp, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_IO
+    assert "minkowski" in capsys.readouterr().err
+
+
+def test_recover_sigma0_out_of_range_is_config_error(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, RECOVER_CFG + "sigma0 = 0\n")
+    assert cli.main(["recover", cfgp, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_IO
+
+
+def test_recover_every_point_failing_exits_numerical(tmp_path, monkeypatch,
+                                                     capsys):
+    def fail(*args, **kwargs):
+        raise recovery.RecoveryError("vanishing interaction weight I0")
+    monkeypatch.setattr(recovery, "recover_point", fail)
+    cfgp = write_cfg(tmp_path, RECOVER_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    assert "failed: vanishing" in (out / "report.csv").read_text()
+    assert "point (2.5, 1.0, 0.0): FAIL" in (out / "run_report.txt").read_text()
+
+
+def test_recover_full_stage_failure_keeps_reports(tmp_path, monkeypatch,
+                                                  capsys):
+    def blow_up(*args, **kwargs):
+        raise solver.SolverError("nonlinear solution left smallness regime")
+    monkeypatch.setattr(recovery, "full_path_interaction", blow_up)
+    cfgp = write_cfg(tmp_path, RECOVER_CFG.replace("mode = fast",
+                                                   "mode = full"))
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    rr = (out / "run_report.txt").read_text()
+    assert "point (2.5, 1.0, 0.0): pass" in rr
+    assert "full vs fast interaction: FAIL (SolverError: nonlinear" in rr
+    assert "V_recovered" in (out / "report.csv").read_text()
+    assert not (out / "full_path.csv").exists()

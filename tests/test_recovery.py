@@ -212,6 +212,12 @@ def test_packet_quad_needs_transverse_direction():
         rc.PacketQuad(np.array([1.0, 0.5]), 0.5, [1.0], sigma=0.1)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_packet_quad_rejects_sigma_outside_unit_interval(sigma):
+    with pytest.raises(rc.RecoveryError, match="sigma"):
+        rc.PacketQuad(np.array([1.1, 0.9, 0.0]), 0.9, [1.0, 0.0], sigma)
+
+
 # -- interaction integral ----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -376,6 +382,24 @@ def test_recover_point_gaussian_bump():
     assert float(rows[0]["rel_err"]) < 0.05
 
 
+@pytest.mark.parametrize("error", [solver.SolverError("left smallness"),
+                                   np.linalg.LinAlgError("singular")])
+def test_recover_region_isolates_solver_and_linalg_errors(monkeypatch, error):
+    good = rc.recover_point
+
+    def flaky(metric, V, p, *args, **kwargs):
+        if p[2] != 0.0:
+            raise error
+        return good(metric, V, p, *args, **kwargs)
+    monkeypatch.setattr(rc, "recover_point", flaky)
+    pts = [np.array([1.8, 1.1, 0.1]), np.array([1.8, 1.1, 0.0])]
+    rep = rc.recover_region(geo.minkowski(2), None, pts, r=1.0, T=5.0)
+    rows = rep.point_rows()
+    assert [r["p_x2"] for r in rows] == [0.1, 0.0]
+    assert rows[0]["flags"] == f"failed: {error}"
+    assert rows[1]["V_recovered"] != ""
+
+
 def test_recover_region_report_csv(tmp_path):
     m = geo.minkowski(2)
     # one valid point and one inside the cylinder (recorded failure)
@@ -388,3 +412,30 @@ def test_recover_region_report_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == rc.REPORT_COLUMNS
     assert len(lines) == len(rep.rows) + 1
+
+
+# -- full route ----------------------------------------------------------------
+
+COARSE_FULL_ROUTE = dict(p=(1.0, 0.9, 0.0), r=0.8, T=2.0, tau=10.0,
+                         sigma=0.6, delta=0.1, h=0.04, rho=0.06)
+
+
+@pytest.mark.parametrize("check, marches", [(False, 4), (True, 8)])
+def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
+                                                      marches):
+    m = geo.minkowski(2)
+    calls = []
+    forward = solver.solve_forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("nonlinear"))
+        return forward(*args, **kwargs)
+    monkeypatch.setattr(solver, "solve_forward", counting)
+    res = rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
+    assert calls == [True] * marches
+    # reference: all eight corners marched, through the generic stencil
+    calls.clear()
+    monkeypatch.setattr(rc, "_odd", lambda solve: solve)
+    ref = rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
+    assert calls == [True] * (2 * marches)
+    assert res.I_full == ref.I_full

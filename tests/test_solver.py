@@ -100,6 +100,47 @@ def test_self_convergence_order(nonlinear):
     assert order >= 1.8
 
 
+def _laplacian_by_shifts(u, h, n):
+    # the zero-extension formula with one shifted copy per stencil term
+    out = np.zeros_like(u)
+    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    for ax in range(n):
+        for k, off in zip(c, (-2, -1, 0, 1, 2)):
+            out += k * slv._shift(u, off, ax)
+    return out
+
+
+@pytest.mark.parametrize("n, size", [(1, 40), (2, 23), (3, 9)])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_laplacian_matches_shift_formula_bitwise(n, size, cplx):
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((size,) * n)
+    if cplx:
+        u = u + 1j * rng.standard_normal((size,) * n)
+    lap = slv.laplacian_4th(u, 0.07, n)
+    assert lap.shape == u.shape
+    assert np.array_equal(lap, _laplacian_by_shifts(u, 0.07, n))
+
+
+@pytest.mark.parametrize("potential", [None, "closure"])
+def test_nonlinear_solve_is_odd_bitwise(potential):
+    # zero data, cubic term: the source-to-solution map is odd in floating
+    # point too, which lets the full route march one corner per sign pair
+    g = slv.Grid.for_ball(2, 0.3, 0.5, 0.05, 0.0125)
+    m = geo.minkowski(2)
+    V = None if potential is None else \
+        (lambda pts: 0.5 + np.exp(-np.sum(pts[..., 1:] ** 2, axis=-1)))
+    bump = bump_source(g, t0=0.2, width=0.15, rad=0.25)
+    data = 300.0 * np.exp(9j * g.meshgrid()[0]) * np.stack(
+        [bump.slice(mm) for mm in range(g.nt)])
+    u_plus = slv.solve_forward(m, g, V, slv.SourceTerm(g, field=data),
+                               nonlinear=True)
+    u_minus = slv.solve_forward(m, g, V, slv.SourceTerm(g, field=-data),
+                                nonlinear=True)
+    assert np.max(np.abs(u_plus.data)) > 0.3
+    assert np.array_equal(u_minus.data, -u_plus.data)
+
+
 def test_finite_speed_of_propagation():
     # the source must be well resolved for spectral containment of the
     # superluminal stencil tail below 1e-10
