@@ -21,7 +21,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, FermiError
-from .go import resolve_chi
+from .go import cumint, resolve_chi
 
 
 class BeamError(RuntimeError):
@@ -667,14 +667,6 @@ def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
 # amplitude jets
 # ---------------------------------------------------------------------------
 
-def _cumint(s, f, i0):
-    """Cumulative trapezoid-free integral anchored at node i0 (complex ok)."""
-    from scipy.integrate import cumulative_simpson
-    out = (cumulative_simpson(f.real, x=s, initial=0.0)
-           + 1j * cumulative_simpson(f.imag, x=s, initial=0.0))
-    return out - out[i0]
-
-
 class _TransportPieces:
     """Per-stage polynomial data shared by all transport fills at one s."""
 
@@ -885,7 +877,7 @@ class AmplitudeJet:
         else:
             Vax = np.asarray(self.V(axis_pts), dtype=float)
         root_inv = 1.0 / self.detY_root
-        self.c10 = -0.5j * root_inv * _cumint(self.s, Vax + 0j, self._i0)
+        self.c10 = -0.5j * root_inv * cumint(self.s, Vax + 0j, self._i0)
         v10 = self.v[1].axis()
         self.b10 = v10 - self.c10
         # independent quadrature for v_{1,0} via the integrating factor
@@ -893,8 +885,8 @@ class AmplitudeJet:
         for i, s in enumerate(self.s):
             pieces = _pieces_at(self.phase, s)
             P0[i] = 1j * self._forcing(1, s, pieces).axis()
-        quad = root_inv * _cumint(self.s, -0.5j * self.detY_root * P0,
-                                  self._i0)
+        quad = root_inv * cumint(self.s, -0.5j * self.detY_root * P0,
+                                 self._i0)
         scale = max(np.max(np.abs(v10)), 1e-30)
         # RK4 vs Simpson cross-check; both are O(h^4) with different constants
         if np.max(np.abs(quad - v10)) > 1e-4 * max(scale, 1.0):

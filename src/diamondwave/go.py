@@ -15,13 +15,8 @@ finite differences anywhere.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import RegularGridInterpolator
-
-try:
-    from scipy.integrate import cumulative_simpson
-except ImportError:  # older scipy
-    cumulative_simpson = None
-from scipy.integrate import cumulative_trapezoid
 
 from .solver import _shift
 
@@ -63,6 +58,13 @@ def resolve_chi(spec):
     if isinstance(spec, tuple) and spec[0] == "indicator":
         return chi_indicator(spec[1])
     raise GOError(f"unknown cutoff profile {spec!r}")
+
+
+def cumint(s, f, i0, axis=0):
+    """int_{s[i0]}^{s} f ds~ along `axis` by cumulative Simpson (complex ok)."""
+    out = (cumulative_simpson(f.real, x=s, axis=axis, initial=0.0)
+           + 1j * cumulative_simpson(f.imag, x=s, axis=axis, initial=0.0))
+    return out - np.take(out, [i0], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +208,6 @@ class GOPacket:
         y = np.stack(mesh, axis=-1)
         return self.from_flow(y)
 
-    def _cumint(self, F):
-        """int_0^s F ds~ along axis 0, anchored at the s=0 grid index."""
-        F = np.asarray(F)
-        if np.iscomplexobj(F):  # scipy's cumulative rules are real-only
-            return self._cumint(F.real) + 1j * self._cumint(F.imag)
-        if cumulative_simpson is not None:
-            cs = np.concatenate([np.zeros((1,) + F.shape[1:], dtype=F.dtype),
-                                 cumulative_simpson(F, dx=self.hs, axis=0)])
-        else:
-            cs = np.concatenate([np.zeros((1,) + F.shape[1:], dtype=F.dtype),
-                                 cumulative_trapezoid(F, dx=self.hs, axis=0)])
-        return cs - cs[self.i_s0]
-
     def _transport(self, a_prev, Vgrid):
         """a_k from a_{k-1} per the integrated transport recursion."""
         # mixed term integrates exactly: int d_s d_w0 a = d_w0 a(s) - d_w0 a(0)
@@ -227,7 +216,7 @@ class GOPacket:
         lap = np.zeros_like(a_prev)
         for ax in range(2, self.n + 1):
             lap += _deriv(a_prev, self.hw, ax, order=2)
-        rest = self._cumint(lap + Vgrid * a_prev)
+        rest = cumint(self.s_grid, lap + Vgrid * a_prev, self.i_s0)
         return (mixed + rest) / 2j
 
     # -- evaluation -------------------------------------------------------

@@ -278,6 +278,10 @@ class LinePacket:
             out = out + wi * np.asarray(self.V(pts))
         return out * s / 2.0
 
+    def flow_point(self, s):
+        """The flow line through q: s maps to q + s * xi_sharp."""
+        return np.asarray(s)[..., None] * self.xi_sharp + self.q
+
     def support(self, x):
         """Mask of the spacetime points x where a0 is nonzero."""
         _, w0, wt = self.coords(x)
@@ -306,7 +310,15 @@ class LinePacket:
         return np.asarray(x, dtype=float) @ self.xi
 
     def eval(self, tau, x):
-        return np.exp(1j * tau * self.phase(x)) * self.amplitude_sum(tau, x)
+        """e^{i tau xi.x} (a0 + a1/tau), evaluated on the support of a0 only
+        (a1 vanishes wherever a0 does) and zero elsewhere."""
+        x = np.asarray(x, dtype=float)
+        inside = self.support(x)
+        out = np.zeros(x.shape[:-1], dtype=complex)
+        xin = x[inside]
+        out[inside] = np.exp(1j * tau * self.phase(xin)) * \
+            self.amplitude_sum(tau, xin)
+        return out
 
 
 class PacketQuad:
@@ -338,8 +350,7 @@ class PacketQuad:
             e2 = e2 / np.linalg.norm(e2)
         e2 = np.asarray(e2, dtype=float)
         root = np.sqrt(1.0 - sigma**2)
-        k1 = 2.0 * (1.0 + root) - sigma**2
-        k2 = -(1.0 + root)
+        k1, k2 = sources.kappa_closed_form(sigma)
         tilde = [np.concatenate([[-1.0], -xp]),
                  np.concatenate([[-1.0], xp]),
                  np.concatenate([[-1.0], root * xp + sigma * e2]),
@@ -368,8 +379,7 @@ class PacketQuad:
         for j in range(4):
             pk = self.packets[j]
             s = np.linspace(0.0, self.s_at_p[j], nq)
-            pts = pk.q + s[:, None] * pk.xi_sharp
-            vals = np.asarray(V(pts))
+            vals = np.asarray(V(pk.flow_point(s)))
             from scipy.integrate import simpson
             out.append(simpson(vals, x=s) / 2j)
         return np.array(out)
@@ -633,44 +643,6 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
 # full route: PDE pipeline for the interaction integral
 # ---------------------------------------------------------------------------
 
-class _ShiftedPacket:
-    """Time-translated view of a packet, for surgery on a short sub-grid.
-
-    The wave equation is invariant under time translation, so a packet whose
-    anchor sits at a late time can be evaluated on a window grid starting at
-    t = 0 by shifting the evaluation points.
-    """
-
-    def __init__(self, packet, t_shift):
-        self._packet = packet
-        self.t_shift = float(t_shift)
-        self._offset = np.zeros(len(packet.q))
-        self._offset[0] = self.t_shift
-        self.q = packet.q - self._offset
-        self.Linv = packet.Linv
-        self.delta = packet.delta
-        self.n = packet.n
-
-    def flow_point(self, s):
-        return self._packet.flow_point(s) - self._offset
-
-    def eval(self, tau, pts):
-        return self._packet.eval(tau, np.asarray(pts, dtype=float)
-                                 + self._offset)
-
-
-def _shift_potential(V, t_shift):
-    if V is None or not callable(V):
-        return V
-    offset = t_shift
-
-    def shifted(pts):
-        pts = np.asarray(pts, dtype=float).copy()
-        pts[..., 0] += offset
-        return V(pts)
-    return shifted
-
-
 def _odd(solve):
     """`solve` for a map that is odd in eps, marching each sign pair once.
 
@@ -706,21 +678,6 @@ class FullPathResult:
         self.I_check = I_check
 
 
-def _window_packet(n, quad, j, t_lo, t_hi, delta, V, hs=0.004):
-    """Grid-based packet for covector j, resolved over the window [t_lo, t_hi].
-
-    The flow-parameter span covering the window is (t - q0)/(-xi_0); the
-    s-grid is symmetric so the anchoring hyperplane s = 0 is a grid node.
-    """
-    xi = quad.xi[j]
-    q = quad.anchors[j]
-    spans = [(t_lo - q[0]) / (-xi[0]), (t_hi - q[0]) / (-xi[0])]
-    a = 1.3 * max(abs(spans[0]), abs(spans[1])) + 10 * hs
-    ns = 2 * max(int(np.ceil(a / hs)), 50) + 1
-    return go.GOPacket(n, q, xi, delta=delta, V=V, N=1, chi="bump",
-                       s_range=(-a, a), ns=ns)
-
-
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                           h=0.006, dt=None, pad=0.25, rho=0.06, h_eps=0.1,
                           nq=41, check=True, consistency=False):
@@ -737,6 +694,9 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     Memory is kept at desk scale by confining the surgery and the pairing
     to short time windows around the two anchor slabs and streaming the
     forward marches through an observer instead of storing full solutions.
+    The surgery cuts the closed-form packets of the quadrature itself; the
+    upper window grid carries its time origin, so packets, cutoffs and V
+    are evaluated at physical times.
 
     With `consistency`, the same I is recomputed without the cross
     derivative as the space-time integral of the four solved fields (three
@@ -770,12 +730,9 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     # sources for families 1..3 on a window grid starting at t = 0
     mw = int(np.ceil((t_minus + rho + 3 * dt) / dt))
     wgrid = solver.Grid(n, grid.lo, grid.shape, grid.h, dt, mw * dt)
-    srcs = []
-    for j in (1, 2, 3):
-        gp = _window_packet(n, quad, j, 0.0, mw * dt, delta, V)
-        src, _ = sources.make_source(gp, metric, wgrid, tau, V=V, r=r,
-                                     t0=t_minus, rho=rho)
-        srcs.append(src)
+    srcs = [sources.make_source(quad.packets[j], metric, wgrid, tau, V=V,
+                                r=r, t0=t_minus, rho=rho)[0]
+            for j in (1, 2, 3)]
     fam = sources.build_three_family(*srcs)
 
     # test function on a window grid around the upper anchor slab
@@ -783,12 +740,10 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     mt = int(np.ceil((t_plus + rho + 3 * dt) / dt)) - m0
     if m0 + mt > grid.nt - 1:
         raise RecoveryError("pairing window leaves the grid")
-    tshift = m0 * dt
-    tgrid = solver.Grid(n, grid.lo, grid.shape, grid.h, dt, mt * dt)
-    gp0 = _window_packet(n, quad, 0, tshift, tshift + mt * dt, delta, V)
-    fplus, _ = sources.make_test_function(
-        _ShiftedPacket(gp0, tshift), metric, tgrid, tau,
-        V=_shift_potential(V, tshift), r=r, t0=t_plus - tshift, rho=rho)
+    tgrid = solver.Grid(n, grid.lo, grid.shape, grid.h, dt, mt * dt,
+                        t0=m0 * dt)
+    fplus, _ = sources.make_test_function(quad.packets[0], metric, tgrid,
+                                          tau, V=V, r=r, t0=t_plus, rho=rho)
 
     zero_slice = np.zeros(grid.shape, dtype=complex)
 
@@ -814,8 +769,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     stencil = cross_derivative(lambda eps: eps, _odd(solve), h_eps,
                                check=check)
     vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
-    pairing = pairing_integral(metric, tgrid, _shift_potential(V, tshift),
-                               vfield, fplus)
+    pairing = pairing_integral(metric, tgrid, V, vfield, fplus)
     I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta, nq=nq)
 
     I_check = None

@@ -27,11 +27,17 @@ class SolverError(RuntimeError):
 
 
 class Grid:
-    """Uniform space-time grid: t_m = m*dt on [0,T], x_i = lo + j*h per axis."""
+    """Uniform space-time grid: t_m = t0 + m*dt on [t0, t0+T], x_i = lo + j*h.
 
-    def __init__(self, n, lo, shape, h, dt, T):
+    The time origin t0 plays for time the part `lo` plays for space: a
+    window grid over a late time slab keeps physical times, so packets,
+    cutoffs and potentials are evaluated where they live.
+    """
+
+    def __init__(self, n, lo, shape, h, dt, T, t0=0.0):
         self.n = int(n)
         self.lo = np.asarray(lo, dtype=float)
+        self.t0 = float(t0)
         self.shape = tuple(int(s) for s in shape)
         if len(self.shape) != self.n or len(self.lo) != self.n:
             raise SolverError("grid shape/origin rank mismatch")
@@ -56,8 +62,12 @@ class Grid:
     def axis(self, i):
         return self.lo[i] + self.h * np.arange(self.shape[i])
 
+    def time(self, m):
+        """Time of slice m."""
+        return self.t0 + m * self.dt
+
     def times(self):
-        return self.dt * np.arange(self.nt)
+        return self.t0 + self.dt * np.arange(self.nt)
 
     def meshgrid(self):
         """Spatial coordinate arrays, built once per grid and read-only."""
@@ -72,7 +82,7 @@ class Grid:
         """Points (t_m, x') of slice m, shape (*shape, 1+n)."""
         X = self.meshgrid()
         out = np.empty(self.shape + (self.n + 1,))
-        out[..., 0] = m * self.dt
+        out[..., 0] = self.time(m)
         for i in range(self.n):
             out[..., 1 + i] = X[i]
         return out
@@ -89,6 +99,7 @@ class Grid:
     def same_layout(self, other):
         return (self.n == other.n and self.shape == other.shape
                 and np.allclose(self.lo, other.lo)
+                and abs(self.t0 - other.t0) < 1e-14
                 and abs(self.h - other.h) < 1e-14 and abs(self.dt - other.dt) < 1e-14)
 
 
@@ -314,7 +325,7 @@ class SourceTerm:
         if self.field is not None:
             return self.field[m]
         pts = self.grid.spacetime_slice(m)
-        val = self.closure(m * self.grid.dt, pts)
+        val = self.closure(self.grid.time(m), pts)
         return np.broadcast_to(np.asarray(val), self.grid.shape)
 
     def scale(self):
@@ -335,14 +346,12 @@ class SourceTerm:
     def __add__(self, other):
         if self.field is not None and other.field is not None:
             return SourceTerm(self.grid, field=self.field + other.field)
-        a, b = self, other
-        return SourceTerm(self.grid,
-                          closure=lambda t, pts: a_slice(a, t, pts) + a_slice(b, t, pts))
+        a, b, grid = self, other, self.grid
 
-
-def a_slice(src, t, pts):
-    m = int(round(t / src.grid.dt))
-    return src.slice(m)
+        def closure(t, pts):
+            m = int(round((t - grid.t0) / grid.dt))
+            return a.slice(m) + b.slice(m)
+        return SourceTerm(grid, closure=closure)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +382,7 @@ def _as_potential_slices(V, grid):
 
 def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
                   store="all", observers=(), blowup_factor=1e6):
-    """March box u + V u (+ u^3) = f forward with zero Cauchy data at t=0.
+    """March box u + V u (+ u^3) = f forward from zero data at the first slice.
 
     `store`: "all" keeps every slice; "none" keeps only the last three.
     `observers`: callables (m, t, slice) invoked at every accepted slice;
@@ -385,7 +394,7 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
 
 
 def solve_backward(metric, grid, V, f: SourceTerm, store="all", observers=()):
-    """Solve the linear backward problem with zero data at t=T."""
+    """Solve the linear backward problem with zero data at the last slice."""
     return _march(metric, grid, V, f, False, store, observers, 1e6, backward=True)
 
 
@@ -481,7 +490,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
         if out is not None:
             out[ti] = sl
         for obs in observers:
-            obs(ti, ti * dt, sl)
+            obs(ti, grid.time(ti), sl)
 
     emit(0, u_prev)
     # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0); on the zero
@@ -496,7 +505,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear) if is_mink else None
     absbuf = np.empty(shape)
     for m in range(1, nt - 1):
-        t_m = time_index(m) * dt
+        t_m = grid.time(time_index(m))
         if is_mink:
             u_next = leapfrog.step(None if V is None else pot(m), src(m))
         else:
@@ -538,7 +547,7 @@ def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
             dtt = (un - 2 * um + up) / (dt * dt)
             val = dtt - laplacian_4th(um, grid.h, grid.n) + Vs(m) * um
         else:
-            t_m = m * dt
+            t_m = grid.time(m)
             sq, _, _ = coeffs.at_time(t_m)
             _, _, w_p = coeffs.at_time(t_m + 0.5 * dt)
             _, _, w_m = coeffs.at_time(t_m - 0.5 * dt)

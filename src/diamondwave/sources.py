@@ -56,11 +56,11 @@ class CutoffPair:
 def _tube_center_radius(obj):
     """(center(t), radius) description of the packet/beam support tube."""
     if hasattr(obj, "flow_point"):          # geometric-optics packet
-        v = obj.Linv[:, 0]
+        speed = obj.flow_point(1.0)[0] - obj.q[0]     # dt/ds along the flow
 
         def center(t):
-            s = (np.asarray(t) - obj.q[0]) / v[0]
-            return obj.q[1:] + np.multiply.outer(s, v[1:])
+            s = (np.asarray(t) - obj.q[0]) / speed
+            return obj.flow_point(s)[..., 1:]
         return center, 1.26 * obj.delta * np.sqrt(obj.n)
     if hasattr(obj, "chart"):               # gaussian beam
         g = obj.chart.geodesic

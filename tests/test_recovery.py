@@ -191,8 +191,9 @@ def test_packet_quad_dependence_bitwise(direction, sigma):
 
 @settings(max_examples=20, deadline=None)
 @given(theta=st.floats(0.0, 2 * np.pi), scale=st.floats(0.01, 5.0),
-       delta=st.floats(0.05, 0.3), seed=st.integers(0, 2**16))
-def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed):
+       delta=st.floats(0.05, 0.3), seed=st.integers(0, 2**16),
+       tau=st.floats(1.0, 200.0))
+def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed, tau):
     # what makes the joint-support restriction of the quadrature exact
     q = np.array([0.1, -0.1, 0.0])
     xi = scale * np.array([-1.0, np.cos(theta), np.sin(theta)])
@@ -205,6 +206,9 @@ def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed):
     assert off.any() and not off.all()
     assert np.all(a1[off] == 0)
     assert np.array_equal(lp.support(pts), ~off)
+    # so eval, which computes on that support only, is the plain formula
+    plain = np.exp(1j * tau * (pts @ lp.xi)) * lp.amplitude_sum(tau, pts)
+    assert np.array_equal(lp.eval(tau, pts), plain)
 
 
 def test_packet_quad_needs_transverse_direction():
@@ -439,3 +443,13 @@ def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
     ref = rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
     assert calls == [True] * (2 * marches)
     assert res.I_full == ref.I_full
+
+
+def test_full_route_surgery_builds_no_grid_packet(monkeypatch):
+    # the surgery cuts the closed-form packets of the quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid packet built")
+    monkeypatch.setattr(go, "GOPacket", refuse)
+    res = rc.full_path_interaction(geo.minkowski(2), None, check=False,
+                                   **COARSE_FULL_ROUTE)
+    assert np.isfinite(res.I_full)

@@ -208,6 +208,26 @@ def test_observers_and_store_none():
     assert seen == list(range(g.nt))
 
 
+def test_grid_time_origin():
+    # a window grid over a late time slab keeps physical times
+    g = slv.Grid(1, [-0.5], (11,), 0.1, 0.05, 0.5, t0=1.25)
+    times = g.times()
+    assert times[0] == 1.25 and times[-1] == pytest.approx(1.75)
+    assert np.all(g.spacetime_slice(3)[..., 0] == times[3])
+    seen = []
+    f = slv.SourceTerm.from_closure(
+        g, lambda t, pts: seen.append(t) or np.full(pts.shape[:-1], t))
+    assert f.slice(0)[0] == times[0] and seen == [times[0]]
+    # a sum of closure sources maps its time back to the slice index
+    total = f + f * 2.0
+    for m in (0, 4, g.nt - 1):
+        assert np.array_equal(total.slice(m), 3.0 * f.slice(m))
+    marched = []
+    slv.solve_forward(geo.minkowski(1), g, None, f, store="none",
+                      observers=[lambda mm, t, sl: marched.append(t)])
+    assert np.array_equal(marched, times)
+
+
 def test_snapshot_roundtrip(tmp_path):
     g = small_grid(n=1, h=0.1, dt=0.05, T=0.5)
     rng = np.random.default_rng(0)

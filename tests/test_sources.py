@@ -5,6 +5,7 @@ import pytest
 
 from diamondwave import go, solver, sources
 from diamondwave import geometry as geo
+from diamondwave.recovery import LinePacket
 
 
 # -- cutoffs -----------------------------------------------------------------
@@ -225,6 +226,23 @@ def test_test_function_mirrors_source(surgery_setup):
     # backward solution approximates zeta_+ u
     U = solver.solve_backward(m, grid, None, fplus)
     assert float(np.max(np.abs(U.data - zpu.data))) < 0.02 * zpu.sup_norm()
+
+
+@pytest.mark.parametrize("which", ["1d", "2d"])
+def test_default_rho_line_packet_matches_grid_packet(surgery_setup, which):
+    # the support tube is read through q, flow_point, delta and n, which
+    # both packet types expose
+    if which == "1d":
+        _, grid, gp = surgery_setup
+    else:
+        grid = solver.Grid.for_ball(2, 1.0, 1.5, h=0.05, dt=0.02, pad=0.2)
+        gp = go.GOPacket(2, np.array([0.5, 0.1, -0.1]),
+                         np.array([-1.0, 0.6, 0.8]), delta=0.15, N=0,
+                         s_range=(-1.0, 1.0), ns=41, nw=9)
+    lp = LinePacket(gp.q, gp.xi, gp.delta)
+    rho = sources.default_rho(gp, grid, 1.0, gp.q[0])
+    assert rho > grid.dt
+    assert sources.default_rho(lp, grid, 1.0, gp.q[0]) == rho
 
 
 def test_aperture_leak_rejected(surgery_setup):
