@@ -97,25 +97,20 @@ class PolyCube:
                         self.c * fac.reshape(fac.shape + (1,) * self.n))
 
     def mulp(self, other):
-        """Truncated polynomial product (lead axes broadcast)."""
-        D = self.deg + 1
-        lead = np.broadcast_shapes(self.lead, other.lead)
-        out = np.zeros(lead + (D,) * self.n, dtype=complex)
-        oc = other.c
-        for beta in multi_indices(self.n, self.deg):
-            b = oc[(Ellipsis,) + beta]
-            if not np.any(b):
-                continue
-            src = self.c[(Ellipsis,) + tuple(slice(0, D - k) for k in beta)]
-            dst = (Ellipsis,) + tuple(slice(k, D) for k in beta)
-            out[dst] += src * b.reshape(b.shape + (1,) * self.n)
-        res = PolyCube(self.n, self.deg, out)
-        res._mask_overflow()
-        return res
+        """Truncated polynomial product (lead axes broadcast).
 
-    def _mask_overflow(self):
-        mask = _degree_grid(self.n, self.deg + 1) > self.deg
-        self.c[..., mask] = 0.0
+        One pass over the pair plan of `_product_plan`: gather the factor
+        coefficients of every pair (alpha, beta) with |alpha|+|beta| <= deg,
+        multiply, and sum the products into the slots alpha+beta with one
+        matmul.  Slots with |gamma| > deg are never written.
+        """
+        D, n = self.deg + 1, self.n
+        ia, ib, scatter = _product_plan(n, self.deg)
+        a = self.c.reshape(self.lead + (D**n,))[..., ia]
+        b = other.c.reshape(other.lead + (D**n,))[..., ib]
+        prod = np.asarray(a * b, dtype=complex)
+        out = np.matmul(prod, scatter)
+        return PolyCube(n, self.deg, out.reshape(out.shape[:-1] + (D,) * n))
 
     def diff(self, k):
         """Derivative with respect to y_{k} (k in 1..n, chart numbering)."""
@@ -189,6 +184,29 @@ class PolyCube:
         return self.c[(Ellipsis,) + (0,) * self.n]
 
 
+@functools.lru_cache(maxsize=None)
+def _product_plan(n, deg):
+    """Pair plan of the truncated product of two (deg+1,)*n cubes.
+
+    Returns flat cube offsets (ia, ib) of every pair (alpha, beta) with
+    |alpha| + |beta| <= deg, and the (pairs, (deg+1)**n) 0/1 matrix that adds
+    the product of each pair into the slot alpha + beta.  Read-only: the
+    arrays are shared by every caller.
+    """
+    shape = (deg + 1,) * n
+    alphas = multi_indices(n, deg)
+    pairs = [(a, b) for a in alphas for b in alphas if sum(a) + sum(b) <= deg]
+    ia = np.array([np.ravel_multi_index(a, shape) for a, _ in pairs])
+    ib = np.array([np.ravel_multi_index(b, shape) for _, b in pairs])
+    dst = [np.ravel_multi_index(tuple(map(sum, zip(a, b))), shape)
+           for a, b in pairs]
+    scatter = np.zeros((len(pairs), (deg + 1) ** n))
+    scatter[np.arange(len(pairs)), dst] = 1.0
+    for arr in (ia, ib, scatter):
+        arr.flags.writeable = False
+    return ia, ib, scatter
+
+
 def nmono(n, deg_lo, deg_hi):
     """Number of monomials with deg_lo <= |alpha| <= deg_hi."""
     return sum(1 for a in multi_indices(n, deg_hi) if sum(a) >= deg_lo)
@@ -219,8 +237,12 @@ class BeamChart:
     def to_beam(self, zprime):
         return np.asarray(zprime) / self.scale
 
-    def pullback(self, s, y, h=2e-3):
-        """Chart metric g_ij(s, y) by 4th-order finite differences, batched."""
+    def pullback(self, s, y, h=2e-3, center=None):
+        """Chart metric g_ij(s, y) by 4th-order finite differences, batched.
+
+        `center` may pass the points forward(s, y) when the caller already
+        holds them; otherwise they are computed here.
+        """
         s = np.atleast_1d(np.asarray(s, dtype=float))
         y = np.asarray(y, dtype=float).reshape(s.shape + (self.n,))
         dim = self.n + 1
@@ -237,7 +259,9 @@ class BeamChart:
             e[k] = h
             J[..., 1 + k] = (c1 * (fwd(0, e) - fwd(0, -e))
                              - c2 * (fwd(0, 2 * e) - fwd(0, -2 * e)))
-        G = self.metric.matrix(self.forward(s, y))
+        if center is None:
+            center = self.forward(s, y)
+        G = self.metric.matrix(center)
         return np.einsum("...ai,...ab,...bj->...ij", J, G, J)
 
 
@@ -292,11 +316,14 @@ class ChartJets:
         cloud = self._cloud()
         M, alphas = self._vandermonde(cloud)
         pinv = np.linalg.pinv(M)
-        self._cloud_pts, self._pinv, self._alphas = cloud, pinv, alphas
+        self._pinv, self._alphas = pinv, alphas
         ns, nc = len(self.s), len(cloud)
         S = np.repeat(self.s, nc)
         Y = np.tile(cloud, (ns, 1))
-        g = self.bchart.pullback(S, Y, h=h_fd).reshape(ns, nc, dim, dim)
+        # the lattice points in spacetime, kept for potentials fitted later
+        self._pts = self.bchart.forward(S, Y)
+        g = self.bchart.pullback(S, Y, h=h_fd,
+                                 center=self._pts).reshape(ns, nc, dim, dim)
         ginv = np.linalg.inv(g)
         det = np.linalg.det(g)
         rho = np.sqrt(np.abs(det))
@@ -309,11 +336,6 @@ class ChartJets:
         self.ginv_c = fit(ginv)                       # (ns, dim, dim, D^n)
         self.rho_c = fit(rho)                         # (ns, D^n)
         self.rho_inv_c = fit(1.0 / rho)
-        if V is not None:
-            pts = self.bchart.forward(S, Y)
-            self.V_c = fit(np.asarray(V(pts)).reshape(ns, nc))
-        else:
-            self.V_c = None
 
         # Riccati curvature D_ij = (1/4) d^2_ij ginv^11
         g11 = self.ginv_c[:, 1, 1]
@@ -352,8 +374,7 @@ class ChartJets:
             "D": CubicSpline(self.s, self.D, axis=0),
         }
         self._sp["Ddot"] = self._sp["D"].derivative()
-        if self.V_c is not None:
-            self._sp["V"] = CubicSpline(self.s, self.V_c, axis=0)
+        self.attach_potential(V)
 
     def attach_potential(self, V):
         """Fit (or clear) jets of a potential closure on the same lattice."""
@@ -361,13 +382,8 @@ class ChartJets:
             self.V_c = None
             self._sp.pop("V", None)
             return
-        cloud, pinv, alphas = self._cloud_pts, self._pinv, self._alphas
-        ns, nc = len(self.s), len(cloud)
-        S = np.repeat(self.s, nc)
-        Y = np.tile(cloud, (ns, 1))
-        pts = self.bchart.forward(S, Y)
-        vals = np.asarray(V(pts), dtype=float).reshape(ns, nc)
-        self.V_c = self._scatter(vals @ pinv.T, alphas)
+        vals = np.asarray(V(self._pts), dtype=float).reshape(len(self.s), -1)
+        self.V_c = self._scatter(vals @ self._pinv.T, self._alphas)
         self._sp["V"] = CubicSpline(self.s, self.V_c, axis=0)
 
     # -- access -------------------------------------------------------------

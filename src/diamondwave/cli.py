@@ -286,6 +286,23 @@ def _suite_geometry(rng):
         err = float(np.max(np.abs(w - v)))
         return err < 1e-10, f"roundtrip dev {err:.2e}"
 
+    def split_christoffel_generic():
+        # every block of the closed form is nonzero for this metric
+        def gmat(x):
+            t, x1, x2 = np.moveaxis(np.asarray(x), -1, 0)
+            off = 0.05 * np.sin(x1 + t)
+            return np.stack([np.stack([1 + 0.1 * np.cos(t + x2), off], -1),
+                             np.stack([off, 1 + 0.1 * x1 * x2], -1)], -2)
+
+        ms = geo.SplitMetric(
+            2, beta=lambda x: 1 + 0.1 * np.sin(x[..., 1] + 0.3 * x[..., 0]),
+            gmat=gmat)
+        x = rng.uniform(-1.0, 1.0, size=(64, 3))
+        ref = geo.Metric.christoffel(ms, x)
+        dev = float(np.max(np.abs(ms.christoffel(x) - ref))
+                    / np.max(np.abs(ref)))
+        return dev < 1e-12, f"rel dev {dev:.2e}"
+
     def diamond_membership():
         ok = (geo.causal_diamond_contains(1.0, 2.0, [1.0, 1.5, 0.0])
               and not geo.causal_diamond_contains(1.0, 2.0, [0.1, 1.5, 0.0]))
@@ -294,6 +311,7 @@ def _suite_geometry(rng):
     return [("null_geodesic_straight", straight_line),
             ("split_geodesic_residual", split_residual),
             ("flat_sharp_roundtrip", flat_sharp_roundtrip),
+            ("split_christoffel_generic", split_christoffel_generic),
             ("diamond_membership", diamond_membership)]
 
 

@@ -163,7 +163,7 @@ class FermiChart:
             out = base + v
         else:
             xs, _ = _rk4_geodesic(self.metric, base, v, 0.0, 1.0, self.exp_steps)
-            out = xs[-1]
+            out = xs[-1].copy()     # a view would keep every RK4 step alive
         if not np.all(np.isfinite(out)):
             raise FermiError("exponential map left the metric domain")
         return out[0] if scalar else out

@@ -56,11 +56,13 @@ class Metric:
         """Christoffel symbols of the second kind, shape (..., k, i, j)."""
         ginv = self.inverse(x)
         dg = self.dmatrix(x)
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
-        term = (np.einsum("...ilj->...lij", dg)
-                + np.einsum("...jli->...lij", dg)
-                - dg)
-        gam = 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+        # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij); the
+        # first-kind term [l, i, j] is contracted as a (dim, dim^2) matrix
+        dim = self.dim
+        term = (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)) - dg
+        lead = term.shape[:-3]
+        gam = 0.5 * np.matmul(ginv, term.reshape(lead + (dim, dim * dim)))
+        gam = gam.reshape(lead + (dim,) * 3)
         if not np.all(np.isfinite(gam)):
             raise GeometryError("non-finite metric derivatives")
         return gam
@@ -100,7 +102,11 @@ class SplitMetric(Metric):
 
     `beta` maps (...,1+n) -> (...); `gmat` maps (...,1+n) -> (...,n,n).
     Analytic derivative closures may be supplied; otherwise central finite
-    differences with step `h_g` are used.
+    differences of beta and g with step `h_g` are used.
+
+    The kernels use the block structure: the inverse is -1/beta (+) g^{-1}
+    with the n x n inverse by cofactors, and `christoffel` is the block
+    closed form, equal to the generic `Metric.christoffel` up to rounding.
     """
 
     kind = "split"
@@ -154,23 +160,76 @@ class SplitMetric(Metric):
         out[..., 1:, 1:] = self.gmat(x)
         return out
 
-    def dmatrix(self, x):
-        x = np.asarray(x, dtype=float)
+    def _inverse_blocks(self, x):
+        """(1/beta, g^{-1}) at x; the spatial inverse by cofactors."""
+        beta = np.broadcast_to(self.beta(x), x.shape[:-1])
+        ginv, det = _cofactor_inverse(self.gmat(x))
+        if not (np.all(np.isfinite(beta)) and np.all(beta != 0)
+                and np.all(np.isfinite(det)) and np.all(det != 0)):
+            raise GeometryError("degenerate metric at point")
+        return 1.0 / beta, ginv
+
+    def _derivatives(self, x):
+        """(d_k beta, d_k g_ij), shapes (..., 1+n) and (..., 1+n, n, n)."""
         if self._dbeta is not None and self._dgmat is not None:
-            db = self._dbeta(x)
-            dg = self._dgmat(x)
-            out = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-            out[..., :, 0, 0] = -db
-            out[..., :, 1:, 1:] = dg
-            return out
-        # finite differences of the full matrix
+            return self._dbeta(x), self._dgmat(x)
         h = self.h_g
-        out = np.empty(x.shape[:-1] + (self.dim,) * 3)
+        db = np.empty(x.shape[:-1] + (self.dim,))
+        dg = np.empty(x.shape[:-1] + (self.dim, self.n, self.n))
         for k in range(self.dim):
             e = np.zeros(self.dim)
             e[k] = h
-            out[..., k, :, :] = (self.matrix(x + e) - self.matrix(x - e)) / (2 * h)
+            xp, xm = x + e, x - e
+            db[..., k] = (self.beta(xp) - self.beta(xm)) / (2 * h)
+            dg[..., k, :, :] = (self.gmat(xp) - self.gmat(xm)) / (2 * h)
+        return db, dg
+
+    def inverse(self, x):
+        """Block inverse -1/beta (+) g^{-1}; raises GeometryError where beta
+        or det g is zero or non-finite."""
+        x = np.asarray(x, dtype=float)
+        binv, ginv = self._inverse_blocks(x)
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        out[..., 0, 0] = -binv
+        out[..., 1:, 1:] = ginv
         return out
+
+    def dmatrix(self, x):
+        x = np.asarray(x, dtype=float)
+        db, dg = self._derivatives(x)
+        out = np.zeros(x.shape[:-1] + (self.dim,) * 3)
+        out[..., :, 0, 0] = -db
+        out[..., :, 1:, 1:] = dg
+        return out
+
+    def christoffel(self, x):
+        """Christoffel symbols in block closed form, shape (..., k, i, j).
+
+        With w = 1/(2 beta), spatial indices a, b, c and d_0 = d_t:
+        G^0_00 = w d_0 beta, G^0_0a = w d_a beta, G^0_ab = w d_0 g_ab,
+        G^a_00 = 1/2 g^{ac} d_c beta, G^a_0b = 1/2 g^{ac} d_0 g_cb, and
+        G^a_bc is the Christoffel symbol of g at frozen t.
+        """
+        x = np.asarray(x, dtype=float)
+        n, lead = self.n, x.shape[:-1]
+        binv, ginv = self._inverse_blocks(x)
+        db, dg = self._derivatives(x)
+        w = (0.5 * binv)[..., None]
+        hg = 0.5 * ginv
+        gam = np.empty(lead + (self.dim,) * 3)
+        gam[..., 0, 0, :] = w * db
+        gam[..., 0, 1:, 0] = gam[..., 0, 0, 1:]
+        gam[..., 0, 1:, 1:] = w[..., None] * dg[..., 0, :, :]
+        gam[..., 1:, 0, 0] = np.matmul(hg, db[..., 1:, None])[..., 0]
+        gam[..., 1:, 0, 1:] = np.matmul(hg, dg[..., 0, :, :])
+        gam[..., 1:, 1:, 0] = gam[..., 1:, 0, 1:]
+        ds = dg[..., 1:, :, :]
+        term = (np.swapaxes(ds, -3, -2) + np.moveaxis(ds, -3, -1)) - ds
+        gam[..., 1:, 1:, 1:] = np.matmul(
+            hg, term.reshape(lead + (n, n * n))).reshape(lead + (n,) * 3)
+        if not np.all(np.isfinite(gam)):
+            raise GeometryError("non-finite metric derivatives")
+        return gam
 
     def max_wavespeed(self, points):
         """sup over sample points of the coordinate light speed, for CFL."""
@@ -178,6 +237,35 @@ class SplitMetric(Metric):
         g = self.gmat(points)
         lam_min = np.linalg.eigvalsh(g)[..., 0]
         return float(np.sqrt(np.max(beta / lam_min)))
+
+
+def _cofactor_inverse(g):
+    """Inverse and determinant of a batch of n x n matrices (n <= 3) by
+    cofactors; entries are inf/nan where the determinant vanishes."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[-1]
+    adj = np.empty_like(g)
+    if n == 1:
+        det = g[..., 0, 0]
+        adj[...] = 1.0
+    elif n == 2:
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        adj[..., 0, 0] = g[..., 1, 1]
+        adj[..., 1, 1] = g[..., 0, 0]
+        adj[..., 0, 1] = -g[..., 0, 1]
+        adj[..., 1, 0] = -g[..., 1, 0]
+    else:
+        # adj[j, i] = cofactor C_ij, from cyclic index shifts
+        for i in range(3):
+            i1, i2 = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                adj[..., j, i] = (g[..., i1, j1] * g[..., i2, j2]
+                                  - g[..., i1, j2] * g[..., i2, j1])
+        det = (g[..., 0, 0] * adj[..., 0, 0] + g[..., 0, 1] * adj[..., 1, 0]
+               + g[..., 0, 2] * adj[..., 2, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return adj / det[..., None, None], det
 
 
 def minkowski(n: int = 2) -> MinkowskiMetric:

@@ -582,16 +582,18 @@ def spacetime_integral(grid, *fields):
 
 
 _MAGIC = b"BLWV"
-_VERSION = 1
+_VERSION = 2
+_COMPLEX = 0x80000000
 
 
 def write_snapshot(path, field: GridField):
-    """Binary snapshot: header {magic, version u32, n u32, dims, h f64, dt f64},
-    f64 payload in t-major order.  Complex fields store re/im as two payloads
-    (dims[0] doubled), flagged in the version high bit."""
+    """Binary snapshot: header {magic, version u32, n u32, dims u32 x (1+n),
+    h f64, dt f64, lo f64 x n, t0 f64}, f64 payload in t-major order.
+    Complex fields store re/im as two payloads, flagged in the version high
+    bit.  Version-1 files (no t0 field) read back with t0 = 0."""
     g = field.grid
     cplx = np.iscomplexobj(field.data)
-    version = _VERSION | (0x80000000 if cplx else 0)
+    version = _VERSION | (_COMPLEX if cplx else 0)
     dims = (g.nt,) + g.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -599,6 +601,7 @@ def write_snapshot(path, field: GridField):
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
         fh.write(struct.pack("<dd", g.h, g.dt))
         fh.write(struct.pack(f"<{g.n}d", *g.lo))
+        fh.write(struct.pack("<d", g.t0))
         if cplx:
             np.ascontiguousarray(field.data.real, dtype="<f8").tofile(fh)
             np.ascontiguousarray(field.data.imag, dtype="<f8").tofile(fh)
@@ -606,19 +609,38 @@ def write_snapshot(path, field: GridField):
             np.ascontiguousarray(field.data, dtype="<f8").tofile(fh)
 
 
+def _read_struct(fh, fmt):
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise SolverError("truncated snapshot header")
+    return struct.unpack(fmt, raw)
+
+
+def _read_payload(fh, dims):
+    count = int(np.prod(dims))
+    data = np.fromfile(fh, dtype="<f8", count=count)
+    if data.size != count:
+        raise SolverError(f"truncated snapshot payload: {data.size} of "
+                          f"{count} values")
+    return data.reshape(dims)
+
+
 def read_snapshot(path):
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise SolverError("bad snapshot magic")
-        version, n = struct.unpack("<II", fh.read(8))
-        cplx = bool(version & 0x80000000)
-        dims = struct.unpack(f"<{1 + n}I", fh.read(4 * (1 + n)))
-        h, dt = struct.unpack("<dd", fh.read(16))
-        lo = struct.unpack(f"<{n}d", fh.read(8 * n))
-        count = int(np.prod(dims))
-        data = np.fromfile(fh, dtype="<f8", count=count).reshape(dims)
+        version, n = _read_struct(fh, "<II")
+        cplx = bool(version & _COMPLEX)
+        version &= ~_COMPLEX
+        if version not in (1, 2):
+            raise SolverError(f"unsupported snapshot version {version}")
+        dims = _read_struct(fh, f"<{1 + n}I")
+        h, dt = _read_struct(fh, "<dd")
+        lo = _read_struct(fh, f"<{n}d")
+        t0 = _read_struct(fh, "<d")[0] if version >= 2 else 0.0
+        data = _read_payload(fh, dims)
         if cplx:
-            imag = np.fromfile(fh, dtype="<f8", count=count).reshape(dims)
-            data = data + 1j * imag
-    grid = Grid(n, lo, dims[1:], h, dt, (dims[0] - 1) * dt)
+            data = data + 1j * _read_payload(fh, dims)
+    grid = Grid(n, lo, dims[1:], h, dt, (dims[0] - 1) * dt, t0=t0)
     return GridField(grid, data)

@@ -7,8 +7,11 @@ amplitude is det(Y)^{-1/2}, and the only nonzero degree-3 phase coefficient
 is the y1*(y2)^2 one with value -4i(s - s0) / (1 + 2i(s - s0))^2.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diamondwave import beam, fermi
 from diamondwave import geometry as geo
@@ -309,3 +312,68 @@ def test_residual_hk_surrogate_shifts_slope(flat_beam):
     r0 = beam.beam_residual_scaling(b, V, taus, k_norm=0)
     r1 = beam.beam_residual_scaling(b, V, taus, k_norm=1)
     assert r1["slope"] == pytest.approx(r0["slope"] + 1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# polynomial cubes and metric jets
+
+
+def monomial_product(a, b):
+    """Truncated product by brute force over dicts {alpha: coefficient}."""
+    n, deg = a.n, a.deg
+    alphas = [al for al in itertools.product(range(deg + 1), repeat=n)
+              if sum(al) <= deg]
+    out = {}
+    for al in alphas:
+        for be in alphas:
+            if sum(al) + sum(be) <= deg:
+                ga = tuple(x + y for x, y in zip(al, be))
+                out[ga] = out.get(ga, 0) + a.get(al) * b.get(be)
+    return out
+
+
+@given(n=st.integers(1, 3), deg=st.integers(0, 8),
+       leads=st.sampled_from([((), ()), ((3,), ()), ((), (3,)),
+                              ((2, 1), (3,)), ((4,), (4,))]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mulp_matches_monomial_product(n, deg, leads, seed):
+    rng = np.random.default_rng(seed)
+
+    def cube(lead):
+        shape = lead + (deg + 1,) * n
+        # the slots with |alpha| > deg hold junk that must be ignored
+        return beam.PolyCube(n, deg, rng.normal(size=shape)
+                             + 1j * rng.normal(size=shape))
+
+    a, b = cube(leads[0]), cube(leads[1])
+    out = a.mulp(b)
+    lead = np.broadcast_shapes(*leads)
+    assert out.c.shape == lead + (deg + 1,) * n
+    ref = monomial_product(a, b)
+    for ga in itertools.product(range(deg + 1), repeat=n):
+        if sum(ga) > deg:
+            assert np.all(out.get(ga) == 0)
+        else:
+            assert np.allclose(out.get(ga), ref[ga], rtol=1e-12, atol=1e-12)
+
+
+def test_chart_jets_map_the_lattice_once(monkeypatch):
+    calls = []
+    forward = fermi.FermiChart.forward
+
+    def counting(self, s, z):
+        calls.append(np.shape(s))
+        return forward(self, s, z)
+
+    monkeypatch.setattr(fermi.FermiChart, "forward", counting)
+    n = 2
+    bch = beam.BeamChart(flat_chart(n))
+    V = gaussian_V()
+    jets = beam.ChartJets(bch, np.linspace(0.0, 2.0, 8), deg=4, V=V)
+    # one center map plus the four-point stencil in each chart direction
+    assert len(calls) == 1 + 4 * (n + 1)
+    first = jets.V_c.copy()
+    jets.attach_potential(lambda x: 2.0 * V(x))
+    assert len(calls) == 1 + 4 * (n + 1)
+    assert np.array_equal(jets.V_c, 2.0 * first)

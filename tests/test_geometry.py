@@ -123,6 +123,58 @@ def test_christoffel_symmetry_random():
         assert np.allclose(gam, np.swapaxes(gam, 1, 2), atol=1e-10)
 
 
+def curvy_split(n, analytic):
+    """Split metric with every Christoffel block nonzero; the analytic one
+    carries the sympy derivatives, the other one finite differences."""
+    g_texts = [[f"1 + 0.1*cos(x{i + 1} + 0.5*t)" if i == j
+                else f"0.05*sin(x{min(i, j) + 1} + {i + j}*t)"
+                for j in range(n)] for i in range(n)]
+    m = geo.SplitMetric.from_expressions(n, "1 + 0.1*sin(t + x1)", g_texts)
+    return m if analytic else geo.SplitMetric(n, m.beta, m.gmat)
+
+
+def first_kind_christoffel(m, x):
+    """The generic formula, with a LAPACK inverse of the full matrix."""
+    ginv = np.linalg.inv(m.matrix(x))
+    dg = m.dmatrix(x)
+    term = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
+            - dg)
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+
+
+def rel_dev(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_split_kernels_match_generic(n, analytic):
+    m = curvy_split(n, analytic)
+    x = np.random.default_rng(n).uniform(-1.5, 1.5, size=(40, n + 1))
+    assert rel_dev(m.inverse(x), np.linalg.inv(m.matrix(x))) < 1e-13
+    gam = m.christoffel(x)
+    assert gam.shape == (40,) + (n + 1,) * 3
+    assert rel_dev(gam, first_kind_christoffel(m, x)) < 1e-13
+    assert rel_dev(gam, geo.Metric.christoffel(m, x)) < 1e-13
+    # single points go through the same kernels
+    assert rel_dev(m.christoffel(x[3]), gam[3]) < 1e-13
+
+
+def test_split_kernels_reject_degenerate_metric():
+    ones = lambda x: np.ones(np.asarray(x).shape[:-1])
+    singular = geo.SplitMetric(
+        2, beta=ones,
+        gmat=lambda x: np.ones(np.asarray(x).shape[:-1] + (2, 2)))
+    no_lapse = geo.SplitMetric(
+        2, beta=lambda x: 0.0 * ones(x),
+        gmat=lambda x: np.broadcast_to(np.eye(2),
+                                       np.asarray(x).shape[:-1] + (2, 2)))
+    for m in (singular, no_lapse):
+        for kernel in (m.inverse, m.christoffel):
+            with pytest.raises(geo.GeometryError, match="degenerate"):
+                kernel(np.zeros((4, 3)))
+
+
 def test_signature_check_rejects_wrong_sign():
     m = geo.SplitMetric(2, beta=lambda x: -np.ones(np.asarray(x).shape[:-1]),
                         gmat=lambda x: np.broadcast_to(np.eye(2), np.asarray(x).shape[:-1] + (2, 2)))

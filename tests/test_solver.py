@@ -250,6 +250,47 @@ def test_snapshot_roundtrip_complex(tmp_path):
     assert np.array_equal(back.data, data)
 
 
+def test_snapshot_roundtrip_time_origin(tmp_path):
+    g = slv.Grid(1, [0.0], (3,), 0.1, 0.05, 0.1, t0=1.0)
+    data = np.arange(9.0).reshape(3, 3)
+    path = tmp_path / "snap.blwv"
+    slv.write_snapshot(path, slv.GridField(g, data))
+    back = slv.read_snapshot(path)
+    assert back.grid.t0 == 1.0
+    assert np.array_equal(back.grid.times(), g.times())
+    assert back.grid.same_layout(g)
+    assert np.array_equal(back.data, data)
+
+
+def test_snapshot_version1_reads_zero_time_origin_and_rejects_unknown(tmp_path):
+    import struct
+    data = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "snap_v1.blwv"
+    path.write_bytes(b"BLWV" + struct.pack("<II2Idd1d", 1, 1, 2, 3, 0.1, 0.05,
+                                           -0.1) + data.astype("<f8").tobytes())
+    back = slv.read_snapshot(path)
+    assert back.grid.t0 == 0.0
+    assert np.array_equal(back.grid.times(), [0.0, 0.05])
+    assert np.array_equal(back.grid.lo, [-0.1])
+    assert np.array_equal(back.data, data)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 3)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(slv.SolverError, match="unsupported snapshot version"):
+        slv.read_snapshot(path)
+
+
+@pytest.mark.parametrize("cut", [8, 100, 150])
+def test_snapshot_truncated_raises(tmp_path, cut):
+    g = slv.Grid(1, [0.0], (3,), 0.1, 0.05, 0.1, t0=1.0)
+    path = tmp_path / "snap.blwv"
+    slv.write_snapshot(path, slv.GridField(g, np.ones((3, 3)) + 0j))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-cut])
+    with pytest.raises(slv.SolverError, match="truncated"):
+        slv.read_snapshot(path)
+
+
 def test_cfl_guard():
     with pytest.raises(slv.SolverError, match="CFL"):
         g = slv.Grid(2, [-1, -1], (21, 21), 0.1, 0.09, 0.9)
