@@ -188,6 +188,7 @@ class RunReport:
         self.stages = []
         self._flags = []
         self.table = []
+        self.diagnostics = []
 
     def stage(self, name, seconds):
         self.stages.append((name, seconds))
@@ -199,6 +200,9 @@ class RunReport:
     def check(self, name, ok, detail=""):
         self.table.append((name, bool(ok), detail))
 
+    def diagnostic(self, name, text):
+        self.diagnostics.append((name, text))
+
     def write(self, path):
         with open(path, "w") as fh:
             fh.write("stage timings (s)\n")
@@ -207,6 +211,10 @@ class RunReport:
             fh.write("flags\n")
             for f in self._flags:
                 fh.write(f"  {f}\n")
+            if self.diagnostics:
+                fh.write("diagnostics\n")
+                for name, text in self.diagnostics:
+                    fh.write(f"  {name}: {text}\n")
             fh.write("checks\n")
             for name, ok, detail in self.table:
                 status = "pass" if ok else "FAIL"
@@ -604,6 +612,12 @@ def cmd_recover(args):
                        [(tau, res.I_full, res.I_fast, res.rel_diff)])
             report.check("full vs fast interaction", res.rel_diff < 0.15,
                          f"rel diff {res.rel_diff:.3g}")
+            report.diagnostic(
+                "GO ratio t_j/(kappa_j tau delta^2) per packet",
+                " ".join(f"{x:.3g}" for x in res.go_ratios))
+            report.diagnostic("kappa_top tau h", f"{res.kh:.3g}")
+            report.diagnostic("stencil group velocity at kappa_top tau h",
+                              f"{res.group_velocity:.3g}")
 
     report.write(os.path.join(outdir, "run_report.txt"))
     print(os.path.join(outdir, "report.csv"))

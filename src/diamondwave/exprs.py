@@ -41,7 +41,8 @@ def parse_expression(text: str, n: int) -> sp.Expr:
 class ScalarField:
     """Callable scalar field of (t, x') with analytic first/second derivatives.
 
-    Accepts points of shape (1+n,) or batched (..., 1+n).
+    Accepts points of shape (1+n,) or batched (..., 1+n).  `time_dependent`
+    tells whether t occurs in the expression.
     """
 
     def __init__(self, expr: sp.Expr, n: int):
@@ -52,6 +53,7 @@ class ScalarField:
             syms = (syms,)
         self._syms = syms
         self._f = sp.lambdify(syms, expr, modules="numpy")
+        self.time_dependent = syms[0] in expr.free_symbols
         self._df = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
 
     @classmethod

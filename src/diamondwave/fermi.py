@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (GeometryError, Metric, NullGeodesic, _geodesic_rhs,
-                       _rk4_geodesic)
+                       _rk4_geodesic, is_flat)
 
 
 class FermiError(RuntimeError):
@@ -147,7 +147,7 @@ class FermiChart:
         length = geodesic.s[-1] - geodesic.s[0]
         self.delta_prime = delta_prime if delta_prime is not None else 0.15 * length
         self.exp_steps = exp_steps
-        self._flat = self.metric.kind == "minkowski"
+        self._flat = is_flat(self.metric)
 
     def forward(self, s, zprime):
         """F(s, z'); batched over leading axes of s (...,) and zprime (..., n)."""

@@ -272,6 +272,11 @@ def minkowski(n: int = 2) -> MinkowskiMetric:
     return MinkowskiMetric(n)
 
 
+def is_flat(metric: Metric) -> bool:
+    """True for the flat Minkowski metric, where null geodesics are lines."""
+    return metric.kind == "minkowski"
+
+
 # ---------------------------------------------------------------------------
 # index gymnastics
 
@@ -410,7 +415,7 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
         defect = np.abs(np.einsum("...ij,...i,...j->...",
                                   metric.matrix(x), xdot, xdot))
         defect = float(np.max(defect)) / max(float(np.max(np.abs(xdot))) ** 2, 1e-300)
-        if defect <= 1e-9 or metric.kind == "minkowski":
+        if defect <= 1e-9 or is_flat(metric):
             break
         nsteps *= 2
 
@@ -509,7 +514,7 @@ def time_separation(metric: Metric, p, q, shoot_kwargs=None):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if metric.kind == "minkowski":
+    if is_flat(metric):
         dt = q[0] - p[0]
         dx = float(np.linalg.norm(q[1:] - p[1:]))
         if dt < dx:  # not causally related (or past-directed)

@@ -20,6 +20,7 @@ any wave type.
 """
 
 import csv
+import functools
 import itertools
 
 import numpy as np
@@ -176,6 +177,15 @@ def tensor_quadrature(center, half_widths, nq):
 # closed-form packets for the quadrature-only route
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def _chi_second_derivative(chi):
     """chi'' as a callable; analytic for the standard bump, else central FD."""
     if chi is go.chi_bump:
@@ -235,17 +245,18 @@ class LinePacket:
                 break
         self._omegas = np.array([np.concatenate([[0.0], om])
                                  for om in basis[1:]])
-        t, w = np.polynomial.legendre.leggauss(int(gl_nodes))
-        self._gl = (t, w)
+        self._gl = _gauss_legendre(int(gl_nodes))
 
     def coords(self, x):
         """(s, w0, transverse array) of spacetime points x (..., 1+n)."""
         dx = np.asarray(x, dtype=float) - self.q
-        s = dx @ self._s_row
-        w0 = dx @ self._w0_row
+        return (dx @ self._s_row,) + self._cross_coords(dx)
+
+    def _cross_coords(self, dx):
+        """(w0, transverse array) of offsets dx from q."""
         wt = dx @ self._omegas.T if len(self._omegas) else \
             np.zeros(dx.shape[:-1] + (0,))
-        return s, w0, wt
+        return dx @ self._w0_row, wt
 
     def _profiles(self, w0, wt):
         """(a0, lap_perp a0) from the cutoff profiles."""
@@ -284,7 +295,7 @@ class LinePacket:
 
     def support(self, x):
         """Mask of the spacetime points x where a0 is nonzero."""
-        _, w0, wt = self.coords(x)
+        w0, wt = self._cross_coords(np.asarray(x, dtype=float) - self.q)
         inside = self.chi(w0 / self.delta) != 0
         for i in range(wt.shape[-1]):
             inside &= self.chi(wt[..., i] / self.delta) != 0
@@ -397,12 +408,6 @@ class PacketQuad:
 # interaction integral by quadrature
 # ---------------------------------------------------------------------------
 
-def _eval_wave(wave, tau, pts):
-    if hasattr(wave, "eval_many"):
-        return wave.eval_many(tau, pts)
-    return wave.eval(tau, pts)
-
-
 def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
     """Quadrature of the product of the given waves on a box around center.
 
@@ -425,7 +430,8 @@ def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
     else:
         integrand = np.ones(len(pts), dtype=complex)
         for wv in waves:
-            integrand = integrand * np.asarray(_eval_wave(wv, tau, pts))
+            integrand = integrand * np.asarray(
+                sources.eval_wave(wv, tau, pts))
     peak = float(np.max(np.abs(integrand)))
     if peak > 0:
         leak = float(np.max(np.abs(integrand[boundary]))) / peak
@@ -446,16 +452,18 @@ def interaction_series(packets, center, half_widths, nq=41, loc_tol=1e-3):
         csum = sum w prod_j a0_j sum_j c_j / I0,
     which carries the line integrals.  Every term vanishes unless all a0
     are nonzero (a1 vanishes where a0 does), so the packets are evaluated
-    on that joint support only.  A localization check requires prod a0 to
-    be negligible on the box boundary.
+    on that joint support only.  It is found progressively: each packet's
+    support is tested only on the nodes inside the supports of the packets
+    before it, and the nodes keep their box order.  A localization check
+    requires prod a0 to be negligible on the box boundary.
     """
     if np.any(sum(pk.xi for pk in packets)):
         raise RecoveryError("interaction coefficients need covectors "
                             "summing to zero")
     pts, w, boundary = tensor_quadrature(center, half_widths, nq)
-    joint = np.ones(len(pts), dtype=bool)
-    for pk in packets:
-        joint &= pk.support(pts)
+    joint = np.flatnonzero(packets[0].support(pts))
+    for pk in packets[1:]:
+        joint = joint[pk.support(pts[joint])]
     levels = [pk.amplitudes(pts[joint]) for pk in packets]
     w, boundary = w[joint], boundary[joint]
     a0s = [a0 for a0, _, _ in levels]
@@ -591,7 +599,7 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
     integral L(s0) and a central difference in s0 gives V(p).
     """
     p = np.asarray(p, dtype=float)
-    if not isinstance(metric, geo.MinkowskiMetric) and metric.kind != "minkowski":
+    if not geo.is_flat(metric):
         raise RecoveryError("fast-route recovery supports flat backgrounds")
     ret = sources.find_returning_geodesics(metric, p, r, T)
     s0c = p[0] - ret.q_minus[0]
@@ -665,9 +673,17 @@ def _odd(solve):
 
 
 class FullPathResult:
-    """PDE-route interaction integral next to its quadrature prediction."""
+    """PDE-route interaction integral next to its quadrature prediction.
 
-    def __init__(self, pairing, I_fast, quad, grid, I_check=None):
+    Regime diagnostics: `go_ratios[j] = t_j / (|kappa_j| tau delta^2)` is
+    |a1 / (tau a0)| at the bump centre after packet j's travel time t_j to
+    p, small only where the geometric-optics expansion holds; `kh` is the
+    top carrier's wavenumber times h, and `group_velocity` the stencil's
+    group velocity there (1 for a resolved carrier).
+    """
+
+    def __init__(self, pairing, I_fast, quad, grid, go_ratios, kh,
+                 I_check=None):
         self.pairing = pairing
         self.I_full = pairing.data_side
         self.I_fast = complex(I_fast)
@@ -676,6 +692,9 @@ class FullPathResult:
         self.quad = quad
         self.grid = grid
         self.I_check = I_check
+        self.go_ratios = go_ratios
+        self.kh = kh
+        self.group_velocity = float(solver.stencil_group_velocity(kh))
 
 
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
@@ -706,7 +725,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     """
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
-    if not isinstance(metric, geo.MinkowskiMetric) and metric.kind != "minkowski":
+    if not geo.is_flat(metric):
         raise RecoveryError("full-route driver supports flat backgrounds")
     ret = sources.find_returning_geodesics(metric, p, r, T)
     s0 = p[0] - ret.q_minus[0]
@@ -715,10 +734,14 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     t_minus = ret.q_minus[0]
     t_plus = ret.q_plus[0]
 
+    k_top = float(np.max(np.abs(quad.kappa))) * tau
+    # packets 1..3 travel from the lower slab to p, the test packet from p
+    # to the upper slab
+    travel = np.array([t_plus - p[0]] + 3 * [p[0] - t_minus])
+    go_ratios = travel / (np.abs(quad.kappa) * tau * delta**2)
     if dt is None:
         # leapfrog/4th-order dispersion roughly cancels near
         # dt ~ 0.365 k h^2 for the stiffest carrier k
-        k_top = float(np.max(np.abs(quad.kappa))) * tau
         dt = min(0.365 * k_top * h * h, 0.4 * h / np.sqrt(n))
     nsteps = max(int(np.ceil(T / dt)), 8)
     dt = T / nsteps
@@ -787,7 +810,8 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         U0 = solver.solve_backward(metric, grid, V, fplus_full)
         I_check = solver.spacetime_integral(
             grid, U0.data, Us[0].data, Us[1].data, Us[2].data)
-    return FullPathResult(pairing, I_fast, quad, grid, I_check=I_check)
+    return FullPathResult(pairing, I_fast, quad, grid, go_ratios, k_top * h,
+                          I_check=I_check)
 
 
 def recover_region(metric, V, points, r, T, V_true=None, sigma0=0.1,

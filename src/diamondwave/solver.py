@@ -15,7 +15,8 @@ import struct
 
 import numpy as np
 
-from .geometry import Metric, MinkowskiMetric
+from .exprs import ScalarField
+from .geometry import is_flat
 
 
 class SolverError(RuntimeError):
@@ -232,6 +233,18 @@ def laplacian_4th(u, h, n):
     return layout.interior(_Laplacian4(layout, u.dtype, h, n)(P))
 
 
+def stencil_group_velocity(kh):
+    """Group velocity of the 4th-order Laplacian's semi-discrete waves.
+
+    The stencil turns k^2 into K^2 = (30 - 32 cos kh + 2 cos 2kh) / (12 h^2),
+    so dw/dk = (32 sin kh - 4 sin 2kh) / (24 sqrt(K^2 h^2)); in the half
+    angle c = cos(kh/2) this is c (4 - cos kh) / sqrt(3 (4 - c^2)), which is
+    1 at kh = 0 and falls to 0.876 at kh = 1.56 (4 points per wavelength).
+    """
+    c = np.cos(0.5 * np.asarray(kh, dtype=float))
+    return c * (4.0 - np.cos(kh)) / np.sqrt(3.0 * (4.0 - c * c))
+
+
 def _shift(u, off, ax):
     """Shift with zero fill: result[i] = u[i+off]."""
     if off == 0:
@@ -367,6 +380,11 @@ def _as_potential_slices(V, grid):
         return lambda m: v
     if isinstance(V, GridField):
         return lambda m: V.data[m]
+    if isinstance(V, ScalarField) and not V.time_dependent:
+        # a static expression takes the same values on every slice
+        v = np.asarray(V(grid.spacetime_slice(0)))
+        v.flags.writeable = False
+        return lambda m: v
     # closure on space-time points; potentials are static in most experiments
     # but time dependence is allowed
     cache = {}
@@ -449,7 +467,7 @@ class _Leapfrog:
 
 def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
            backward):
-    is_mink = isinstance(metric, MinkowskiMetric) or metric.kind == "minkowski"
+    is_mink = is_flat(metric)
     if is_mink:
         grid.check_cfl(1.0)
         coeffs = None
@@ -536,7 +554,7 @@ def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
     Defined on interior time slices 1..nt-2; the first and last slices of the
     result are zero.
     """
-    is_mink = isinstance(metric, MinkowskiMetric) or metric.kind == "minkowski"
+    is_mink = is_flat(metric)
     coeffs = None if is_mink else _SplitCoeffs(metric, grid)
     Vs = _as_potential_slices(V, grid)
     dt = grid.dt

@@ -96,15 +96,13 @@ def default_rho(obj, grid, r, t0):
     return float(rho)
 
 
-def _field_of(obj, tau, grid):
-    if hasattr(obj, "eval_many"):
-        def f(pts):
-            return obj.eval_many(tau, pts.reshape(-1, pts.shape[-1])
-                                 ).reshape(pts.shape[:-1])
-    else:
-        def f(pts):
-            return obj.eval(tau, pts)
-    return GridField.from_closure(grid, f, dtype=complex, name="packet")
+def eval_wave(wave, tau, pts):
+    """u_tau of a packet or beam at points (..., 1+n); a wave with a batched
+    `eval_many` gets them as one (M, 1+n) array."""
+    if hasattr(wave, "eval_many"):
+        return wave.eval_many(tau, pts.reshape(-1, pts.shape[-1])
+                              ).reshape(pts.shape[:-1])
+    return wave.eval(tau, pts)
 
 
 def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
@@ -116,7 +114,8 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     if rho is None:
         rho = default_rho(obj, grid, r, t0)
     cut = CutoffPair(t0, rho)
-    u = _field_of(obj, tau, grid)
+    u = GridField.from_closure(grid, lambda pts: eval_wave(obj, tau, pts),
+                               dtype=complex, name="packet")
     times = grid.times()
     inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)
     zu = GridField(grid, u.data * inner(times).reshape(-1, *([1] * grid.n)),
@@ -258,8 +257,11 @@ class ReturningGeodesics:
     """Two null geodesics through p with endpoints on the cylinder.
 
     gamma_minus runs from q_minus up through p, gamma_plus from p up to
-    q_plus; margin is the sampled minimal distance between the two curves
-    away from p, certifying that they meet only there.
+    q_plus; margin is the minimal distance between the two curves outside
+    B(p, 0.1 (t_plus - t_minus)), certifying that they meet only at p.  On a
+    flat metric the curves are straight lines sampled exactly and the margin
+    is in closed form; on a split metric they are shot and the margin is
+    sampled.
     """
 
     def __init__(self, p, q_minus, q_plus, geod_minus, geod_plus, margin):
@@ -281,6 +283,35 @@ def _intersection_margin(gm, gp, p, exclude):
     return float(d.min())
 
 
+def _line_margin(vm, vp, exclude):
+    """Min distance between two lines through p outside B(p, exclude).
+
+    With Euclidean unit tangents u_-, u_+ in R^{1+n} the closest pair lies
+    on the sphere, one point on each of the two half-lines that make the
+    acute angle: exclude * sqrt(2 - 2 |u_- . u_+|).
+    """
+    cos = abs(vm @ vp) / (np.linalg.norm(vm) * np.linalg.norm(vp))
+    return float(exclude * np.sqrt(max(2.0 - 2.0 * cos, 0.0)))
+
+
+def _null_line(metric, p, q, v, s_nodes):
+    """The flat null geodesic x = q + s v sampled on [s_lo, s_hi].
+
+    `s_nodes` is (s_lo, s_p, s_hi) with q + s_p v = p; s_p is a node and its
+    sample is p itself.  Nodes are as dense as the shot geodesics' steps
+    (400 per unit).
+    """
+    s_lo, s_p, s_hi = s_nodes
+    k_lo = max(1, int(np.ceil((s_p - s_lo) * 400)))
+    k_hi = max(1, int(np.ceil((s_hi - s_p) * 400)))
+    s = np.concatenate([np.linspace(s_lo, s_p, k_lo + 1),
+                        np.linspace(s_p, s_hi, k_hi + 1)[1:]])
+    x = q + s[:, None] * v
+    x[k_lo] = p
+    xdot = np.broadcast_to(v, x.shape).copy()
+    return geo.NullGeodesic(metric, s, x, xdot, np.zeros_like(x), 0.0)
+
+
 def _null_direction(metric, q, u):
     """Future null vector (c, u) at q with unit spatial part u."""
     G = metric.matrix(np.asarray(q, dtype=float))
@@ -293,35 +324,6 @@ def _null_direction(metric, q, u):
     if c < 0:
         c = (-b - np.sqrt(disc)) / (2 * a)
     return np.concatenate([[c], u])
-
-
-def _shoot_to(metric, q, p, span, steps=400, past=False):
-    """Null geodesic from q passing through p, by shooting over the angle."""
-    d = p[1:] - q[1:]
-    theta0 = float(np.arctan2(d[1], d[0])) if len(d) > 1 else 0.0
-    # a past-directed shot keeps the future tangent, runs the parameter range
-    # backwards from q, and aims the spatial direction away from p
-    if past:
-        span = (-span[1], -span[0])
-        theta0 += np.pi
-
-    def miss(theta):
-        u = np.array([np.cos(theta), np.sin(theta)])[: len(d)]
-        v = _null_direction(metric, q, u)
-        g = geo.integrate_null_geodesic(metric, q, v / abs(v[0]), span,
-                                        steps_per_unit=steps)
-        return float(np.min(np.linalg.norm(g.x - p, axis=-1))), g
-
-    if isinstance(metric, geo.MinkowskiMetric):
-        return miss(theta0)[1]
-    r = minimize_scalar(lambda th: miss(th)[0],
-                        bounds=(theta0 - 0.5, theta0 + 0.5), method="bounded",
-                        options={"xatol": 1e-12})
-    err, g = miss(float(r.x))
-    if err > 1e-6:
-        raise SourceError(
-            f"no connecting null geodesic found (closest approach {err:.2e})")
-    return g
 
 
 def _shoot_to_axis(metric, p, anchor, T, future, steps=400):
@@ -381,25 +383,29 @@ def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
     for a in anchors:
         a = np.asarray(a, dtype=float)
         try:
-            if isinstance(metric, geo.MinkowskiMetric):
+            if geo.is_flat(metric):
                 d = float(np.linalg.norm(p[1:] - a))
                 tm, tp = p[0] - d, p[0] + d
                 if not (0 <= tm < tp <= T):
                     raise SourceError("anchor cone times leave the slab")
                 qm = np.concatenate([[tm], a])
                 qp = np.concatenate([[tp], a])
-                span = (0.0, 1.5 * (tp - tm))
-                gm = _shoot_to(metric, qm, p, span)
-                # the upper geodesic is shot past-directed from q_plus to p
-                gp_rev = _shoot_to(metric, qp, p, span, past=True)
+                u = (p[1:] - a) / d
+                vm = np.concatenate([[1.0], u])
+                vp = np.concatenate([[1.0], -u])
+                gm = _null_line(metric, p, qm, vm, (0.0, d, 3 * d))
+                # the upper line keeps its future tangent and runs its
+                # parameter backwards from q_plus through p
+                gp_rev = _null_line(metric, p, qp, vp, (-3 * d, -d, 0.0))
+                margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
             else:
                 gm, qm = _shoot_to_axis(metric, p, a, T, future=False)
                 gp_rev, qp = _shoot_to_axis(metric, p, a, T, future=True)
                 tm, tp = qm[0], qp[0]
                 if not (0 <= tm < tp <= T):
                     raise SourceError("anchor cone times leave the slab")
-            margin = _intersection_margin(gm, gp_rev, p,
-                                          exclude=0.1 * (tp - tm))
+                margin = _intersection_margin(gm, gp_rev, p,
+                                              exclude=0.1 * (tp - tm))
             if margin < margin_min:
                 raise SourceError("returning geodesics fail transversality")
             return ReturningGeodesics(p, qm, qp, gm, gp_rev, margin)

@@ -350,7 +350,10 @@ def test_full_route_matches_quadrature():
     m = geo.minkowski(2)
     res = recovery.full_path_interaction(m, None, tau=40.0, check=True,
                                          **FULL_ROUTE_ARGS)
-    assert res.rel_diff < 0.15
+    assert res.rel_diff < 0.15, (
+        f"rel diff {res.rel_diff:.4g}; GO ratios {np.round(res.go_ratios, 3)}"
+        f", kappa_top tau h {res.kh:.3g}, stencil group velocity "
+        f"{res.group_velocity:.3g}")
 
 
 # -- 11: distinguishability ----------------------------------------------------

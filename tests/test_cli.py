@@ -249,3 +249,25 @@ def test_recover_full_stage_failure_keeps_reports(tmp_path, monkeypatch,
     assert "full vs fast interaction: FAIL (SolverError: nonlinear" in rr
     assert "V_recovered" in (out / "report.csv").read_text()
     assert not (out / "full_path.csv").exists()
+
+
+def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
+                                                capsys):
+    # the full-route stage reports the GO ratios, kh and the stencil's
+    # group velocity next to its failing gate
+    def fake(*args, **kwargs):
+        return recovery.FullPathResult(
+            recovery.PairingResult(4.1e-6), 0.2, None, None,
+            np.array([6.25, 0.694, 1.25, 1.25]), 1.56)
+    monkeypatch.setattr(recovery, "full_path_interaction", fake)
+    cfgp = write_cfg(tmp_path, RECOVER_CFG.replace("mode = fast",
+                                                   "mode = full"))
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    rr = (out / "run_report.txt").read_text()
+    assert "GO ratio t_j/(kappa_j tau delta^2) per packet: " \
+        "6.25 0.694 1.25 1.25" in rr
+    assert "kappa_top tau h: 1.56" in rr
+    assert "stencil group velocity at kappa_top tau h: 0.876" in rr
+    assert "full vs fast interaction: FAIL (rel diff 1)" in rr

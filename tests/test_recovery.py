@@ -34,6 +34,26 @@ def test_cross_derivative_even_power_vanishes():
     assert np.max(np.abs(st.cross)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(coef=st.lists(st.floats(-5.0, 5.0), min_size=20, max_size=20),
+       h_eps=st.floats(0.01, 0.5))
+def test_cross_derivative_exact_on_cubics(coef, h_eps):
+    # every monomial of degree <= 3 other than e1 e2 e3 is even in some
+    # eps_k, so the cross difference reads the e1 e2 e3 coefficient exactly
+    monos = [m for m in np.ndindex(4, 4, 4) if sum(m) <= 3]
+    assert len(monos) == len(coef)
+    g = np.array([1.0, -2.0, 0.5])
+
+    def solve(e):
+        return sum(c * e[0] ** a * e[1] ** b * e[2] ** k
+                   for c, (a, b, k) in zip(coef, monos)) * g
+    c123 = coef[monos.index((1, 1, 1))]
+    st_ = rc.cross_derivative(lambda e: e, solve, h_eps)
+    tol = 1e-12 * sum(abs(c) for c in coef) / h_eps**3 + 1e-12
+    assert np.allclose(st_.cross, c123 * g, rtol=0, atol=tol)
+    assert np.allclose(st_.vtau, -c123 * g / 6.0, rtol=0, atol=tol)
+
+
 def test_cross_derivative_richardson_gate():
     # a strong epsilon^5 contamination trips the h vs h/2 comparison
     def u(e):
@@ -271,6 +291,26 @@ def test_interaction_series_matches_asymptotic_I(go_quad):
     assert rest[-1] < 0.1 * abs(Im1 / taus[-1])
 
 
+def test_interaction_series_evaluates_the_joint_support_in_box_order(
+        go_quad, monkeypatch):
+    # the progressive support filter hands every packet exactly the box
+    # nodes where all four supports hold, in box order
+    p, V, quad, cal = go_quad
+    pts, _, _ = rc.tensor_quadrature(p, 0.3, 33)
+    joint = np.logical_and.reduce([pk.support(pts) for pk in quad.packets])
+    seen = []
+    amplitudes = rc.LinePacket.amplitudes
+
+    def recording(self, x):
+        seen.append(np.array(x))
+        return amplitudes(self, x)
+    monkeypatch.setattr(rc.LinePacket, "amplitudes", recording)
+    rc.interaction_series(quad.packets, p, 0.3, nq=33)
+    assert len(seen) == 4
+    for x in seen:
+        assert np.array_equal(x, pts[joint])
+
+
 # -- extraction --------------------------------------------------------------
 
 def test_extraction_matches_c_oracle(go_quad):
@@ -308,6 +348,19 @@ def test_richardson_sigma_exact_quadratic():
     lim, flags = rc.richardson_sigma(sigmas, vals)
     assert lim == pytest.approx(3.0, abs=1e-12)
     assert not flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(coef=st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+       size=st.integers(3, 5), sigma0=st.floats(0.02, 0.4))
+def test_richardson_sigma_exact_on_polynomials(coef, size, sigma0):
+    # a polynomial in sigma^2 of degree <= len - 1 extrapolates to its
+    # constant term exactly (up to rounding)
+    coef = np.array(coef[:size])
+    sigmas = sigma0 / 2.0 ** np.arange(size)
+    vals = np.polynomial.polynomial.polyval(sigmas**2, coef)
+    lim, _ = rc.richardson_sigma(sigmas, vals)
+    assert abs(lim - coef[0]) <= 1e-12 * (1 + np.sum(np.abs(coef)))
 
 
 def test_richardson_sigma_schedule_checks():
@@ -371,6 +424,19 @@ def test_recover_point_zero_potential_control():
     m = geo.minkowski(2)
     v, flags, _ = rc.recover_point(m, None, np.array([1.8, 1.1, 0.0]),
                                    r=1.0, T=5.0)
+    assert abs(v) < 5e-3
+
+
+def test_flat_route_shoots_no_geodesic(monkeypatch):
+    # on a flat metric the returning geodesics are lines in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("null geodesic integrated")
+    monkeypatch.setattr(geo, "integrate_null_geodesic", refuse)
+    m = geo.minkowski(2)
+    p = np.array([1.8, 1.1, 0.0])
+    ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0)
+    assert ret.q_minus[0] == pytest.approx(0.7)
+    v, _, _ = rc.recover_point(m, None, p, r=1.0, T=5.0)
     assert abs(v) < 5e-3
 
 
@@ -453,3 +519,17 @@ def test_full_route_surgery_builds_no_grid_packet(monkeypatch):
     res = rc.full_path_interaction(geo.minkowski(2), None, check=False,
                                    **COARSE_FULL_ROUTE)
     assert np.isfinite(res.I_full)
+
+
+def test_full_route_regime_diagnostics():
+    # every packet travels 0.9 between its slab and p, so the GO ratio is
+    # 0.9 / (|kappa_j| tau delta^2); the top carrier is kappa_1 tau
+    res = rc.full_path_interaction(geo.minkowski(2), None, check=False,
+                                   **COARSE_FULL_ROUTE)
+    tau, delta, h = (COARSE_FULL_ROUTE[k] for k in ("tau", "delta", "h"))
+    kappa = np.abs(res.quad.kappa)
+    assert np.allclose(res.go_ratios, 0.9 / (kappa * tau * delta**2),
+                       rtol=1e-12)
+    assert res.kh == pytest.approx(kappa[1] * tau * h, rel=1e-12)
+    assert res.group_velocity == solver.stencil_group_velocity(res.kh)
+    assert 0.9 < res.group_velocity < 1.0

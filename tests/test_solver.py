@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diamondwave import exprs
 from diamondwave import geometry as geo
 from diamondwave import solver as slv
 
@@ -295,3 +296,46 @@ def test_cfl_guard():
     with pytest.raises(slv.SolverError, match="CFL"):
         g = slv.Grid(2, [-1, -1], (21, 21), 0.1, 0.09, 0.9)
         g.check_cfl(1.0)
+
+
+# -- potentials and dispersion -------------------------------------------------
+
+class CountingField(exprs.ScalarField):
+    """A parsed potential that counts its evaluations."""
+
+    def __init__(self, text, n):
+        super().__init__(exprs.parse_expression(text, n), n)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("text, static", [
+    ("0.5*exp(-(x1^2 + x2^2))", True),
+    ("0.5*exp(-(x1^2 + x2^2))*(1 + 0.3*t)", False),
+])
+def test_static_potential_evaluated_once_per_march(text, static):
+    g = small_grid()
+    m = geo.minkowski(2)
+    f = bump_source(g)
+    V = CountingField(text, 2)
+    assert V.time_dependent is not static
+    u = slv.solve_forward(m, g, V, f, nonlinear=True)
+    assert V.calls == (1 if static else g.nt - 2)
+    # a plain closure takes the per-slice path: the same solution bit for bit
+    ref = slv.solve_forward(m, g, lambda pts: V(pts), f, nonlinear=True)
+    assert np.array_equal(u.data, ref.data)
+
+
+def test_stencil_group_velocity():
+    # the 4th-order Laplacian's group velocity: 1 as kh -> 0, 0.876 at four
+    # points per wavelength (kh = 1.56)
+    assert slv.stencil_group_velocity(0.0) == 1.0
+    assert slv.stencil_group_velocity(1e-4) == pytest.approx(1.0, abs=1e-12)
+    th = 1.56
+    formula = (32 * np.sin(th) - 4 * np.sin(2 * th)) / (
+        24 * np.sqrt((30 - 32 * np.cos(th) + 2 * np.cos(2 * th)) / 12))
+    assert slv.stencil_group_velocity(th) == pytest.approx(formula, rel=1e-12)
+    assert round(float(slv.stencil_group_velocity(th)), 3) == 0.876

@@ -137,6 +137,42 @@ def test_returning_tangents_independent():
         tm[0] * tp[1] - tm[1] * tp[0]) > 0.1
 
 
+@pytest.mark.parametrize("p, anchor", [
+    ([2.0, 2.0, 0.0], [0.0, 0.0]),
+    ([2.5, 1.05, 0.2], [0.0, 0.0]),
+    ([2.2, -0.6, 1.3], [0.3, -0.2]),
+])
+def test_closed_form_margin_matches_sampled(p, anchor):
+    # the sampled margin of the same lines is the closed form up to the
+    # node spacing: at least it, and at most one step along each line more
+    m = geo.minkowski(2)
+    p = np.array(p)
+    ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0,
+                                           anchors=[np.array(anchor)])
+    exclude = 0.1 * (ret.q_plus[0] - ret.q_minus[0])
+    sampled = sources._intersection_margin(ret.geod_minus, ret.geod_plus,
+                                           p, exclude)
+    step = max(np.max(np.linalg.norm(np.diff(g.x, axis=0), axis=-1))
+               for g in (ret.geod_minus, ret.geod_plus))
+    assert ret.margin - 1e-12 <= sampled <= ret.margin + 2 * step
+    assert ret.margin == pytest.approx(np.sqrt(2) * exclude, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [[2.0, -1.5], [2.5, 1.0, 0.5, 0.3]])
+def test_flat_returning_lines_in_one_and_three_dimensions(p):
+    # the closed form aims along p - anchor in any dimension, also to the
+    # left of the anchor in 1+1
+    m = geo.minkowski(len(p) - 1)
+    p = np.array(p)
+    ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0)
+    d = np.linalg.norm(p[1:])
+    assert np.allclose(ret.q_minus, np.r_[p[0] - d, 0 * p[1:]], atol=1e-12)
+    assert np.allclose(ret.q_plus, np.r_[p[0] + d, 0 * p[1:]], atol=1e-12)
+    for g in (ret.geod_minus, ret.geod_plus):
+        assert np.min(np.linalg.norm(g.x - p, axis=-1)) == 0.0
+        assert np.allclose(g.x, g.x[0] + (g.s - g.s[0])[:, None] * g.xdot)
+
+
 def test_point_inside_cylinder_rejected():
     m = geo.minkowski(2)
     with pytest.raises(sources.SourceError, match="outside"):
