@@ -294,22 +294,33 @@ def _suite_geometry(rng):
         err = float(np.max(np.abs(w - v)))
         return err < 1e-10, f"roundtrip dev {err:.2e}"
 
-    def split_christoffel_generic():
-        # every block of the closed form is nonzero for this metric
+    def curvy_metric():
+        # every block of the closed forms is nonzero for this metric
         def gmat(x):
             t, x1, x2 = np.moveaxis(np.asarray(x), -1, 0)
             off = 0.05 * np.sin(x1 + t)
             return np.stack([np.stack([1 + 0.1 * np.cos(t + x2), off], -1),
                              np.stack([off, 1 + 0.1 * x1 * x2], -1)], -2)
 
-        ms = geo.SplitMetric(
+        return geo.SplitMetric(
             2, beta=lambda x: 1 + 0.1 * np.sin(x[..., 1] + 0.3 * x[..., 0]),
             gmat=gmat)
-        x = rng.uniform(-1.0, 1.0, size=(64, 3))
-        ref = geo.Metric.christoffel(ms, x)
-        dev = float(np.max(np.abs(ms.christoffel(x) - ref))
-                    / np.max(np.abs(ref)))
+
+    def rel_dev(value, ref):
+        dev = float(np.max(np.abs(value - ref)) / np.max(np.abs(ref)))
         return dev < 1e-12, f"rel dev {dev:.2e}"
+
+    def split_christoffel_generic():
+        ms = curvy_metric()
+        x = rng.uniform(-1.0, 1.0, size=(64, 3))
+        return rel_dev(ms.christoffel(x), geo.Metric.christoffel(ms, x))
+
+    def split_spray_generic():
+        ms = curvy_metric()
+        x = rng.uniform(-1.0, 1.0, size=(64, 3))
+        v = rng.normal(size=(64, 3))
+        return rel_dev(ms.geodesic_acceleration(x, v),
+                       geo.Metric.geodesic_acceleration(ms, x, v))
 
     def diamond_membership():
         ok = (geo.causal_diamond_contains(1.0, 2.0, [1.0, 1.5, 0.0])
@@ -320,6 +331,7 @@ def _suite_geometry(rng):
             ("split_geodesic_residual", split_residual),
             ("flat_sharp_roundtrip", flat_sharp_roundtrip),
             ("split_christoffel_generic", split_christoffel_generic),
+            ("split_spray_generic", split_spray_generic),
             ("diamond_membership", diamond_membership)]
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (GeometryError, Metric, NullGeodesic, _geodesic_rhs,
-                       _rk4_geodesic, is_flat)
+from .geometry import Metric, NullGeodesic, _rk4_geodesic, is_flat
 
 
 class FermiError(RuntimeError):
@@ -162,8 +161,7 @@ class FermiChart:
         if self._flat:
             out = base + v
         else:
-            xs, _ = _rk4_geodesic(self.metric, base, v, 0.0, 1.0, self.exp_steps)
-            out = xs[-1].copy()     # a view would keep every RK4 step alive
+            out, _ = _rk4_geodesic(self.metric, base, v, 1.0, self.exp_steps)
         if not np.all(np.isfinite(out)):
             raise FermiError("exponential map left the metric domain")
         return out[0] if scalar else out

@@ -67,6 +67,11 @@ class Metric:
             raise GeometryError("non-finite metric derivatives")
         return gam
 
+    def geodesic_acceleration(self, x, v):
+        """-Gamma^k_ij v^i v^j, the right-hand side of the geodesic equation
+        x'' = acc(x, x'), batched over leading axes; shape (..., k)."""
+        return -np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
+
     def check_signature(self, x):
         w = np.linalg.eigvalsh(self.matrix(x))
         neg = np.sum(w < 0, axis=-1)
@@ -96,6 +101,9 @@ class MinkowskiMetric(Metric):
     def christoffel(self, x):
         return self.dmatrix(x)
 
+    def geodesic_acceleration(self, x, v):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
+
 
 class SplitMetric(Metric):
     """Metric of the form -beta(t,x') dt^2 + g(t,x') on R x R^n.
@@ -107,6 +115,8 @@ class SplitMetric(Metric):
     The kernels use the block structure: the inverse is -1/beta (+) g^{-1}
     with the n x n inverse by cofactors, and `christoffel` is the block
     closed form, equal to the generic `Metric.christoffel` up to rounding.
+    `geodesic_acceleration` contracts the same blocks with the velocity
+    without building the Christoffel tensor.
     """
 
     kind = "split"
@@ -162,10 +172,11 @@ class SplitMetric(Metric):
 
     def _inverse_blocks(self, x):
         """(1/beta, g^{-1}) at x; the spatial inverse by cofactors."""
-        beta = np.broadcast_to(self.beta(x), x.shape[:-1])
+        beta = np.empty(x.shape[:-1])
+        beta[...] = self.beta(x)
         ginv, det = _cofactor_inverse(self.gmat(x))
-        if not (np.all(np.isfinite(beta)) and np.all(beta != 0)
-                and np.all(np.isfinite(det)) and np.all(det != 0)):
+        ok = np.isfinite(beta) & (beta != 0) & np.isfinite(det) & (det != 0)
+        if not ok.all():
             raise GeometryError("degenerate metric at point")
         return 1.0 / beta, ginv
 
@@ -174,14 +185,15 @@ class SplitMetric(Metric):
         if self._dbeta is not None and self._dgmat is not None:
             return self._dbeta(x), self._dgmat(x)
         h = self.h_g
+        e = h * np.eye(self.dim)
         db = np.empty(x.shape[:-1] + (self.dim,))
         dg = np.empty(x.shape[:-1] + (self.dim, self.n, self.n))
         for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = h
-            xp, xm = x + e, x - e
-            db[..., k] = (self.beta(xp) - self.beta(xm)) / (2 * h)
-            dg[..., k, :, :] = (self.gmat(xp) - self.gmat(xm)) / (2 * h)
+            xp, xm = x + e[k], x - e[k]
+            np.subtract(self.beta(xp), self.beta(xm), out=db[..., k])
+            np.subtract(self.gmat(xp), self.gmat(xm), out=dg[..., k, :, :])
+        db /= 2 * h
+        dg /= 2 * h
         return db, dg
 
     def inverse(self, x):
@@ -231,12 +243,64 @@ class SplitMetric(Metric):
             raise GeometryError("non-finite metric derivatives")
         return gam
 
+    def geodesic_acceleration(self, x, v):
+        """-Gamma^k_ij v^i v^j in block closed form, never building Gamma.
+
+        With w = 1/(2 beta), spatial indices a, b, c, d, d_0 = d_t and
+        (v.dg)_cb = v^k d_k g_cb summed over all 1+n indices k:
+        acc^0 = -w (d_0 beta v0^2 + 2 v0 d_a beta v^a + d_0 g_ab v^a v^b),
+        acc^a = -1/2 g^{ac} (d_c beta v0^2 + 2 (v.dg)_cb v^b
+                             - d_c g_bd v^b v^d),
+        one component at a time: arrays over the leading axes, or plain
+        scalars at a single point.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        n, dim = self.n, self.dim
+        binv, ginv = self._inverse_blocks(x)
+        db, dg = self._derivatives(x)
+        if not (np.isfinite(db).all() and np.isfinite(dg).all()):
+            raise GeometryError("non-finite metric derivatives")
+        vk = _components_first(v, 1)
+        dbk = _components_first(db, 1)
+        dgk = _components_first(dg, 3)
+        gik = _components_first(ginv, 2)
+        vs = vk[1:]
+        # gv[k][c] = d_k g_cb v^b and q[k] = d_k g_bd v^b v^d
+        gv = [[_dot(dgk[k, c], vs) for c in range(n)] for k in range(dim)]
+        q = [_dot(gvk, vs) for gvk in gv]
+        v0sq = vk[0] * vk[0]
+        acc0 = (-0.5 * binv) * (dbk[0] * v0sq + 2.0 * vk[0] * _dot(dbk[1:], vs)
+                                + q[0])
+        r = [dbk[1 + c] * v0sq
+             + 2.0 * _dot([gv[k][c] for k in range(dim)], vk) - q[1 + c]
+             for c in range(n)]
+        acc = np.empty(np.shape(acc0) + (dim,))
+        acc[..., 0] = acc0
+        for a in range(n):
+            acc[..., 1 + a] = -0.5 * _dot(gik[a], r)
+        return acc
+
     def max_wavespeed(self, points):
         """sup over sample points of the coordinate light speed, for CFL."""
         beta = np.asarray(self.beta(points))
         g = self.gmat(points)
         lam_min = np.linalg.eigvalsh(g)[..., 0]
         return float(np.sqrt(np.max(beta / lam_min)))
+
+
+def _components_first(a, k):
+    """View of `a` with its last k (component) axes moved to the front."""
+    nd = a.ndim
+    return a.transpose(tuple(range(nd - k, nd)) + tuple(range(nd - k)))
+
+
+def _dot(a, b):
+    """sum_i a[i] * b[i] over two equally long sequences of arrays."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out = out + a[i] * b[i]
+    return out
 
 
 def _cofactor_inverse(g):
@@ -351,33 +415,39 @@ class NullGeodesic:
         return self.point(sq)
 
 
-def _geodesic_rhs(metric, x, xdot):
-    gam = metric.christoffel(x)
-    acc = -np.einsum("...kij,...i,...j->...k", gam, xdot, xdot)
-    return acc
+def _rk4_step(metric, x, v, h):
+    """One classical RK4 step of the geodesic equation x'' = acc(x, x')."""
+    a1 = metric.geodesic_acceleration(x, v)
+    k2x = v + 0.5 * h * a1
+    a2 = metric.geodesic_acceleration(x + 0.5 * h * v, k2x)
+    k3x = v + 0.5 * h * a2
+    a3 = metric.geodesic_acceleration(x + 0.5 * h * k2x, k3x)
+    k4x = v + h * a3
+    a4 = metric.geodesic_acceleration(x + h * k3x, k4x)
+    return (x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x),
+            v + (h / 6) * (a1 + 2 * a2 + 2 * a3 + a4))
 
 
-def _rk4_geodesic(metric, x0, v0, s0, s1, nsteps):
-    """Batched fixed-step RK4 for the geodesic equation. x0,v0: (...,1+n)."""
-    h = (s1 - s0) / nsteps
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    xs = [x.copy()]
-    vs = [v.copy()]
+def _rk4_geodesic(metric, x0, v0, span, nsteps):
+    """End point (x, v) of `nsteps` fixed RK4 steps over the parameter
+    span from (x0, v0); batched over leading axes of x0, v0: (..., 1+n)."""
+    h = span / nsteps
+    x = np.asarray(x0, dtype=float)
+    v = np.asarray(v0, dtype=float)
     for _ in range(nsteps):
-        a1 = _geodesic_rhs(metric, x, v)
-        k1x, k1v = v, a1
-        a2 = _geodesic_rhs(metric, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k2x, k2v = v + 0.5 * h * k1v, a2
-        a3 = _geodesic_rhs(metric, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k3x, k3v = v + 0.5 * h * k2v, a3
-        a4 = _geodesic_rhs(metric, x + h * k3x, v + h * k3v)
-        k4x, k4v = v + h * k3v, a4
-        x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        xs.append(x.copy())
-        vs.append(v.copy())
-    return np.array(xs), np.array(vs)
+        x, v = _rk4_step(metric, x, v, h)
+    return x, v
+
+
+def _rk4_geodesic_path(metric, x0, v0, span, nsteps):
+    """Every state of `_rk4_geodesic`: (xs, vs), each (nsteps + 1, ..., 1+n)."""
+    h = span / nsteps
+    xs = np.empty((nsteps + 1,) + np.shape(x0))
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x0, v0
+    for i in range(nsteps):
+        xs[i + 1], vs[i + 1] = _rk4_step(metric, xs[i], vs[i], h)
+    return xs, vs
 
 
 def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
@@ -403,9 +473,9 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
         # integrate forward from s=0 towards both ends (p sits at s=0)
         nf = max(1, int(round(nsteps * max(b, 0) / span))) if b > 0 else 0
         nb = max(1, int(round(nsteps * max(-a, 0) / span))) if a < 0 else 0
-        xs_f, vs_f = (_rk4_geodesic(metric, p, v, 0.0, b, nf)
+        xs_f, vs_f = (_rk4_geodesic_path(metric, p, v, b, nf)
                       if nf else (p[None], v[None]))
-        xs_b, vs_b = (_rk4_geodesic(metric, p, -v, 0.0, -a, nb)
+        xs_b, vs_b = (_rk4_geodesic_path(metric, p, -v, -a, nb)
                       if nb else (p[None], v[None]))
         s_f = np.linspace(0.0, b, nf + 1) if nf else np.array([0.0])
         s_b = -np.linspace(0.0, -a, nb + 1) if nb else np.array([0.0])
@@ -427,7 +497,7 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
     else:
         truncated = False
 
-    xddot = _geodesic_rhs(metric, x, xdot)
+    xddot = metric.geodesic_acceleration(x, xdot)
     return NullGeodesic(metric, s, x, xdot, xddot, defect, truncated=truncated)
 
 
@@ -528,13 +598,11 @@ def _propagate_to_time(metric, p, u, t_target, nsteps=160):
     # parameter duration estimate: dt/ds = u^0 approx constant at desk scale
     span = (t_target - p[0]) / u[0]
     for _ in range(3):
-        xs, vs = _rk4_geodesic(metric, p, u, 0.0, span, nsteps)
-        t_end = xs[-1, 0]
-        du = vs[-1, 0]
-        if abs(t_end - t_target) < 1e-10:
+        x, v = _rk4_geodesic(metric, p, u, span, nsteps)
+        if abs(x[0] - t_target) < 1e-10:
             break
-        span += (t_target - t_end) / du
-    return xs[-1], vs[-1], span
+        span += (t_target - x[0]) / v[0]
+    return x, v, span
 
 
 def _time_separation_split(metric, p, q, nsteps=160, polar=16, xtol=1e-8):

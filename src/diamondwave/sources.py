@@ -274,13 +274,18 @@ class ReturningGeodesics:
 
 
 def _intersection_margin(gm, gp, p, exclude):
-    """Min distance between the two sampled curves outside B(p, exclude)."""
+    """Min distance between the two sampled curves outside B(p, exclude).
+
+    The pairwise distances are taken against blocks of 128 samples of the
+    second curve, so memory stays O(len(a)) rather than O(len(a) len(b)).
+    """
     a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
     b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
     if len(a) == 0 or len(b) == 0:
         return 0.0
-    d = np.linalg.norm(a[:, None] - b[None, :], axis=-1)
-    return float(d.min())
+    return min(float(np.linalg.norm(a[:, None] - b[None, i:i + 128],
+                                    axis=-1).min())
+               for i in range(0, len(b), 128))
 
 
 def _line_margin(vm, vp, exclude):

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from diamondwave import fermi
 from diamondwave import geometry as geo
 from diamondwave.exprs import ScalarField, parse_expression, ExpressionError
 
@@ -170,9 +171,107 @@ def test_split_kernels_reject_degenerate_metric():
         gmat=lambda x: np.broadcast_to(np.eye(2),
                                        np.asarray(x).shape[:-1] + (2, 2)))
     for m in (singular, no_lapse):
-        for kernel in (m.inverse, m.christoffel):
+        spray = lambda x: m.geodesic_acceleration(x, np.ones_like(x))
+        for kernel in (m.inverse, m.christoffel, spray):
             with pytest.raises(geo.GeometryError, match="degenerate"):
                 kernel(np.zeros((4, 3)))
+
+
+# ---------------------------------------------------------------------------
+# geodesic spray
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_split_spray_matches_generic(n, analytic):
+    m = curvy_split(n, analytic)
+    rng = np.random.default_rng(10 + n)
+    x = rng.uniform(-1.5, 1.5, size=(40, n + 1))
+    v = rng.normal(size=(40, n + 1))
+    acc = m.geodesic_acceleration(x, v)
+    assert acc.shape == (40, n + 1)
+    assert rel_dev(acc, geo.Metric.geodesic_acceleration(m, x, v)) < 1e-13
+    first_kind = -np.einsum("...kij,...i,...j->...k",
+                            first_kind_christoffel(m, x), v, v)
+    assert rel_dev(acc, first_kind) < 1e-13
+    # single points and extra leading axes go through the same kernel
+    assert rel_dev(m.geodesic_acceleration(x[3], v[3]), acc[3]) < 1e-13
+    lead = m.geodesic_acceleration(x.reshape(4, 10, n + 1),
+                                   v.reshape(4, 10, n + 1))
+    assert rel_dev(lead.reshape(40, n + 1), acc) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minkowski_spray_is_exact_zero(n):
+    m = geo.minkowski(n)
+    rng = np.random.default_rng(n)
+    acc = m.geodesic_acceleration(rng.normal(size=(5, n + 1)),
+                                  rng.normal(size=(5, n + 1)))
+    assert acc.shape == (5, n + 1)
+    assert np.array_equal(acc, np.zeros((5, n + 1)))
+
+
+@given(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+       st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+       st.floats(-4, 4))
+@settings(max_examples=40, deadline=None)
+def test_split_spray_is_quadratic_in_velocity(x, v, c):
+    m = curvy_split(2, analytic=False)
+    x, v = np.array(x), np.array(v)
+    acc = m.geodesic_acceleration(x, v)
+    scaled = m.geodesic_acceleration(x, c * v)
+    # the absolute floor keeps subnormal products out of the comparison
+    scale = c * c * float(np.max(np.abs(v))) ** 2
+    assert np.max(np.abs(scaled - c * c * acc)) <= 1e-13 * scale + 1e-300
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_split_spray_rejects_non_finite_points_and_derivatives():
+    # as christoffel does: a NaN point, and infinite analytic derivatives
+    steep = geo.SplitMetric(
+        2, beta=lambda x: np.ones(np.asarray(x).shape[:-1]),
+        gmat=lambda x: np.broadcast_to(np.eye(2),
+                                       np.asarray(x).shape[:-1] + (2, 2)),
+        dbeta=lambda x: np.full(np.asarray(x).shape[:-1] + (3,), np.inf),
+        dgmat=lambda x: np.zeros(np.asarray(x).shape[:-1] + (3, 2, 2)))
+    nan_point = np.array([[0.1, np.nan, 0.2], [0.0, 0.0, 0.0]])
+    cases = [(curvy_split(2, analytic=False), nan_point, "degenerate"),
+             (steep, np.zeros((4, 3)), "non-finite")]
+    for m, x, match in cases:
+        with pytest.raises(geo.GeometryError, match=match):
+            m.christoffel(x)
+        with pytest.raises(geo.GeometryError, match=match):
+            m.geodesic_acceleration(x, np.ones_like(x))
+
+
+def test_split_exp_map_builds_no_christoffel_tensor(monkeypatch):
+    # the exponential map runs on the spray alone; frame transport, which
+    # is built with the chart, is the only user of the tensor left
+    m = curvy_split(2, analytic=False)
+    p = np.zeros(3)
+    v = np.array([np.sqrt(float(m.gmat(p)[0, 0]) / float(m.beta(p))),
+                  1.0, 0.0])
+    g = geo.integrate_null_geodesic(m, p, v, (0.0, 0.6), steps_per_unit=100)
+    chart = fermi.FermiChart(g, exp_steps=8)
+    s = np.linspace(0.1, 0.5, 5)
+    z = np.random.default_rng(3).uniform(-0.05, 0.05, size=(5, 2))
+    expect = chart.forward(s, z)
+    calls = {"christoffel": 0, "spray": 0}
+    spray = m.geodesic_acceleration
+
+    def refuse(x):
+        calls["christoffel"] += 1
+        raise AssertionError("the exponential map built the tensor")
+
+    def counting(x, vel):
+        calls["spray"] += 1
+        return spray(x, vel)
+
+    monkeypatch.setattr(m, "christoffel", refuse)
+    monkeypatch.setattr(m, "geodesic_acceleration", counting)
+    assert np.array_equal(chart.forward(s, z), expect)
+    assert np.array_equal(chart.forward(s[2], z[2]), expect[2])
+    assert calls == {"christoffel": 0, "spray": 2 * 4 * 8}
 
 
 def test_signature_check_rejects_wrong_sign():

@@ -1,5 +1,7 @@
 """Cutoff surgery, covector dependence, and returning-geodesic tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,27 @@ def test_flat_returning_lines_in_one_and_three_dimensions(p):
     for g in (ret.geod_minus, ret.geod_plus):
         assert np.min(np.linalg.norm(g.x - p, axis=-1)) == 0.0
         assert np.allclose(g.x, g.x[0] + (g.s - g.s[0])[:, None] * g.xdot)
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (37, 128), (50, 300), (300, 7)])
+def test_intersection_margin_matches_dense(na, nb):
+    # blockwise over the second curve, the margin is the dense minimum bit
+    # for bit wherever the closest pair sits, with the ball around p
+    # excluded from both curves
+    rng = np.random.default_rng(na + nb)
+    p = np.zeros(3)
+    gm = SimpleNamespace(x=rng.normal(size=(na, 3)))
+    b0 = rng.normal(size=(nb, 3))
+    for j in range(nb):
+        gp = SimpleNamespace(x=b0.copy())
+        gp.x[j] = gm.x[j % na] + 1e-3
+        for exclude in (0.0, 0.8):
+            a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
+            b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
+            dense = (float(np.linalg.norm(a[:, None] - b[None, :],
+                                          axis=-1).min())
+                     if len(a) and len(b) else 0.0)
+            assert sources._intersection_margin(gm, gp, p, exclude) == dense
 
 
 def test_point_inside_cylinder_rejected():
