@@ -1,10 +1,11 @@
 """Gaussian beams along a null geodesic.
 
-The beam lives on a rescaled copy of the Fermi chart: with y^1 = 2 z^1 the
-pulled-back metric on the axis becomes  2 ds dy^1/... precisely the constant
-matrix [[0,1],[1,0]] (+ identity in the remaining directions), so the phase
-hierarchy takes its simplest form: phi = y^1 + H(s) y.y + higher orders, with
-H solving dH/ds + HCH + D = 0, C = diag(0, 2, ..., 2), D = (1/4) Hess(g^11).
+The beam lives on a rescaled copy of the Fermi chart.  On the Fermi axis the
+pulled-back metric is 2 ds dz^1 + sum (dz^a)^2; with y^1 = 2 z^1 the cross
+term becomes ds dy^1, so the (s, y^1) block is exactly [[0,1],[1,0]] (and the
+identity in the remaining directions).  The phase hierarchy then takes its
+simplest form: phi = y^1 + H(s) y.y + higher orders, with H solving
+dH/ds + HCH + D = 0, C = diag(0, 2, ..., 2), D = (1/4) Hess(g^11).
 
 All jet equations (eikonal and transport, order by order in the transverse
 variables) are enforced against polynomial fits of the actual pulled-back
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, FermiError
+from .geometry import _rk4_span
 from .go import cumint, resolve_chi
 
 
@@ -50,6 +52,26 @@ def _degree_grid(n, D):
     return sum(grids)
 
 
+@functools.lru_cache(maxsize=None)
+def _graded_slots(n, deg, lo, hi):
+    """Cube index arrays of the monomials lo <= |alpha| <= hi, graded order."""
+    alphas = [a for a in multi_indices(n, deg) if lo <= sum(a) <= hi]
+    return tuple(np.array(ax) for ax in zip(*alphas))
+
+
+def _monomials(y, D, n):
+    """Monomial tensor y^alpha, shape y.shape[:-1] + (D,)*n, alpha < D."""
+    mono = np.ones(y.shape[:-1] + (D,) * n, dtype=y.dtype)
+    for k in range(n):
+        powers = np.cumprod(
+            np.concatenate([np.ones(y.shape[:-1] + (1,)),
+                            np.repeat(y[..., k:k + 1], D - 1, axis=-1)],
+                           axis=-1), axis=-1)
+        shape = y.shape[:-1] + (1,) * k + (D,) + (1,) * (n - 1 - k)
+        mono = mono * powers.reshape(shape)
+    return mono
+
+
 class PolyCube:
     """Polynomial in n transverse variables with a leading batch shape.
 
@@ -68,21 +90,12 @@ class PolyCube:
     def zeros(cls, n, deg, lead=(), dtype=complex):
         return cls(n, deg, np.zeros(tuple(lead) + (deg + 1,) * n, dtype=dtype))
 
-    def copy(self):
-        return PolyCube(self.n, self.deg, self.c.copy())
-
     @property
     def lead(self):
         return self.c.shape[: self.c.ndim - self.n]
 
-    def idx(self, alpha):
-        return (Ellipsis,) + tuple(alpha)
-
     def get(self, alpha):
-        return self.c[self.idx(alpha)]
-
-    def add_to(self, alpha, value):
-        self.c[self.idx(alpha)] += value
+        return self.c[(Ellipsis,) + tuple(alpha)]
 
     def __add__(self, other):
         return PolyCube(self.n, self.deg, self.c + other.c)
@@ -102,14 +115,16 @@ class PolyCube:
         One pass over the pair plan of `_product_plan`: gather the factor
         coefficients of every pair (alpha, beta) with |alpha|+|beta| <= deg,
         multiply, and sum the products into the slots alpha+beta with one
-        matmul.  Slots with |gamma| > deg are never written.
+        matmul.  Slots with |gamma| > deg are never written.  The matmul runs
+        as one vector-matrix product per lead index, so a product over a
+        lattice equals the products at its nodes bit for bit.
         """
         D, n = self.deg + 1, self.n
         ia, ib, scatter = _product_plan(n, self.deg)
         a = self.c.reshape(self.lead + (D**n,))[..., ia]
         b = other.c.reshape(other.lead + (D**n,))[..., ib]
         prod = np.asarray(a * b, dtype=complex)
-        out = np.matmul(prod, scatter)
+        out = np.matmul(prod[..., None, :], scatter)[..., 0, :]
         return PolyCube(n, self.deg, out.reshape(out.shape[:-1] + (D,) * n))
 
     def diff(self, k):
@@ -126,22 +141,15 @@ class PolyCube:
         out[tuple(sl_dst)] = self.c[tuple(sl_src)] * powers
         return PolyCube(self.n, self.deg, out)
 
-    def degree_part(self, m):
-        """Cube with only the degree-m coefficients kept."""
-        out = np.zeros_like(self.c)
-        mask = _degree_grid(self.n, self.deg + 1) == m
-        out[..., mask] = self.c[..., mask]
-        return PolyCube(self.n, self.deg, out)
+    def graded(self, lo, hi):
+        """Coefficients with lo <= |alpha| <= hi as flat vectors (lead...,
+        nmono), in the graded order of `multi_indices`."""
+        return self.c[(Ellipsis,) + _graded_slots(self.n, self.deg, lo, hi)]
 
-    def degree_coeffs(self, m):
-        """Flat vector(s) of the degree-m coefficients, graded order."""
-        alphas = [a for a in multi_indices(self.n, self.deg) if sum(a) == m]
-        return np.stack([self.get(a) for a in alphas], axis=-1), alphas
-
-    def set_degree_coeffs(self, m, vec):
-        alphas = [a for a in multi_indices(self.n, self.deg) if sum(a) == m]
-        for j, a in enumerate(alphas):
-            self.c[self.idx(a)] = vec[..., j]
+    def set_graded(self, lo, hi, vec):
+        """Inverse of `graded`: write the vectors back into their slots."""
+        self.c[(Ellipsis,) + _graded_slots(self.n, self.deg, lo, hi)] = vec
+        return self
 
     def max_degree_abs(self, m):
         mask = _degree_grid(self.n, self.deg + 1) == m
@@ -150,35 +158,14 @@ class PolyCube:
 
     def eval(self, y):
         """Evaluate at points y (..., n); lead axes broadcast against y's."""
-        y = np.asarray(y)
-        D = self.deg + 1
-        # monomial tensor for each point, then contract with the cube
-        mono = np.ones(y.shape[:-1] + (D,) * self.n, dtype=y.dtype)
-        for k in range(self.n):
-            powers = np.cumprod(
-                np.concatenate([np.ones(y.shape[:-1] + (1,)),
-                                np.repeat(y[..., k:k + 1], D - 1, axis=-1)],
-                               axis=-1), axis=-1)
-            shape = y.shape[:-1] + (1,) * k + (D,) + (1,) * (self.n - 1 - k)
-            mono = mono * powers.reshape(shape)
-        axes = tuple(range(-self.n, 0))
-        return np.sum(self.c * mono, axis=axes)
+        mono = _monomials(np.asarray(y), self.deg + 1, self.n)
+        return np.sum(self.c * mono, axis=tuple(range(-self.n, 0)))
 
     def eval_grid(self, ypts):
         """Evaluate at a batch of points (m, n) -> (lead..., m)."""
-        ypts = np.asarray(ypts, dtype=float)
-        D = self.deg + 1
-        mono = np.ones((ypts.shape[0],) + (D,) * self.n)
-        for k in range(self.n):
-            powers = np.cumprod(
-                np.concatenate([np.ones((ypts.shape[0], 1)),
-                                np.repeat(ypts[:, k:k + 1], D - 1, axis=1)],
-                               axis=1), axis=1)
-            shape = (ypts.shape[0],) + (1,) * k + (D,) + (1,) * (self.n - 1 - k)
-            mono = mono * powers.reshape(shape)
-        axes = tuple(range(1, self.n + 1))
-        return np.tensordot(self.c, mono,
-                            axes=(tuple(range(-self.n, 0)), axes))
+        mono = _monomials(np.asarray(ypts, dtype=float), self.deg + 1, self.n)
+        return np.tensordot(self.c, mono, axes=(tuple(range(-self.n, 0)),
+                                                tuple(range(1, self.n + 1))))
 
     def axis(self):
         return self.c[(Ellipsis,) + (0,) * self.n]
@@ -301,22 +288,18 @@ class ChartJets:
         M = np.empty((len(pts), len(alphas)))
         for j, a in enumerate(alphas):
             M[:, j] = np.prod(pts ** np.array(a), axis=-1)
-        return M, alphas
+        return M
 
-    def _scatter(self, coefvecs, alphas):
-        """(..., nmono) coefficient vectors -> dense cube array."""
-        D = self.deg + 1
-        out = np.zeros(coefvecs.shape[:-1] + (D,) * self.n)
-        for j, a in enumerate(alphas):
-            out[(Ellipsis,) + a] = coefvecs[..., j]
-        return out
+    def _cubes(self, coefvecs):
+        """(..., nmono) graded coefficient vectors -> dense cube array."""
+        cube = PolyCube.zeros(self.n, self.deg, lead=coefvecs.shape[:-1],
+                              dtype=float)
+        return cube.set_graded(0, self.deg, coefvecs).c
 
     def _fit(self, h_fd, V):
         n, dim = self.n, self.n + 1
         cloud = self._cloud()
-        M, alphas = self._vandermonde(cloud)
-        pinv = np.linalg.pinv(M)
-        self._pinv, self._alphas = pinv, alphas
+        self._pinv = pinv = np.linalg.pinv(self._vandermonde(cloud))
         ns, nc = len(self.s), len(cloud)
         S = np.repeat(self.s, nc)
         Y = np.tile(cloud, (ns, 1))
@@ -331,7 +314,7 @@ class ChartJets:
         def fit(vals):
             # vals (ns, nc, ...) -> cube coefficients (ns, ..., D^n)
             vals = np.moveaxis(vals, 1, -1)
-            return self._scatter(vals @ pinv.T, alphas)
+            return self._cubes(vals @ pinv.T)
 
         self.ginv_c = fit(ginv)                       # (ns, dim, dim, D^n)
         self.rho_c = fit(rho)                         # (ns, D^n)
@@ -383,27 +366,30 @@ class ChartJets:
             self._sp.pop("V", None)
             return
         vals = np.asarray(V(self._pts), dtype=float).reshape(len(self.s), -1)
-        self.V_c = self._scatter(vals @ self._pinv.T, self._alphas)
+        self.V_c = self._cubes(vals @ self._pinv.T)
         self._sp["V"] = CubicSpline(self.s, self.V_c, axis=0)
 
     # -- access -------------------------------------------------------------
 
+    def _arr(self, name, s):
+        return self._sp[name](np.asarray(s, dtype=float)) + 0j
+
     def ginv_at(self, s):
         """List-of-lists of PolyCube, indexed [k][l] over chart coords.
 
-        Scalar s only (the solvers call this per RK4 stage).
+        s is a scalar or an array of lattice values (the cubes' lead axes).
         """
-        arr = self._sp["ginv"](float(s))
+        arr, cube = self._arr("ginv", s), (slice(None),) * self.n
         dim = self.n + 1
-        return [[PolyCube(self.n, self.deg, arr[k, l] + 0j)
+        return [[PolyCube(self.n, self.deg, arr[(Ellipsis, k, l) + cube])
                  for l in range(dim)] for k in range(dim)]
 
     def cube_at(self, name, s):
-        return PolyCube(self.n, self.deg, self._sp[name](float(s)) + 0j)
+        return PolyCube(self.n, self.deg, self._arr(name, s))
 
     def w_at(self, s):
-        arr = self._sp["w"](float(s))
-        return [PolyCube(self.n, self.deg, arr[l] + 0j)
+        arr, cube = self._arr("w", s), (slice(None),) * self.n
+        return [PolyCube(self.n, self.deg, arr[(Ellipsis, l) + cube])
                 for l in range(self.n + 1)]
 
     def D_at(self, s):
@@ -539,25 +525,6 @@ def _node_lattice(s0, lo, hi, hs):
     return s0 + hs * np.arange(-kneg, kpos + 1), kneg
 
 
-def _rk4_span(rhs, s_nodes, i0, state0):
-    """Integrate dstate/ds = rhs(s, state) outward from node i0, both ways."""
-    vals = [None] * len(s_nodes)
-    vals[i0] = np.asarray(state0, dtype=complex)
-    for direction in (+1, -1):
-        i = i0
-        while 0 <= i + direction < len(s_nodes):
-            s, sn = s_nodes[i], s_nodes[i + direction]
-            h = sn - s
-            y = vals[i]
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
-            vals[i + direction] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            i += direction
-    return np.array(vals)
-
-
 def solve_riccati(chart: FermiChart, s0, H0=None, *, hs=0.015, deg=6,
                   r_fit=0.12, hs_jet=0.02, jets=None):
     """Degree-2 phase via dY/ds = CZ, dZ/ds = -DY with Y(s0)=I, Z(s0)=H0."""
@@ -592,10 +559,12 @@ def solve_riccati(chart: FermiChart, s0, H0=None, *, hs=0.015, deg=6,
     return PhaseJet(chart, bchart, jets, s0, H0, s_nodes, Y, Z)
 
 
-def _eikonal_pieces(jet, s, phi):
-    """(B0, B1, B2) with  H(phi) = B0 + B1*dsphi + B2*dsphi^2."""
-    n = jet.n
-    G = jet.jets.ginv_at(s)
+def _eikonal_pieces(G, phi):
+    """(B0, B1, B2) with  g^{kl} d_k phi d_l phi = B0 + B1*dsphi + B2*dsphi^2.
+
+    G is the [k][l] list of inverse-metric cubes; any common lead shape.
+    """
+    n = phi.n
     dphi = [None] + [phi.diff(l) for l in range(1, n + 1)]
     B0 = PolyCube.zeros(n, phi.deg)
     for k in range(1, n + 1):
@@ -608,16 +577,20 @@ def _eikonal_pieces(jet, s, phi):
     return B0, B1, G[0][0]
 
 
-def _fill_dsphi(jet, s, phi, dsphi, order):
-    """Complete dsphi degree by degree so the eikonal vanishes to `order`."""
-    B0, B1, B2 = _eikonal_pieces(jet, s, phi)
-    b0 = B1.axis()
+def _eikonal(B, dsphi):
+    B0, B1, B2 = B
+    return B0 + B1.mulp(dsphi) + B2.mulp(dsphi).mulp(dsphi)
+
+
+def _fill_dsphi(G, phi, dsphi, order):
+    """Complete dsphi degree by degree so the eikonal vanishes to `order`;
+    returns the eikonal pieces of phi."""
+    B = _eikonal_pieces(G, phi)
+    b0 = B[1].axis()
     for m in range(3, order + 1):
-        total = B0 + B1.mulp(dsphi) + B2.mulp(dsphi).mulp(dsphi)
-        Rm, _ = total.degree_coeffs(m)
-        dm = -Rm / b0
-        dsphi.set_degree_coeffs(m, dm)
-    return dsphi
+        Rm = _eikonal(B, dsphi).graded(m, m)
+        dsphi.set_graded(m, m, -Rm / b0)
+    return B
 
 
 def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
@@ -627,46 +600,29 @@ def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
     simultaneously, with the forcing evaluated by polynomial arithmetic on
     the fitted metric jets.  Zero initial data at s0.
     """
-    n = jet.n
+    n, ginv_at = jet.n, jet.jets.ginv_at
     if order > jet.jets.deg:
         raise BeamError("phase order exceeds the metric jet degree")
     if order <= 2:
         return jet
-    sizes = [nmono(n, m, m) for m in range(3, order + 1)]
 
     def rhs(s, vec):
-        phi = PolyCube(n, jet.phi_c.deg, jet._sp["phi"](float(s)).copy())
-        dsphi = PolyCube(n, jet.phi_c.deg, jet._sp["dsphi"](float(s)).copy())
-        off = 0
-        for m, sz in zip(range(3, order + 1), sizes):
-            phi.set_degree_coeffs(m, vec[off:off + sz])
-            off += sz
-        _fill_dsphi(jet, s, phi, dsphi, order)
-        out = np.empty_like(vec)
-        off = 0
-        for m, sz in zip(range(3, order + 1), sizes):
-            out[off:off + sz], _ = dsphi.degree_coeffs(m)
-            off += sz
-        return out
+        phi = jet.phi_cube_at(s).set_graded(3, order, vec)
+        dsphi = jet.dsphi_cube_at(s)
+        _fill_dsphi(ginv_at(s), phi, dsphi, order)
+        return dsphi.graded(3, order)
 
     i0 = int(np.argmin(np.abs(jet.s - jet.s0)))
-    state0 = np.zeros(sum(sizes), dtype=complex)
+    state0 = np.zeros(nmono(n, 3, order), dtype=complex)
     vals = _rk4_span(rhs, jet.s, i0, state0)
 
     # write the solved coefficients (and their s-derivatives) into the cubes
+    jet.phi_c.set_graded(3, order, vals)
     defects = {m: 0.0 for m in range(order + 1)}
     for i, s in enumerate(jet.s):
-        phi = PolyCube(n, jet.phi_c.deg, jet.phi_c.c[i].copy())
-        dsphi = PolyCube(n, jet.phi_c.deg, jet.dsphi_c.c[i].copy())
-        off = 0
-        for m, sz in zip(range(3, order + 1), sizes):
-            phi.set_degree_coeffs(m, vals[i, off:off + sz])
-            off += sz
-        _fill_dsphi(jet, s, phi, dsphi, order)
-        jet.phi_c.c[i] = phi.c
-        jet.dsphi_c.c[i] = dsphi.c
-        B0, B1, B2 = _eikonal_pieces(jet, s, phi)
-        total = B0 + B1.mulp(dsphi) + B2.mulp(dsphi).mulp(dsphi)
+        phi = PolyCube(n, jet.phi_c.deg, jet.phi_c.c[i])
+        dsphi = PolyCube(n, jet.phi_c.deg, jet.dsphi_c.c[i])
+        total = _eikonal(_fill_dsphi(ginv_at(s), phi, dsphi, order), dsphi)
         for m in range(order + 1):
             defects[m] = max(defects[m], total.max_degree_abs(m))
     jet.order = order
@@ -684,16 +640,16 @@ def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
 # ---------------------------------------------------------------------------
 
 class _TransportPieces:
-    """Per-stage polynomial data shared by all transport fills at one s."""
+    """The jet wave operator box v = -(g^{kl} d_k d_l v + w^l d_l v) and the
+    transport operator T of a phase, on cubes of any common lead shape: one
+    s-stage of the construction, or the whole lattice of the residual.
 
-    def __init__(self, jet: PhaseJet, s):
-        n = jet.n
-        jets = jet.jets
-        G = jets.ginv_at(s)
-        w = jets.w_at(s)
-        phi = jet.phi_cube_at(s)
-        ds = jet.dsphi_cube_at(s)
-        dds = jet.ddsphi_cube_at(s)
+    G is the [k][l] list of inverse-metric cubes, w the list of first-order
+    coefficients, and (phi, ds, dds) the phase with its s-derivatives.
+    """
+
+    def __init__(self, G, w, phi, ds, dds):
+        n = phi.n
         dphi = [ds] + [phi.diff(l) for l in range(1, n + 1)]
         self.G, self.w, self.n = G, w, n
         self.E = []
@@ -702,17 +658,7 @@ class _TransportPieces:
             for k in range(n + 1):
                 acc = acc + G[k][l].mulp(dphi[k])
             self.E.append(acc.scaled(2.0))
-        box = G[0][0].mulp(dds)
-        for l in range(1, n + 1):
-            box = box + G[0][l].mulp(ds.diff(l)).scaled(2.0)
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                fac = 1.0 if k == l else 2.0
-                box = box + G[k][l].mulp(phi.diff(k).diff(l)).scaled(fac)
-        box = box + w[0].mulp(ds)
-        for l in range(1, n + 1):
-            box = box + w[l].mulp(dphi[l])
-        self.boxphi = box.scaled(-1.0)
+        self.boxphi = self.box(phi, ds, dds)
         self.e0ax = self.E[0].axis()
 
     def apply_T(self, v, dsv):
@@ -723,6 +669,7 @@ class _TransportPieces:
         return out - self.boxphi.mulp(v)
 
     def box(self, v, dsv, ddsv):
+        """box v with its s-derivatives dsv, ddsv supplied."""
         G, w, n = self.G, self.w, self.n
         out = G[0][0].mulp(ddsv)
         for l in range(1, n + 1):
@@ -738,22 +685,22 @@ class _TransportPieces:
 
     def fill(self, v, forcing, mdeg):
         """Solve [T v - forcing]_j = 0 for ds v, degrees j = 0..mdeg."""
-        n = self.n
-        dsv = PolyCube.zeros(n, v.deg)
+        dsv = PolyCube.zeros(self.n, v.deg)
         for j in range(mdeg + 1):
             R = self.apply_T(v, dsv) - forcing
-            Rj, _ = R.degree_coeffs(j)
-            cur, _ = dsv.degree_coeffs(j)
-            dsv.set_degree_coeffs(j, cur - Rj / self.e0ax)
+            dsv.set_graded(j, j, dsv.graded(j, j) - R.graded(j, j) / self.e0ax)
         return dsv
 
 
 def _pieces_at(jet: PhaseJet, s):
-    """Stage data cache: every level hits the same node/midpoint s values."""
+    """Transport pieces of `jet` at one s, cached: every level hits the same
+    node/midpoint s values."""
     key = round(float(s), 12)
     out = jet._pieces_cache.get(key)
     if out is None:
-        out = _TransportPieces(jet, s)
+        out = _TransportPieces(jet.jets.ginv_at(s), jet.jets.w_at(s),
+                               jet.phi_cube_at(s), jet.dsphi_cube_at(s),
+                               jet.ddsphi_cube_at(s))
         jet._pieces_cache[key] = out
     return out
 
@@ -761,10 +708,11 @@ def _pieces_at(jet: PhaseJet, s):
 class AmplitudeJet:
     """Amplitude hierarchy v_{k,j} along the beam, anchored at s0.
 
-    Level k is solved to transverse degree max(N-2k, 0); this grading keeps
-    every term of the conjugated residual at or below the tau^{-(N+1-?)/2}
-    budget while the forcing P_V v_{k-1} never needs coefficients beyond the
-    previous level's solved degree.
+    Level k is solved to transverse degree max(N-2k, 0).  On the beam's
+    support y is of size tau^{-1/2}, so a degree-m coefficient of level k
+    weighs tau^{-k-m/2}: the grading drops only terms of weight
+    tau^{-(N+1)/2} or smaller, while the forcing P_V v_{k-1} never needs
+    coefficients beyond the previous level's solved degree.
     """
 
     def __init__(self, phase: PhaseJet, V, N, s0=None):
@@ -820,41 +768,24 @@ class AmplitudeJet:
         phase = self.phase
         n, deg = self.n, phase.phi_c.deg
         mdeg = self._mdeg(k)
-        sizes = nmono(n, 0, mdeg)
 
         def rhs(s, vec):
             pieces = _pieces_at(phase, s)
-            v = PolyCube.zeros(n, deg)
-            off = 0
-            for m in range(mdeg + 1):
-                sz = nmono(n, m, m)
-                v.set_degree_coeffs(m, vec[off:off + sz])
-                off += sz
+            v = PolyCube.zeros(n, deg).set_graded(0, mdeg, vec)
             dsv = pieces.fill(v, self._forcing(k, s, pieces), mdeg)
-            out = np.empty_like(vec)
-            off = 0
-            for m in range(mdeg + 1):
-                sz = nmono(n, m, m)
-                out[off:off + sz], _ = dsv.degree_coeffs(m)
-                off += sz
-            return out
+            return dsv.graded(0, mdeg)
 
-        state0 = np.zeros(sizes, dtype=complex)
+        state0 = np.zeros(nmono(n, 0, mdeg), dtype=complex)
         if k == 0:
             state0[0] = 1.0          # v_{0,0}(s0) = det Y(s0)^{-1/2} = 1
         vals = _rk4_span(rhs, self.s, self._i0, state0)
 
         vk = PolyCube.zeros(n, deg, lead=(len(self.s),))
-        off = 0
-        for m in range(mdeg + 1):
-            sz = nmono(n, m, m)
-            vk.set_degree_coeffs(m, vals[:, off:off + sz])
-            off += sz
+        vk.set_graded(0, mdeg, vals)
         if k == 0:
             # determinant formula, with the ODE solution as a cross-check
             vf = 1.0 / self.detY_root
-            ode = vk.axis().copy()
-            if np.max(np.abs(ode - vf)) > 1e-6 * np.max(np.abs(vf)):
+            if np.max(np.abs(vk.axis() - vf)) > 1e-6 * np.max(np.abs(vf)):
                 raise BeamError("quadrature disagreement: v_{0,0} ODE vs "
                                 "det Y^{-1/2}")
             vk.c[(slice(None),) + (0,) * n] = vf
@@ -1007,10 +938,6 @@ class GaussianBeam:
         return "\n".join(lines)
 
 
-def eval_beam(beam: GaussianBeam, tau, p):
-    return beam.eval(tau, p)
-
-
 def make_beam(chart: FermiChart, V=None, N=4, s0=None, H0=None,
               conjugate=False, chi=None, **riccati_opts):
     """Full pipeline: Riccati, higher phase orders (N+2), amplitudes."""
@@ -1043,83 +970,29 @@ class _ResidualData:
 
     def __init__(self, beam: GaussianBeam, jets_m: ChartJets):
         phase, amp = beam.phase, beam.amp
-        n = phase.n
-        deg = jets_m.deg
-        s = phase.s
-        dim = n + 1
-        self.s = s
-        self.n = n
-        self.deg = deg
+        n, deg, s = phase.n, jets_m.deg, phase.s
+        self.s, self.n, self.deg = s, n, deg
 
-        def cube(arr):
-            return PolyCube(n, deg, arr)
+        def lattice(sp):
+            # construction cubes on the lattice, padded to the measurement
+            # degree
+            return PolyCube(n, deg, _embed(sp(s), n, phase.phi_c.deg, deg))
 
-        garr = jets_m._sp["ginv"](s)
-        G = [[cube(garr[:, k, l] + 0j) for l in range(dim)]
-             for k in range(dim)]
-        warr = jets_m._sp["w"](s)
-        w = [cube(warr[:, l] + 0j) for l in range(dim)]
-        if jets_m.V_c is not None:
-            Vc = cube(jets_m._sp["V"](s) + 0j)
-        else:
-            Vc = PolyCube.zeros(n, deg, lead=(len(s),))
-        d0 = phase.phi_c.deg
-        phi = cube(_embed(phase._sp["phi"](s), n, d0, deg))
-        ds = cube(_embed(phase._sp["dsphi"](s), n, d0, deg))
-        dds = cube(_embed(phase._sp["ddsphi"](s), n, d0, deg))
+        G = jets_m.ginv_at(s)
+        phi, ds, dds = (lattice(phase._sp[key])
+                        for key in ("phi", "dsphi", "ddsphi"))
         self.phi = phi
-        self.rho = cube(jets_m._sp["rho"](s) + 0j)
-
-        dphi = [ds] + [phi.diff(l) for l in range(1, n + 1)]
-        # eikonal cube  H(phi) = g^{kl} d_k phi d_l phi
-        Hphi = PolyCube.zeros(n, deg, lead=(len(s),))
-        for k in range(dim):
-            for l in range(k, dim):
-                fac = 1.0 if k == l else 2.0
-                Hphi = Hphi + G[k][l].mulp(dphi[k]).mulp(dphi[l]).scaled(fac)
-        # transport coefficients and box phi
-        E = []
-        for l in range(dim):
-            acc = PolyCube.zeros(n, deg, lead=(len(s),))
-            for k in range(dim):
-                acc = acc + G[k][l].mulp(dphi[k])
-            E.append(acc.scaled(2.0))
-        box = G[0][0].mulp(dds)
-        for l in range(1, n + 1):
-            box = box + G[0][l].mulp(ds.diff(l)).scaled(2.0)
-        for k in range(1, n + 1):
-            for l in range(k, n + 1):
-                fac = 1.0 if k == l else 2.0
-                box = box + G[k][l].mulp(phi.diff(k).diff(l)).scaled(fac)
-        box = box + w[0].mulp(ds)
-        for l in range(1, n + 1):
-            box = box + w[l].mulp(dphi[l])
-        boxphi = box.scaled(-1.0)
-
-        def box_of(v, dsv, ddsv):
-            out = G[0][0].mulp(ddsv)
-            for l in range(1, n + 1):
-                out = out + G[0][l].mulp(dsv.diff(l)).scaled(2.0)
-            for k in range(1, n + 1):
-                for l in range(k, n + 1):
-                    fac = 1.0 if k == l else 2.0
-                    out = out + G[k][l].mulp(v.diff(k).diff(l)).scaled(fac)
-            out = out + w[0].mulp(dsv)
-            for l in range(1, n + 1):
-                out = out + w[l].mulp(v.diff(l))
-            return out.scaled(-1.0)
-
+        self.rho = jets_m.cube_at("rho", s)
+        pieces = _TransportPieces(G, jets_m.w_at(s), phi, ds, dds)
+        Hphi = _eikonal(_eikonal_pieces(G, phi), ds)
+        Vc = jets_m.V_at(s)
         self.levels = []
         for k in range(amp.N + 1):
-            vk = cube(_embed(amp._v_sp[k](s), n, d0, deg))
-            dsvk = cube(_embed(amp._dsv_sp[k](s), n, d0, deg))
-            ddsvk = cube(_embed(amp._ddsv_sp[k](s), n, d0, deg))
-            Tk = E[0].mulp(dsvk)
-            for l in range(1, n + 1):
-                Tk = Tk + E[l].mulp(vk.diff(l))
-            Tk = Tk - boxphi.mulp(vk)
-            Pk = box_of(vk, dsvk, ddsvk) + Vc.mulp(vk)
-            self.levels.append((Hphi.mulp(vk), Tk, Pk, vk))
+            vk, dsvk, ddsvk = (lattice(sp[k]) for sp in (
+                amp._v_sp, amp._dsv_sp, amp._ddsv_sp))
+            self.levels.append((Hphi.mulp(vk), pieces.apply_T(vk, dsvk),
+                                pieces.box(vk, dsvk, ddsvk) + Vc.mulp(vk),
+                                vk))
 
     def bracket(self, tau):
         """Residual bracket as a PolyCube (lead = s-lattice)."""

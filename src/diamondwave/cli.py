@@ -85,13 +85,25 @@ def parse_config(path):
     return sections
 
 
+def _number(text, what, kind=float):
+    """`text` as a finite number of type `kind`; ConfigError naming the
+    entry `what` otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{what}: expected a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{what}: expected a finite number, got {text!r}")
+    return value
+
+
 class ExperimentConfig:
     """Validated recovery-run description built from a parsed config."""
 
     def __init__(self, sections):
         self.sections = sections
         met = self._sec("metric")
-        self.n = int(met.get("n", "2"))
+        self.n = _number(met.get("n", "2"), "metric.n", int)
         if self.n < 1:
             raise ConfigError("metric.n must be >= 1")
         self.metric = self._build_metric(met)
@@ -104,16 +116,21 @@ class ExperimentConfig:
         self.V = (exprs.ScalarField.from_text(pot["V"], self.n)
                   if "V" in pot else None)
         pk = self.sections.get("packets", {})
-        self.delta = float(pk.get("delta", "0.1"))
+        self.delta = _number(pk.get("delta", "0.1"), "packets.delta")
+        if self.delta <= 0:
+            raise ConfigError(
+                f"packets.delta must be positive, got {self.delta:g}")
         pipe = self.sections.get("pipeline", {})
         self.mode = pipe.get("mode", "fast")
         if self.mode not in ("fast", "full"):
             raise ConfigError(f"pipeline.mode must be fast|full, got {self.mode!r}")
-        self.sigma0 = float(pipe.get("sigma0", "0.1"))
+        self.sigma0 = _number(pipe.get("sigma0", "0.1"), "pipeline.sigma0")
         if not 0 < self.sigma0 < 1:
             raise ConfigError(
                 f"pipeline.sigma0 must lie in (0, 1), got {self.sigma0:g}")
-        self.ds0 = float(pipe.get("ds0", "0.05"))
+        self.ds0 = _number(pipe.get("ds0", "0.05"), "pipeline.ds0")
+        if self.ds0 <= 0:
+            raise ConfigError(f"pipeline.ds0 must be positive, got {self.ds0:g}")
         self.points = self._parse_points(pipe.get("points", ""))
         for p in self.points:
             if not geo.in_mho(self.r + self.T, 2 * self.T, p):
@@ -124,12 +141,14 @@ class ExperimentConfig:
         if gr is not None:
             h = self._flt(gr, "h")
             dt = self._flt(gr, "dt")
-            pad = float(gr.get("pad", "0.25"))
+            pad = _number(gr.get("pad", "0.25"), "grid.pad")
             if dt > 0.5 * h / np.sqrt(self.n) * (1 + 1e-12):
                 raise ConfigError(
                     f"grid dt={dt:g} violates the CFL bound "
                     f"{0.5 * h / np.sqrt(self.n):g}")
             self.grid_params = {"h": h, "dt": dt, "pad": pad}
+        self.tau = _number(self.sections.get("full", {}).get("tau", "40"),
+                           "full.tau")
         out = self.sections.get("output", {})
         self.outdir = out.get("dir", None)
 
@@ -142,10 +161,7 @@ class ExperimentConfig:
     def _flt(sec, key):
         if key not in sec:
             raise ConfigError(f"missing key {key!r}")
-        try:
-            return float(sec[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
+        return _number(sec[key], f"key {key!r}")
 
     def _build_metric(self, met):
         kind = met.get("kind", "minkowski")
@@ -169,7 +185,7 @@ class ExperimentConfig:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            vals = [float(v) for v in chunk.split()]
+            vals = [_number(v, "pipeline.points") for v in chunk.split()]
             if len(vals) != self.n + 1:
                 raise ConfigError(
                     f"point {chunk!r} needs {self.n + 1} coordinates")
@@ -606,8 +622,7 @@ def cmd_recover(args):
 
     if mode == "full":
         gp = cfg.grid_params or {"h": 0.012, "dt": None, "pad": 0.25}
-        full = cfg.sections.get("full", {})
-        tau = float(full.get("tau", "40"))
+        tau = cfg.tau
         t0 = time.perf_counter()
         try:
             res = recovery.full_path_interaction(

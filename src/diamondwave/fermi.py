@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Metric, NullGeodesic, _rk4_geodesic, is_flat
+from .geometry import Metric, NullGeodesic, _rk4_geodesic, _rk4_span, is_flat
 
 
 class FermiError(RuntimeError):
@@ -39,15 +39,8 @@ class PseudoFrame:
     def at(self, s):
         geo = self.geodesic
         idx, h, u = geo._locate(np.atleast_1d(np.asarray(s, dtype=float)))
-        u = u[..., None, None]
-        h = h[..., None, None]
-        f0, f1 = self.E[idx], self.E[idx + 1]
-        d0, d1 = self.Edot[idx], self.Edot[idx + 1]
-        h00 = 2 * u**3 - 3 * u**2 + 1
-        h10 = u**3 - 2 * u**2 + u
-        h01 = -2 * u**3 + 3 * u**2
-        h11 = u**3 - u**2
-        out = h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
+        out = geo._hermite(u, h, self.E[idx], self.E[idx + 1],
+                           self.Edot[idx], self.Edot[idx + 1])
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return out[0]
         return out
@@ -105,33 +98,18 @@ def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
     E0 = np.array(frame)
 
     # parallel transport dE/ds = -Gamma(gammadot, E) along the curve
-    s = geodesic.s
-    E = np.empty((len(s), n + 1, n + 1))
-    E[0] = E0
-    for i in range(len(s) - 1):
-        h = s[i + 1] - s[i]
-        E[i + 1] = _transport_rk4(geodesic, s[i], E[i], h)
-    Edot = np.empty_like(E)
-    for i in range(len(s)):
-        gam = metric.christoffel(geodesic.x[i])
-        Edot[i] = -np.einsum("kij,i,mj->mk", gam, geodesic.xdot[i], E[i])
-    return PseudoFrame(geodesic, E, Edot)
-
-
-def _transport_rk4(geodesic, s, E, h):
-    metric = geodesic.metric
-
     def rhs(si, Ei):
         x = geodesic.point(np.array([si]))[0]
         v = geodesic.velocity(np.array([si]))[0]
-        gam = metric.christoffel(x)
+        gam = geodesic.metric.christoffel(x)
         return -np.einsum("kij,i,mj->mk", gam, v, Ei)
 
-    k1 = rhs(s, E)
-    k2 = rhs(s + 0.5 * h, E + 0.5 * h * k1)
-    k3 = rhs(s + 0.5 * h, E + 0.5 * h * k2)
-    k4 = rhs(s + h, E + h * k3)
-    return E + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    E = _rk4_span(rhs, geodesic.s, 0, E0)
+    Edot = np.empty_like(E)
+    for i in range(len(geodesic.s)):
+        gam = metric.christoffel(geodesic.x[i])
+        Edot[i] = -np.einsum("kij,i,mj->mk", gam, geodesic.xdot[i], E[i])
+    return PseudoFrame(geodesic, E, Edot)
 
 
 class FermiChart:
@@ -209,7 +187,6 @@ class FermiChart:
         z = np.zeros((m, self.n))
         alive = np.ones(m, dtype=bool)
         converged = np.zeros(m, dtype=bool)
-        hj = 1e-6
         for _ in range(maxiter):
             act = alive & ~converged
             if not act.any():
@@ -223,14 +200,7 @@ class FermiChart:
                 continue
             sa, za, pa, r = sa[~done], za[~done], pa[~done], r[~done]
             idx = idx[~done]
-            J = np.empty((len(sa), self.n + 1, self.n + 1))
-            J[..., 0] = (self.forward(sa + hj, za)
-                         - self.forward(sa - hj, za)) / (2 * hj)
-            for k in range(self.n):
-                e = np.zeros(self.n)
-                e[k] = hj
-                J[..., 1 + k] = (self.forward(sa, za + e)
-                                 - self.forward(sa, za - e)) / (2 * hj)
+            J = self._jacobian(sa, za)
             try:
                 step = np.linalg.solve(J, r[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -248,12 +218,16 @@ class FermiChart:
         return s, z, inside
 
     def _jacobian(self, s, z, h=1e-6):
-        J = np.empty((self.n + 1, self.n + 1))
-        J[:, 0] = (self.forward(s + h, z) - self.forward(s - h, z)) / (2 * h)
+        """Central-difference dF/d(s, z'), (..., 1+n, 1+n), batched over the
+        leading axes of s (...,) and z (..., n)."""
+        s = np.asarray(s, dtype=float)
+        J = np.empty(s.shape + (self.n + 1, self.n + 1))
+        J[..., 0] = (self.forward(s + h, z) - self.forward(s - h, z)) / (2 * h)
         for k in range(self.n):
             e = np.zeros(self.n)
             e[k] = h
-            J[:, 1 + k] = (self.forward(s, z + e) - self.forward(s, z - e)) / (2 * h)
+            J[..., 1 + k] = (self.forward(s, z + e)
+                             - self.forward(s, z - e)) / (2 * h)
         return J
 
     def pullback_metric(self, s, zprime, h=None):
@@ -265,15 +239,8 @@ class FermiChart:
         zprime = zprime.reshape(s.shape + (self.n,))
         if h is None:
             h = max(self.delta_prime / 64.0, 1e-4)
-        dim = self.n + 1
-        J = np.empty(s.shape + (dim, dim))
-        J[..., 0] = (self.forward(s + h, zprime) - self.forward(s - h, zprime)) / (2 * h)
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            J[..., 1 + k] = (self.forward(s, zprime + e)
-                             - self.forward(s, zprime - e)) / (2 * h)
         # J[..., a, i] = dF^a / d(chart direction i)
+        J = self._jacobian(s, zprime, h)
         G = self.metric.matrix(self.forward(s, zprime))
         gchart = np.einsum("...ai,...ab,...bj->...ij", J, G, J)
         return gchart[0] if scalar else gchart

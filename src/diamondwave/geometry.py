@@ -394,12 +394,16 @@ class NullGeodesic:
 
     @staticmethod
     def _hermite(u, h, f0, f1, d0, d1):
-        u = u[..., None]
+        """Cubic Hermite blend; u and h broadcast over the trailing axes of
+        the sample arrays f0, f1, d0, d1."""
+        tail = (1,) * (np.ndim(f0) - np.ndim(u))
+        u = np.reshape(u, np.shape(u) + tail)
+        h = np.reshape(h, np.shape(h) + tail)
         h00 = 2 * u**3 - 3 * u**2 + 1
         h10 = u**3 - 2 * u**2 + u
         h01 = -2 * u**3 + 3 * u**2
         h11 = u**3 - u**2
-        return h00 * f0 + h10 * h[..., None] * d0 + h01 * f1 + h11 * h[..., None] * d1
+        return h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
 
     def point(self, sq):
         idx, h, u = self._locate(sq)
@@ -413,6 +417,27 @@ class NullGeodesic:
 
     def __call__(self, sq):
         return self.point(sq)
+
+
+def _rk4_span(rhs, s_nodes, i0, state0):
+    """Integrate dstate/ds = rhs(s, state) outward from node i0, both ways,
+    one classical RK4 step per node interval.  Returns the states at every
+    node, (len(s_nodes), *state0.shape), in the dtype of state0."""
+    vals = [None] * len(s_nodes)
+    vals[i0] = np.asarray(state0)
+    for direction in (+1, -1):
+        i = i0
+        while 0 <= i + direction < len(s_nodes):
+            s, sn = s_nodes[i], s_nodes[i + direction]
+            h = sn - s
+            y = vals[i]
+            k1 = rhs(s, y)
+            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(s + h, y + h * k3)
+            vals[i + direction] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            i += direction
+    return np.array(vals)
 
 
 def _rk4_step(metric, x, v, h):

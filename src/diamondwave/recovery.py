@@ -521,7 +521,13 @@ def differentiate_line_integral(s0s, Ls):
     Ls = np.asarray(Ls, dtype=float)
     if len(s0s) < 3:
         raise RecoveryError("need 3 segment lengths for the derivative")
-    return float((Ls[-1] - Ls[0]) / (s0s[-1] - s0s[0]))
+    span = s0s[-1] - s0s[0]
+    if span == 0:
+        raise RecoveryError("segment lengths coincide (ds0 = 0)")
+    slope = float((Ls[-1] - Ls[0]) / span)
+    if not np.isfinite(slope):
+        raise RecoveryError(f"line-integral slope is not finite ({slope})")
+    return slope
 
 
 # ---------------------------------------------------------------------------
@@ -768,24 +774,15 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     fplus, _ = sources.make_test_function(quad.packets[0], metric, tgrid,
                                           tau, V=V, r=r, t0=t_plus, rho=rho)
 
-    zero_slice = np.zeros(grid.shape, dtype=complex)
-
-    def lift(src_w):
-        fld = src_w.field
-        nwin = fld.shape[0]
-
-        def closure(t, pts):
-            m = int(round(t / dt))
-            return fld[m] if m < nwin else zero_slice
-        return solver.SourceTerm(grid, closure=closure, name="window family")
-
+    # the window sources are marched on `grid` and read as zero outside
+    # their windows
     def solve(eps):
         buf = np.zeros((mt + 1,) + grid.shape, dtype=complex)
 
         def obs(mi, t, sl):
             if m0 <= mi <= m0 + mt:
                 buf[mi - m0] = sl
-        solver.solve_forward(metric, grid, V, lift(fam(eps)), nonlinear=True,
+        solver.solve_forward(metric, grid, V, fam(eps), nonlinear=True,
                              store="none", observers=(obs,))
         return buf
 
@@ -800,14 +797,8 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         Us = []
         for j in range(3):
             eps = tuple(1.0 if k == j else 0.0 for k in range(3))
-            Us.append(solver.solve_forward(metric, grid, V, lift(fam(eps))))
-        fplus_full = solver.SourceTerm(
-            grid,
-            closure=lambda t, pts: (
-                fplus.field[int(round(t / dt)) - m0]
-                if m0 <= int(round(t / dt)) <= m0 + mt else zero_slice),
-            name="lifted test function")
-        U0 = solver.solve_backward(metric, grid, V, fplus_full)
+            Us.append(solver.solve_forward(metric, grid, V, fam(eps)))
+        U0 = solver.solve_backward(metric, grid, V, fplus)
         I_check = solver.spacetime_integral(
             grid, U0.data, Us[0].data, Us[1].data, Us[2].data)
     return FullPathResult(pairing, I_fast, quad, grid, go_ratios, k_top * h,

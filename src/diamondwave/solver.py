@@ -398,9 +398,37 @@ def _as_potential_slices(V, grid):
     return get
 
 
+def _source_slices(f, grid):
+    """Slice reader m -> f at the time of the march grid's slice m.
+
+    A field source may live on a time window of the march grid (same
+    spatial layout and dt, origin a whole number of steps from the grid's):
+    it is read at the slice with the same time, and is zero outside the
+    window.  A closure source is read on its own grid.
+    """
+    if f.field is None:
+        return f.slice
+    fg = f.grid
+    offset = (fg.t0 - grid.t0) / grid.dt
+    k = int(round(offset))
+    if not (fg.n == grid.n and fg.shape == grid.shape
+            and np.allclose(fg.lo, grid.lo) and abs(fg.h - grid.h) < 1e-14
+            and abs(fg.dt - grid.dt) < 1e-14 and abs(offset - k) < 1e-9):
+        raise SolverError("source grid is not a time window of the march grid")
+    zero = np.zeros(grid.shape, dtype=f.field.dtype)
+
+    def read(m):
+        j = m - k
+        return f.field[j] if 0 <= j < fg.nt else zero
+    return read
+
+
 def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
                   store="all", observers=(), blowup_factor=1e6):
     """March box u + V u (+ u^3) = f forward from zero data at the first slice.
+
+    A field source `f` may live on a time window of `grid` and is zero
+    outside it (`_source_slices`).
 
     `store`: "all" keeps every slice; "none" keeps only the last three.
     `observers`: callables (m, t, slice) invoked at every accepted slice;
@@ -477,6 +505,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
         coeffs = _SplitCoeffs(metric, grid)
 
     Vs = _as_potential_slices(V, grid)
+    source = _source_slices(f, grid)
     dt, nt = grid.dt, grid.nt
     dtype = complex if (f.field is not None and np.iscomplexobj(f.field)) else float
     if f.field is None:
@@ -495,7 +524,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
         return v
 
     def src(m):
-        return f.slice(time_index(m))
+        return source(time_index(m))
 
     # u[m] in marching order; physical slice index = time_index(m)
     u_prev = np.zeros(shape, dtype=dtype)

@@ -377,3 +377,49 @@ def test_chart_jets_map_the_lattice_once(monkeypatch):
     jets.attach_potential(lambda x: 2.0 * V(x))
     assert len(calls) == 1 + 4 * (n + 1)
     assert np.array_equal(jets.V_c, 2.0 * first)
+
+
+@given(n=st.integers(1, 3), deg=st.integers(0, 6),
+       lead=st.sampled_from([(), (2,), (3, 2)]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_graded_round_trip(n, deg, lead, data):
+    lo = data.draw(st.integers(0, deg))
+    hi = data.draw(st.integers(lo, deg))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (deg + 1,) * n
+    a = beam.PolyCube(n, deg, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    vec = a.graded(lo, hi)
+    alphas = [al for al in beam.multi_indices(n, deg) if lo <= sum(al) <= hi]
+    assert vec.shape == lead + (beam.nmono(n, lo, hi),)
+    for j, al in enumerate(alphas):
+        assert np.array_equal(vec[..., j], a.get(al))
+    # writing the vectors into a zero cube fills exactly those slots
+    b = beam.PolyCube.zeros(n, deg, lead=lead).set_graded(lo, hi, vec)
+    for al in itertools.product(range(deg + 1), repeat=n):
+        want = a.get(al) if lo <= sum(al) <= hi else 0
+        assert np.array_equal(b.get(al), np.broadcast_to(want, lead))
+
+
+def test_transport_pieces_on_lattice_equal_per_node(pert_beam):
+    # one construction over the whole s-lattice (the residual's) equals the
+    # per-stage construction of the transport solve at every node
+    b, _ = pert_beam
+    jet, amp = b.phase, b.amp
+    s, n, deg = jet.s, jet.n, jet.phi_c.deg
+
+    def lattice(sp):
+        return beam.PolyCube(n, deg, sp(s))
+
+    whole = beam._TransportPieces(
+        jet.jets.ginv_at(s), jet.jets.w_at(s),
+        *(lattice(jet._sp[k]) for k in ("phi", "dsphi", "ddsphi")))
+    v, dsv, ddsv = (lattice(sp[1]) for sp in
+                    (amp._v_sp, amp._dsv_sp, amp._ddsv_sp))
+    T, P = whole.apply_T(v, dsv), whole.box(v, dsv, ddsv)
+    for i, si in enumerate(s):
+        node = beam._pieces_at(jet, si)
+        for w, c in zip(whole.E + [whole.boxphi], node.E + [node.boxphi]):
+            assert np.array_equal(w.c[i], c.c)
+        vi, dsvi, ddsvi = (beam.PolyCube(n, deg, x.c[i]) for x in (v, dsv, ddsv))
+        assert np.array_equal(T.c[i], node.apply_T(vi, dsvi).c)
+        assert np.array_equal(P.c[i], node.box(vi, dsvi, ddsvi).c)

@@ -1,5 +1,7 @@
 """Command-line runner tests: config parsing, exit codes, artifacts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,42 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     assert "kappa_top tau h: 1.56" in rr
     assert "stencil group velocity at kappa_top tau h: 0.876" in rr
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
+
+
+def set_entry(text, section, key, value):
+    """`text` with `key = value` in [section] (replaced when present)."""
+    line = re.search(rf"^{key} = .*$", text, re.M)
+    if line:
+        return text.replace(line.group(0), f"{key} = {value}")
+    return text + f"[{section}]\n{key} = {value}\n"
+
+
+GRID_CFG = "[grid]\nh = 0.012\ndt = 0.004\n"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("metric", "n", "two"), ("metric", "n", "2.5"),
+    ("packets", "delta", "abc"), ("pipeline", "sigma0", "0.1x"),
+    ("pipeline", "ds0", "small"), ("pipeline", "points", "2.5 x 0.0"),
+    ("grid", "pad", "wide"), ("full", "tau", "forty")])
+def test_recover_non_numeric_value_is_config_error(tmp_path, capsys, section,
+                                                   key, value):
+    base = RECOVER_CFG + (GRID_CFG if section == "grid" else "")
+    cfgp = write_cfg(tmp_path, set_entry(base, section, key, value))
+    assert cli.main(["recover", cfgp, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("pipeline", "ds0", "0"), ("pipeline", "ds0", "-0.05"),
+    ("pipeline", "ds0", "nan"), ("packets", "delta", "-0.1"),
+    ("packets", "delta", "0")])
+def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
+                                                 key, value):
+    cfgp = write_cfg(tmp_path, set_entry(RECOVER_CFG, section, key, value))
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()

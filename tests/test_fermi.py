@@ -148,3 +148,14 @@ def test_dump_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("s,gamma0")
     assert len(lines) == len(ch.geodesic.s) + 1
+
+
+def test_batched_jacobian_equals_per_point():
+    ch = perturbed_chart()
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.2, 1.3, 6)
+    z = rng.uniform(-0.04, 0.04, (6, 2))
+    J = ch._jacobian(s, z)
+    assert J.shape == (6, 3, 3)
+    for i in range(6):
+        assert np.array_equal(J[i], ch._jacobian(s[i], z[i]))

@@ -533,3 +533,18 @@ def test_full_route_regime_diagnostics():
     assert res.kh == pytest.approx(kappa[1] * tau * h, rel=1e-12)
     assert res.group_velocity == solver.stencil_group_velocity(res.kh)
     assert 0.9 < res.group_velocity < 1.0
+
+
+def test_differentiate_line_integral_rejects_degenerate_samples():
+    with pytest.raises(rc.RecoveryError, match="coincide"):
+        rc.differentiate_line_integral([1.0, 1.0, 1.0], [0.1, 0.2, 0.3])
+    with pytest.raises(rc.RecoveryError, match="not finite"):
+        rc.differentiate_line_integral([0.8, 0.9, 1.0], [0.1, 0.2, np.nan])
+
+
+def test_recover_region_zero_ds0_is_a_failed_row():
+    rep = rc.recover_region(geo.minkowski(2), None, [np.array([1.8, 1.1, 0.0])],
+                            r=1.0, T=5.0, ds0=0.0)
+    (row,) = rep.point_rows()
+    assert row["V_recovered"] == ""
+    assert row["flags"].startswith("failed: segment lengths coincide")

@@ -339,3 +339,33 @@ def test_stencil_group_velocity():
         24 * np.sqrt((30 - 32 * np.cos(th) + 2 * np.cos(2 * th)) / 12))
     assert slv.stencil_group_velocity(th) == pytest.approx(formula, rel=1e-12)
     assert round(float(slv.stencil_group_velocity(th)), 3) == 0.876
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_window_field_source_is_read_by_time(backward):
+    # a field source on a time window of the march grid is read at the slice
+    # with the same time and is zero outside the window
+    g = small_grid(n=1)
+    m = geo.minkowski(1)
+    bump = bump_source(g, rad=0.3)
+    data = np.array([bump.slice(i) for i in range(g.nt)])
+    k, nw = 6, 14
+    wg = slv.Grid(1, g.lo, g.shape, g.h, g.dt, (nw - 1) * g.dt, t0=g.time(k))
+    lifted = np.zeros_like(data)
+    lifted[k:k + nw] = data[k:k + nw]
+    solve = slv.solve_backward if backward else slv.solve_forward
+    u = solve(m, g, None, slv.SourceTerm(wg, field=data[k:k + nw]))
+    ref = solve(m, g, None, slv.SourceTerm(g, field=lifted))
+    assert np.array_equal(u.data, ref.data)
+    assert np.any(u.data != 0)
+
+
+def test_window_source_must_share_the_march_layout():
+    g = small_grid(n=1)
+    T = 4 * g.dt
+    for wg in (slv.Grid(1, g.lo, g.shape, g.h, 2 * g.dt, 2 * T),
+               slv.Grid(1, g.lo, g.shape, g.h, g.dt, T, t0=0.5 * g.dt),
+               slv.Grid(1, g.lo + g.h, g.shape, g.h, g.dt, T)):
+        f = slv.SourceTerm(wg, field=np.zeros((wg.nt,) + wg.shape))
+        with pytest.raises(slv.SolverError, match="time window"):
+            slv.solve_forward(geo.minkowski(1), g, None, f)
