@@ -57,21 +57,43 @@ def _as_array(u):
     return np.asarray(getattr(u, "data", u))
 
 
+class _Negated:
+    """The corner solution -u, held as u without materializing -u."""
+
+    def __init__(self, u):
+        self.u = u
+
+
 def _assemble_cross(corners, h):
-    """sum over sign corners of s1 s2 s3 u_{s h} / (8 h^3)."""
-    total = None
+    """sum over sign corners of s1 s2 s3 u_{s h} / (8 h^3).
+
+    The terms are summed in corner order into one accumulator through one
+    term buffer; a `_Negated` corner enters as (-s1 s2 s3) u, which is
+    s1 s2 s3 (-u) bit for bit.
+    """
+    total = term = None
     for s in _CORNERS:
-        term = (s[0] * s[1] * s[2]) * _as_array(corners[s])
-        total = term if total is None else total + term
-    return total / (8.0 * h**3)
+        sign, u = s[0] * s[1] * s[2], corners[s]
+        if isinstance(u, _Negated):
+            sign, u = -sign, u.u
+        u = _as_array(u)
+        if total is None:
+            total = np.empty(u.shape, np.result_type(u, 1.0))
+            term = np.empty_like(total)
+            np.multiply(sign, u, out=total)
+        else:
+            np.multiply(sign, u, out=term)
+            np.add(total, term, out=total)
+    return np.divide(total, 8.0 * h**3, out=total)
 
 
 def cross_derivative(family, solve, h_eps, check=True):
     """Third mixed central difference of solve(family(eps)) at eps = 0.
 
     `family` maps an epsilon triple to a source; `solve` maps a source to a
-    field (anything with `.data`, or a plain array).  With `check`, the
-    stencil is recomputed at h_eps/2 and the two must agree to 5%.
+    field (anything with `.data`, a plain array, or a `_Negated` one).  With
+    `check`, the stencil is recomputed at h_eps/2 and the two must agree to
+    5%.
     """
     h = float(h_eps)
 
@@ -83,8 +105,10 @@ def cross_derivative(family, solve, h_eps, check=True):
     cross = _assemble_cross(corners, h)
     if check:
         # a stencil at pure rounding level has nothing to disagree about
+        # |-u| = |u|: a negated corner adds nothing to the scale
         corner_scale = max(float(np.max(np.abs(_as_array(u))))
-                           for u in corners.values()) / (8.0 * h**3)
+                           for u in corners.values()
+                           if not isinstance(u, _Negated)) / (8.0 * h**3)
         del corners     # free the h-step solutions before solving at h/2
         fine = _assemble_cross(corners_at(h / 2), h / 2)
         scale = float(np.max(np.abs(fine)))
@@ -662,17 +686,17 @@ def _odd(solve):
 
     With zero Cauchy data and a cubic nonlinearity the source-to-solution
     map is odd, and every step of the march (the linear family, the
-    stencils, u**3) commutes with negation exactly in floating point, so
+    stencils, u (u u)) commutes with negation exactly in floating point, so
     solve(-eps) equals -solve(eps) bit for bit (up to the sign of zeros).
     The first of a sign pair is solved and kept until its partner is asked
-    for, which gets the negation.
+    for, which gets it marked as negated (`_Negated`), not a negated copy.
     """
     kept = {}
 
     def odd_solve(eps):
         partner = tuple(-e for e in eps)
         if partner in kept:
-            return -kept.pop(partner)
+            return _Negated(kept.pop(partner))
         kept[eps] = u = solve(eps)
         return u
     return odd_solve

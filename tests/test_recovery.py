@@ -54,6 +54,23 @@ def test_cross_derivative_exact_on_cubics(coef, h_eps):
     assert np.allclose(st_.vtau, -c123 * g / 6.0, rtol=0, atol=tol)
 
 
+def test_assemble_cross_of_negated_corners_is_bitwise():
+    # odd corner data: the corners `_odd` hands over marked as negated sum
+    # to the same stencil as the materialized negations
+    rng = np.random.default_rng(4)
+    data = {}
+    for s in rc._CORNERS:
+        partner = tuple(-x for x in s)
+        data[s] = -data[partner] if partner in data else \
+            rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    odd = rc._odd(lambda s: data[s])
+    marked = {s: odd(s) for s in rc._CORNERS}
+    assert sum(isinstance(u, rc._Negated) for u in marked.values()) == 4
+    for h in (0.1, 0.05):
+        assert np.array_equal(rc._assemble_cross(marked, h),
+                              rc._assemble_cross(data, h))
+
+
 def test_cross_derivative_richardson_gate():
     # a strong epsilon^5 contamination trips the h vs h/2 comparison
     def u(e):
@@ -509,6 +526,16 @@ def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
     ref = rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
     assert calls == [True] * (2 * marches)
     assert res.I_full == ref.I_full
+
+
+def test_full_route_outputs_are_pinned():
+    # the coarse route's outputs to the last digit: a solver or stencil
+    # change that moves them has to state by how much
+    res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
+                                   consistency=True, **COARSE_FULL_ROUTE)
+    assert res.I_full == -5.605382053922875e-07 + 3.925956823188601e-07j
+    assert res.I_check == -5.605390942768627e-07 + 3.9261168625748393e-07j
+    assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
 
 
 def test_full_route_surgery_builds_no_grid_packet(monkeypatch):

@@ -67,10 +67,11 @@ def test_apply_operator_split_inverts_solve():
     )
     g = slv.Grid.for_ball(n, 0.4, 0.6, 0.1, 0.02)
     f = bump_source(g, t0=0.25, width=0.15, rad=0.3)
-    u = slv.solve_forward(metric, g, 0.3, f)
-    back = slv.apply_wave_operator(metric, g, 0.3, u)
-    for mm in range(1, g.nt - 1):
-        assert np.allclose(back.data[mm], f.slice(mm), atol=1e-10)
+    for nonlinear in (False, True):
+        u = slv.solve_forward(metric, g, 0.3, f, nonlinear=nonlinear)
+        back = slv.apply_wave_operator(metric, g, 0.3, u, nonlinear=nonlinear)
+        for mm in range(1, g.nt - 1):
+            assert np.allclose(back.data[mm], f.slice(mm), atol=1e-10)
 
 
 def test_constant_field_operator_zero_interior():
@@ -121,6 +122,68 @@ def test_laplacian_matches_shift_formula_bitwise(n, size, cplx):
     lap = slv.laplacian_4th(u, 0.07, n)
     assert lap.shape == u.shape
     assert np.array_equal(lap, _laplacian_by_shifts(u, 0.07, n))
+
+
+@pytest.mark.parametrize("potential", [False, True])
+@pytest.mark.parametrize("source", [False, True])
+def test_leapfrog_step_is_its_array_formula(potential, source):
+    # the allocation-free step on the band equals the plain array formula
+    g = slv.Grid.for_ball(2, 0.3, 0.5, 0.05, 0.0125)
+    rng = np.random.default_rng(11)
+
+    def cplx():
+        return rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    u_prev, u = cplx(), cplx()
+    v = rng.standard_normal(g.shape) if potential else None
+    f = cplx() if source else None
+    leapfrog = slv._Leapfrog(g, complex, u, nonlinear=True)
+    leapfrog.inner[0][...] = u_prev
+    new = leapfrog.step(v, f)
+    rhs = slv.laplacian_4th(u, g.h, g.n)
+    if v is not None:
+        rhs = rhs - v * u
+    if f is not None:
+        rhs = rhs + f
+    ref = (2 * u - u_prev) + (g.dt * g.dt) * (rhs - u * (u * u))
+    assert np.array_equal(new, ref)
+
+
+def _smallness_raises(u, parts, bound):
+    try:
+        slv._check_smallness(u, parts, bound)
+    except slv.SolverError:
+        return True
+    return False
+
+
+def test_smallness_check_decides_as_the_exact_modulus():
+    # the part bound max(|Re u|, |Im u|) only short-cuts a "no": the check
+    # raises exactly when max|u| is not finite or exceeds the bound
+    rng = np.random.default_rng(5)
+    u = 1e-3 * (rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8)))
+    cases = []
+    for z in (0.7 * (1 + 1j), 0.7 + 0.2j, -0.7j, 0.7):
+        w = u.copy()
+        w[4, 3] = z
+        amax = float(np.max(np.abs(w)))
+        # max|u| just below, at and just above the bound, with the parts
+        # below it; and a bound the part bound settles
+        for bound in (np.nextafter(amax, 0), amax, np.nextafter(amax, 2),
+                      1.2 * amax, 0.99 * amax, 2 * amax):
+            cases.append((w, bound))
+    for bad in (np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf),
+                complex(np.inf, np.nan)):
+        w = u.copy()
+        w[0, 7] = bad
+        cases += [(w, 1.0), (w, 1e300)]
+    for _ in range(200):
+        w = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        cases.append((w, np.max(np.abs(w)) * rng.uniform(0.4, 1.6)))
+    for w, bound in cases:
+        for v, parts in ((w, w.view(float)), (w.real.copy(), None)):
+            amax = np.max(np.abs(v))
+            expect = not np.isfinite(amax) or amax > bound
+            assert _smallness_raises(v, parts, bound) == expect
 
 
 @pytest.mark.parametrize("potential", [None, "closure"])
