@@ -21,9 +21,9 @@ import itertools
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fermi import FermiChart, FermiError
+from .fermi import FermiChart
 from .geometry import _rk4_span
-from .go import cumint, resolve_chi
+from .go import cumint, loglog_fit, resolve_chi
 
 
 class BeamError(RuntimeError):
@@ -356,7 +356,6 @@ class ChartJets:
             "w": CubicSpline(self.s, self.w_c, axis=0),
             "D": CubicSpline(self.s, self.D, axis=0),
         }
-        self._sp["Ddot"] = self._sp["D"].derivative()
         self.attach_potential(V)
 
     def attach_potential(self, V):
@@ -394,9 +393,6 @@ class ChartJets:
 
     def D_at(self, s):
         return self._sp["D"](s)
-
-    def Ddot_at(self, s):
-        return self._sp["Ddot"](s)
 
     def V_at(self, s):
         if self.V_c is None:
@@ -898,29 +894,19 @@ class GaussianBeam:
             return np.exp(-1j * tau * np.conj(phi)) * np.conj(a) * cut
         return np.exp(1j * tau * phi) * a * cut
 
-    def eval(self, tau, p):
-        """Beam value at an ambient point; 0 outside the tube."""
-        try:
-            s, z = self.chart.inverse(np.asarray(p, dtype=float))
-        except FermiError:
-            return 0.0 + 0.0j
-        if not (self.phase.s[0] <= s <= self.phase.s[-1]):
-            return 0.0 + 0.0j
-        y = self.bchart.to_beam(z)
-        return complex(self._value(tau, np.atleast_1d(s), y[None],
-                                   np.linalg.norm(z))[0])
-
-    def eval_many(self, tau, pts):
-        """Vectorized beam values; points outside the tube evaluate to 0."""
+    def eval(self, tau, pts):
+        """Beam values at ambient points (..., 1+n), batched over the leading
+        axes (a single point is the 0-d case); 0 outside the tube."""
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        s, z, inside = self.chart.inverse_many(pts)
+        flat = pts.reshape(-1, pts.shape[-1])
+        out = np.zeros(len(flat), dtype=complex)
+        s, z, inside = self.chart.inverse_many(flat)
         inside &= (s >= self.phase.s[0]) & (s <= self.phase.s[-1])
         if inside.any():
             y = self.bchart.to_beam(z[inside])
             out[inside] = self._value(tau, s[inside], y,
                                       np.linalg.norm(z[inside], axis=-1))
-        return out
+        return out.reshape(pts.shape[:-1])
 
     def manifest(self):
         geod = self.chart.geodesic
@@ -1067,13 +1053,9 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
         cut = beam.chi(znorm / dprime)
         sups.append(float(np.max(np.abs(af) * np.exp(-tau * imf)
                                  * cut[None, :])))
-    logs = np.log(np.asarray(tau_list, dtype=float))
-    logn = np.log(np.asarray(norms))
-    A = np.stack([logs, np.ones_like(logs)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, logn, rcond=None)
-    fitres = float(np.sqrt(np.mean((A @ coef - logn) ** 2)))
+    slope, fitres = loglog_fit(tau_list, norms)
     return {
-        "slope": float(coef[0]),
+        "slope": slope,
         "fit_residual": fitres,
         "tau": list(tau_list),
         "norms": norms,

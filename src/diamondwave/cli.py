@@ -142,6 +142,11 @@ class ExperimentConfig:
             h = self._flt(gr, "h")
             dt = self._flt(gr, "dt")
             pad = _number(gr.get("pad", "0.25"), "grid.pad")
+            if dt <= 0:
+                raise ConfigError(f"grid.dt must be positive, got {dt:g}")
+            if pad < 0:
+                raise ConfigError(
+                    f"grid.pad must be non-negative, got {pad:g}")
             if dt > 0.5 * h / np.sqrt(self.n) * (1 + 1e-12):
                 raise ConfigError(
                     f"grid dt={dt:g} violates the CFL bound "
@@ -149,6 +154,8 @@ class ExperimentConfig:
             self.grid_params = {"h": h, "dt": dt, "pad": pad}
         self.tau = _number(self.sections.get("full", {}).get("tau", "40"),
                            "full.tau")
+        if self.tau <= 0:
+            raise ConfigError(f"full.tau must be positive, got {self.tau:g}")
         out = self.sections.get("output", {})
         self.outdir = out.get("dir", None)
 
@@ -535,14 +542,11 @@ def _suite_recovery(rng):
         return abs(lim - 1.5) < 1e-10, f"limit dev {abs(lim - 1.5):.2e}"
 
     def cross_derivative_exact():
-        def solve(eps_vec):
-            e1, e2, e3 = eps_vec
+        def solve(eps):
+            e1, e2, e3 = eps
             return np.array([6.0 * e1 * e2 * e3 + e1 + e2**2])
 
-        def family(eps):
-            return np.asarray(eps, dtype=float)
-
-        st = recovery.cross_derivative(family, solve, 0.1)
+        st = recovery.cross_derivative(solve, 0.1)
         err = abs(float(st.vtau[0]) + 1.0)  # -(1/6) * 6 = -1
         return err < 1e-10, f"dev {err:.2e}"
 

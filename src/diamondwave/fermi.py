@@ -18,6 +18,9 @@ class FermiError(RuntimeError):
     pass
 
 
+_SEED_BLOCK = 32    # geodesic samples per block of the Newton seed search
+
+
 # target frame pairing matrix: <E_i, E_j>
 def frame_pairing_target(n):
     P = np.zeros((n + 1, n + 1))
@@ -144,46 +147,44 @@ class FermiChart:
             raise FermiError("exponential map left the metric domain")
         return out[0] if scalar else out
 
-    def inverse(self, p, tol=1e-9, maxiter=25):
-        """Newton inversion of the forward map; raises outside the tube."""
-        p = np.asarray(p, dtype=float)
-        # seed from the nearest geodesic sample + frame projection
-        d2 = np.sum((self.geodesic.x - p) ** 2, axis=-1)
-        i0 = int(np.argmin(d2))
-        s = float(self.geodesic.s[i0])
-        z = np.zeros(self.n)
-        for it in range(maxiter):
-            F = self.forward(s, z)
-            r = F - p
-            if np.max(np.abs(r)) < tol:
-                break
-            J = self._jacobian(s, z)
-            try:
-                step = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError:
-                raise FermiError("point outside Fermi tube") from None
-            s -= step[0]
-            z -= step[1:]
-            if not np.isfinite(s) or np.linalg.norm(z) > 4 * self.delta_prime:
-                raise FermiError("point outside Fermi tube")
-        else:
+    def inverse(self, p):
+        """(s, z') of one point by `inverse_many`; raises FermiError outside
+        the tube."""
+        s, z, inside = self.inverse_many(np.asarray(p, dtype=float)[None])
+        if not inside[0]:
             raise FermiError("point outside Fermi tube")
-        if np.linalg.norm(z) >= self.delta_prime:
-            raise FermiError("point outside Fermi tube")
-        return s, z
+        return float(s[0]), z[0]
+
+    def _seed(self, pts):
+        """Parameter of the nearest geodesic sample to each point (m, 1+n).
+
+        The distances are taken against blocks of `_SEED_BLOCK` samples, so
+        memory stays O(m) rather than O(m samples); a later block wins only
+        on a strictly smaller distance, which keeps the first minimum as a
+        dense `argmin` does.
+        """
+        x, block = self.geodesic.x, _SEED_BLOCK
+        best = np.full(len(pts), np.inf)
+        idx = np.zeros(len(pts), dtype=int)
+        for i in range(0, len(x), block):
+            d2 = np.sum((x[None, i:i + block] - pts[:, None]) ** 2, axis=-1)
+            j = np.argmin(d2, axis=1)
+            dj = d2[np.arange(len(pts)), j]
+            closer = dj < best
+            best[closer] = dj[closer]
+            idx[closer] = i + j[closer]
+        return self.geodesic.s[idx].astype(float)
 
     def inverse_many(self, pts, tol=1e-9, maxiter=30):
-        """Vectorized Newton inversion.
+        """Vectorized Newton inversion of the forward map, (m, 1+n) points.
 
         Returns (s, z, inside) where points that diverge or land outside the
         tube radius are flagged inside=False (their s, z entries are not
-        meaningful).  Unlike `inverse`, never raises.
+        meaningful); never raises.
         """
         pts = np.asarray(pts, dtype=float)
         m = pts.shape[0]
-        # seed each point from the nearest geodesic sample
-        d2 = np.sum((self.geodesic.x[None, :, :] - pts[:, None, :]) ** 2, axis=-1)
-        s = self.geodesic.s[np.argmin(d2, axis=1)].astype(float)
+        s = self._seed(pts)
         z = np.zeros((m, self.n))
         alive = np.ones(m, dtype=bool)
         converged = np.zeros(m, dtype=bool)
@@ -284,15 +285,3 @@ class FermiChart:
             for s, x, E in zip(self.geodesic.s, self.geodesic.x, self.frame.E):
                 w.writerow([s, *x, *E.reshape(-1)])
 
-
-def build_chart(metric, p, v, s_range, delta_prime=None, **kw):
-    from .geometry import integrate_null_geodesic
-    geod = integrate_null_geodesic(metric, p, v, s_range, **kw)
-    chart = FermiChart(geod, delta_prime=delta_prime)
-    # auto-halve the tube radius while the axis normal form fails
-    for _ in range(3):
-        mdef, ddef = chart.axis_defects(nsamp=5)
-        if mdef < 1e-6 and ddef < 1e-4:
-            break
-        chart.delta_prime *= 0.5
-    return chart

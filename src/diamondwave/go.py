@@ -291,13 +291,18 @@ class GOPacket:
         return float(np.max(np.abs(total[sl])))
 
 
+def loglog_fit(tau_list, values):
+    """Least-squares line through (log tau, log value): (slope, RMS fit
+    residual)."""
+    logt = np.log(np.asarray(tau_list, dtype=float))
+    logv = np.log(np.asarray(values))
+    A = np.stack([logt, np.ones_like(logt)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, logv, rcond=None)
+    return float(coef[0]), float(np.sqrt(np.mean((A @ coef - logv) ** 2)))
+
+
 def residual_scaling(packet: GOPacket, V, tau_list):
     """Log-log slope fit of sup |(box+V)u_tau| over tau; returns (slope,
     fit residual, sup values)."""
-    taus = np.asarray(tau_list, dtype=float)
-    sups = np.array([packet.residual_sup(t, V) for t in taus])
-    logt, logr = np.log(taus), np.log(sups)
-    A = np.vstack([logt, np.ones_like(logt)]).T
-    coef, res, *_ = np.linalg.lstsq(A, logr, rcond=None)
-    fitres = float(np.sqrt(res[0] / len(taus))) if res.size else 0.0
-    return float(coef[0]), fitres, sups
+    sups = np.array([packet.residual_sup(t, V) for t in tau_list])
+    return (*loglog_fit(tau_list, sups), sups)

@@ -87,19 +87,17 @@ def _assemble_cross(corners, h):
     return np.divide(total, 8.0 * h**3, out=total)
 
 
-def cross_derivative(family, solve, h_eps, check=True):
-    """Third mixed central difference of solve(family(eps)) at eps = 0.
+def cross_derivative(solve, h_eps, check=True):
+    """Third mixed central difference of solve(eps) at eps = 0.
 
-    `family` maps an epsilon triple to a source; `solve` maps a source to a
-    field (anything with `.data`, a plain array, or a `_Negated` one).  With
-    `check`, the stencil is recomputed at h_eps/2 and the two must agree to
-    5%.
+    `solve` maps an epsilon triple to a field (anything with `.data`, a
+    plain array, or a `_Negated` one).  With `check`, the stencil is
+    recomputed at h_eps/2 and the two must agree to 5%.
     """
     h = float(h_eps)
 
     def corners_at(step):
-        return {s: solve(family(tuple(step * si for si in s)))
-                for s in _CORNERS}
+        return {s: solve(tuple(step * si for si in s)) for s in _CORNERS}
 
     corners = corners_at(h)
     cross = _assemble_cross(corners, h)
@@ -147,8 +145,6 @@ class PairingResult:
 def pairing_integral(metric, grid, V, vtau, test_source, backward_solution=None):
     """I = integral of vtau * f+ over spacetime; optional volume cross-check."""
     vdata = _as_array(vtau)
-    if test_source.field is None:
-        raise RecoveryError("test source must be field-based for pairing")
     data_side = solver.spacetime_integral(grid, vdata, test_source.field)
     if backward_solution is None:
         return PairingResult(data_side)
@@ -454,8 +450,7 @@ def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
     else:
         integrand = np.ones(len(pts), dtype=complex)
         for wv in waves:
-            integrand = integrand * np.asarray(
-                sources.eval_wave(wv, tau, pts))
+            integrand = integrand * wv.eval(tau, pts)
     peak = float(np.max(np.abs(integrand)))
     if peak > 0:
         leak = float(np.max(np.abs(integrand[boundary]))) / peak
@@ -810,8 +805,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                              store="none", observers=(obs,))
         return buf
 
-    stencil = cross_derivative(lambda eps: eps, _odd(solve), h_eps,
-                               check=check)
+    stencil = cross_derivative(_odd(solve), h_eps, check=check)
     vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
     pairing = pairing_integral(metric, tgrid, V, vfield, fplus)
     I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta, nq=nq)

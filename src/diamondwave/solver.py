@@ -324,59 +324,42 @@ class _SplitCoeffs:
 
 
 class SourceTerm:
-    """Source f on a grid: dense field, or a per-slice closure f(t, points)."""
+    """Source f on a grid: a dense field of shape (nt, *grid.shape)."""
 
-    def __init__(self, grid, field=None, closure=None, name=""):
-        if (field is None) == (closure is None):
-            raise SolverError("provide exactly one of field/closure")
+    def __init__(self, grid, field, name=""):
         self.grid = grid
         self.field = field
-        self.closure = closure
         self.name = name
 
     @classmethod
     def from_field(cls, gridfield: GridField, name=""):
-        return cls(gridfield.grid, field=gridfield.data, name=name)
+        return cls(gridfield.grid, gridfield.data, name=name)
 
     @classmethod
     def from_closure(cls, grid, func, name=""):
-        return cls(grid, closure=func, name=name)
+        """Sample f(t, points) once per slice, points of shape (*shape, 1+n);
+        a scalar value fills the slice."""
+        return cls(grid, np.stack([
+            np.broadcast_to(func(grid.time(m), grid.spacetime_slice(m)),
+                            grid.shape) for m in range(grid.nt)]), name=name)
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, closure=lambda t, pts: 0.0, name="zero")
+        return cls(grid, np.zeros((grid.nt,) + grid.shape), name="zero")
 
     def slice(self, m):
-        if self.field is not None:
-            return self.field[m]
-        pts = self.grid.spacetime_slice(m)
-        val = self.closure(self.grid.time(m), pts)
-        return np.broadcast_to(np.asarray(val), self.grid.shape)
+        return self.field[m]
 
     def scale(self):
-        if self.field is not None:
-            return float(np.max(np.abs(self.field)))
-        samples = [np.max(np.abs(self.slice(m)))
-                   for m in range(0, self.grid.nt, max(1, self.grid.nt // 16))]
-        return float(max(samples))
+        return float(np.max(np.abs(self.field)))
 
     def __mul__(self, c):
-        if self.field is not None:
-            return SourceTerm(self.grid, field=self.field * c)
-        closure = self.closure
-        return SourceTerm(self.grid, closure=lambda t, pts: c * closure(t, pts))
+        return SourceTerm(self.grid, self.field * c)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if self.field is not None and other.field is not None:
-            return SourceTerm(self.grid, field=self.field + other.field)
-        a, b, grid = self, other, self.grid
-
-        def closure(t, pts):
-            m = int(round((t - grid.t0) / grid.dt))
-            return a.slice(m) + b.slice(m)
-        return SourceTerm(grid, closure=closure)
+        return SourceTerm(self.grid, self.field + other.field)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +396,11 @@ def _as_potential_slices(V, grid):
 def _source_slices(f, grid):
     """Slice reader m -> f at the time of the march grid's slice m.
 
-    A field source may live on a time window of the march grid (same
-    spatial layout and dt, origin a whole number of steps from the grid's):
-    it is read at the slice with the same time, and is None (zero) outside
-    the window, so the march skips the add.  A closure source is read on its
-    own grid.
+    The source may live on a time window of the march grid (same spatial
+    layout and dt, origin a whole number of steps from the grid's): it is
+    read at the slice with the same time, and is None (zero) outside the
+    window, so the march skips the add.
     """
-    if f.field is None:
-        return f.slice
     fg = f.grid
     offset = (fg.t0 - grid.t0) / grid.dt
     k = int(round(offset))
@@ -439,8 +419,8 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
                   store="all", observers=(), blowup_factor=1e6):
     """March box u + V u (+ u^3) = f forward from zero data at the first slice.
 
-    A field source `f` may live on a time window of `grid` and is zero
-    outside it (`_source_slices`).
+    The source `f` may live on a time window of `grid` and is zero outside
+    it (`_source_slices`).
 
     `store`: "all" keeps every slice; "none" keeps only the last three.
     `observers`: callables (m, t, slice) invoked at every accepted slice;
@@ -540,11 +520,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     Vs = _as_potential_slices(V, grid)
     source = _source_slices(f, grid)
     dt, nt = grid.dt, grid.nt
-    dtype = complex if (f.field is not None and np.iscomplexobj(f.field)) else float
-    if f.field is None:
-        probe = np.asarray(f.slice(0))
-        if np.iscomplexobj(probe):
-            dtype = complex
+    dtype = complex if np.iscomplexobj(f.field) else float
 
     bound = blowup_factor * max(f.scale(), 1e-300)
     shape = grid.shape

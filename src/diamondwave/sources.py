@@ -96,15 +96,6 @@ def default_rho(obj, grid, r, t0):
     return float(rho)
 
 
-def eval_wave(wave, tau, pts):
-    """u_tau of a packet or beam at points (..., 1+n); a wave with a batched
-    `eval_many` gets them as one (M, 1+n) array."""
-    if hasattr(wave, "eval_many"):
-        return wave.eval_many(tau, pts.reshape(-1, pts.shape[-1])
-                              ).reshape(pts.shape[:-1])
-    return wave.eval(tau, pts)
-
-
 def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     if t0 is None:
         if hasattr(obj, "q"):
@@ -114,7 +105,7 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     if rho is None:
         rho = default_rho(obj, grid, r, t0)
     cut = CutoffPair(t0, rho)
-    u = GridField.from_closure(grid, lambda pts: eval_wave(obj, tau, pts),
+    u = GridField.from_closure(grid, lambda pts: obj.eval(tau, pts),
                                dtype=complex, name="packet")
     times = grid.times()
     inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)

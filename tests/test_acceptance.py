@@ -229,8 +229,8 @@ class _ScaledWave:
         self.b = b
         self.k = abs(float(kappa))
 
-    def eval_many(self, tau, pts):
-        return self.b.eval_many(self.k * tau, pts)
+    def eval(self, tau, pts):
+        return self.b.eval(self.k * tau, pts)
 
 
 def test_interaction_integral_stationary_phase():

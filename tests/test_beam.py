@@ -254,16 +254,19 @@ def test_eval_outside_tube_is_zero(pert_beam):
     assert b.eval(40.0, far) == 0  # cutoff kills |z| > delta'/2
 
 
-def test_eval_many_matches_eval(pert_beam):
+def test_batched_eval_matches_pointwise_eval(pert_beam):
+    # eval is batched over the leading axes; one point is the 0-d case
     b, _ = pert_beam
     rng = np.random.default_rng(8)
     pts = np.array([b.chart.forward(rng.uniform(0.3, 1.2),
                                     rng.uniform(-0.2, 0.2, size=2)
                                     * b.delta_prime)
-                    for _ in range(10)])
-    vals = b.eval_many(35.0, pts)
-    for p, v in zip(pts, vals):
-        assert abs(b.eval(35.0, p) - v) < 1e-10
+                    for _ in range(10)]).reshape(2, 5, 3)
+    vals = b.eval(35.0, pts)
+    assert vals.shape == (2, 5)
+    for p, v in zip(pts.reshape(-1, 3), vals.reshape(-1)):
+        one = b.eval(35.0, p)
+        assert one.shape == () and abs(one - v) < 1e-10
 
 
 def test_conjugate_beam_is_conjugate(pert_beam):

@@ -304,10 +304,12 @@ def test_recover_non_numeric_value_is_config_error(tmp_path, capsys, section,
 @pytest.mark.parametrize("section, key, value", [
     ("pipeline", "ds0", "0"), ("pipeline", "ds0", "-0.05"),
     ("pipeline", "ds0", "nan"), ("packets", "delta", "-0.1"),
-    ("packets", "delta", "0")])
+    ("packets", "delta", "0"), ("grid", "dt", "0"), ("grid", "dt", "-0.004"),
+    ("grid", "pad", "-0.1"), ("full", "tau", "0")])
 def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
                                                  key, value):
-    cfgp = write_cfg(tmp_path, set_entry(RECOVER_CFG, section, key, value))
+    base = RECOVER_CFG + (GRID_CFG if section == "grid" else "")
+    cfgp = write_cfg(tmp_path, set_entry(base, section, key, value))
     out = tmp_path / "out"
     assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
     assert f"{section}.{key}" in capsys.readouterr().err

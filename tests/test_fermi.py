@@ -111,6 +111,20 @@ def test_roundtrip_random():
         assert np.max(np.abs(z2 - z)) < 1e-8
 
 
+def test_block_seed_equals_dense_seed():
+    # the Newton seed searches the geodesic samples in blocks; it must pick
+    # the same (first) nearest sample as one dense argmin over all of them
+    ch = perturbed_chart()
+    x = ch.geodesic.x
+    assert len(x) > 4 * fermi._SEED_BLOCK
+    rng = np.random.default_rng(3)
+    near = x[::5] + rng.normal(scale=0.2, size=x[::5].shape)
+    pts = np.concatenate([x[::7], near, rng.uniform(-1.0, 2.0, (200, 3))])
+    d2 = np.sum((x[None, :, :] - pts[:, None, :]) ** 2, axis=-1)
+    dense = ch.geodesic.s[np.argmin(d2, axis=1)]
+    assert np.array_equal(ch._seed(pts), dense)
+
+
 def test_inverse_rejects_far_point():
     ch = flat_chart()
     with pytest.raises(fermi.FermiError, match="outside"):

@@ -21,16 +21,14 @@ def gaussian_V(center, amp=0.8, width=0.3):
 
 def test_cross_derivative_cubic_monomial():
     g = np.arange(12.0).reshape(3, 4)
-    st = rc.cross_derivative(lambda e: e, lambda e: e[0] * e[1] * e[2] * g,
-                             h_eps=0.1)
+    st = rc.cross_derivative(lambda e: e[0] * e[1] * e[2] * g, h_eps=0.1)
     assert np.allclose(st.cross, g, atol=1e-12)
     assert np.allclose(st.vtau, -g / 6.0, atol=1e-12)
 
 
 def test_cross_derivative_even_power_vanishes():
     g = np.ones((5,))
-    st = rc.cross_derivative(lambda e: e,
-                             lambda e: e[0] ** 2 * e[1] * e[2] * g, 0.1)
+    st = rc.cross_derivative(lambda e: e[0] ** 2 * e[1] * e[2] * g, 0.1)
     assert np.max(np.abs(st.cross)) < 1e-12
 
 
@@ -48,7 +46,7 @@ def test_cross_derivative_exact_on_cubics(coef, h_eps):
         return sum(c * e[0] ** a * e[1] ** b * e[2] ** k
                    for c, (a, b, k) in zip(coef, monos)) * g
     c123 = coef[monos.index((1, 1, 1))]
-    st_ = rc.cross_derivative(lambda e: e, solve, h_eps)
+    st_ = rc.cross_derivative(solve, h_eps)
     tol = 1e-12 * sum(abs(c) for c in coef) / h_eps**3 + 1e-12
     assert np.allclose(st_.cross, c123 * g, rtol=0, atol=tol)
     assert np.allclose(st_.vtau, -c123 * g / 6.0, rtol=0, atol=tol)
@@ -76,8 +74,8 @@ def test_cross_derivative_richardson_gate():
     def u(e):
         return np.array([e[0] * e[1] * e[2] + 100.0 * e[0] ** 3 * e[1] * e[2]])
     with pytest.raises(rc.RecoveryError, match="asymptotic window"):
-        rc.cross_derivative(lambda e: e, u, h_eps=0.05)
-    st = rc.cross_derivative(lambda e: e, u, h_eps=0.002)
+        rc.cross_derivative(u, h_eps=0.05)
+    st = rc.cross_derivative(u, h_eps=0.002)
     assert st.cross[0] == pytest.approx(1.0, abs=1e-3)
 
 
