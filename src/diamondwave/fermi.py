@@ -274,14 +274,3 @@ class FermiChart:
                 ddef = max(ddef, float(np.max(np.abs(gp - gm))) / (2 * h))
         return mdef, ddef
 
-    def dump_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            dim = self.n + 1
-            header = (["s"] + [f"gamma{i}" for i in range(dim)]
-                      + [f"E{k}_{i}" for k in range(dim) for i in range(dim)])
-            w.writerow(header)
-            for s, x, E in zip(self.geodesic.s, self.geodesic.x, self.frame.E):
-                w.writerow([s, *x, *E.reshape(-1)])
-

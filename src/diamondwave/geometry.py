@@ -583,7 +583,7 @@ def dalembertian(metric: Metric, u, p, h_op=1e-2):
 
 
 # ---------------------------------------------------------------------------
-# causal structure (Minkowski helpers + desk-scale split shooting)
+# causal structure (Minkowski helpers)
 
 
 def causal_diamond_contains(r, T, p):
@@ -599,87 +599,3 @@ def causal_diamond_contains(r, T, p):
 def in_mho(r, T, p):
     p = np.asarray(p, dtype=float)
     return (0.0 < p[0] < T) and float(np.linalg.norm(p[1:])) < r
-
-
-def time_separation(metric: Metric, p, q, shoot_kwargs=None):
-    """Time separation tau(p, q) = sup length of future causal curves p -> q.
-
-    Minkowski: closed form. Split metrics: desk-scale geodesic shooting
-    (coarse polar screening + Nelder-Mead refinement); no caustic handling.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if is_flat(metric):
-        dt = q[0] - p[0]
-        dx = float(np.linalg.norm(q[1:] - p[1:]))
-        if dt < dx:  # not causally related (or past-directed)
-            return 0.0
-        return float(np.sqrt(max(dt * dt - dx * dx, 0.0)))
-    return _time_separation_split(metric, p, q, **(shoot_kwargs or {}))
-
-
-def _propagate_to_time(metric, p, u, t_target, nsteps=160):
-    """Integrate a geodesic from (p,u) until coordinate time t_target."""
-    # parameter duration estimate: dt/ds = u^0 approx constant at desk scale
-    span = (t_target - p[0]) / u[0]
-    for _ in range(3):
-        x, v = _rk4_geodesic(metric, p, u, span, nsteps)
-        if abs(x[0] - t_target) < 1e-10:
-            break
-        span += (t_target - x[0]) / v[0]
-    return x, v, span
-
-
-def _time_separation_split(metric, p, q, nsteps=160, polar=16, xtol=1e-8):
-    from scipy import optimize
-
-    if q[0] <= p[0]:
-        return 0.0
-    n = metric.n
-    beta_p = float(metric.beta(p))
-    g_p = metric.gmat(p)
-
-    def initial_u(w):
-        w = np.asarray(w, dtype=float)
-        u0 = np.sqrt((1.0 + w @ g_p @ w) / beta_p)
-        return np.concatenate([[u0], w])
-
-    def endpoint_miss(w):
-        x_end, _, span = _propagate_to_time(metric, p, initial_u(w), q[0], nsteps)
-        return x_end[1:] - q[1:], span
-
-    # Minkowski-style initial guess
-    dt = q[0] - p[0]
-    dxv = q[1:] - p[1:]
-    dx = float(np.linalg.norm(dxv))
-    if dt * dt - dx * dx <= 0:
-        # desk scale: mildly perturbed metrics do not open the light cone wide
-        margin = 0.05 * (dt * dt + dx * dx)
-        if dx * dx - dt * dt > margin:
-            return 0.0
-    tau0 = np.sqrt(max(dt * dt - dx * dx, 1e-6))
-    w0 = dxv / tau0
-
-    candidates = [w0]
-    if n >= 2:
-        # coarse polar screen around the straight-line guess
-        for ang in np.linspace(0, 2 * np.pi, polar, endpoint=False):
-            d = np.zeros(n)
-            d[0], d[1] = np.cos(ang), np.sin(ang)
-            candidates.append(w0 + 0.2 * np.linalg.norm(w0 + 1e-9) * d)
-
-    best = None
-    for w in candidates:
-        sol = optimize.least_squares(lambda ww: endpoint_miss(ww)[0], w,
-                                     xtol=xtol, ftol=1e-12, gtol=1e-12)
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if sol.cost < 1e-16:
-            break
-    miss, span = endpoint_miss(best.x)
-    if np.linalg.norm(miss) > 1e-5 * max(1.0, dx):
-        raise GeometryError(
-            f"time_separation shooting failed to bracket (miss={np.linalg.norm(miss):.2e})")
-    # refine span via Nelder-Mead on the proper time? proper time = span for
-    # unit-normalized velocity; negative norm drift is below desk tolerance.
-    return max(float(span), 0.0)

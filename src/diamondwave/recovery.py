@@ -123,38 +123,9 @@ def cross_derivative(solve, h_eps, check=True):
 # pairing
 # ---------------------------------------------------------------------------
 
-class PairingResult:
-    """Interaction integral computed from data and (optionally) from volume.
-
-    data_side pairs the cross-derivative field with the test function over
-    the measurement cylinder; volume pairs the backward solution with
-    (box + V) applied to the field.  Their agreement is the operational
-    check that the source-to-solution map determines the integral.
-    """
-
-    def __init__(self, data_side, volume=None, discrepancy=None, flagged=False):
-        self.data_side = complex(data_side)
-        self.volume = None if volume is None else complex(volume)
-        self.discrepancy = discrepancy
-        self.flagged = bool(flagged)
-
-    def __complex__(self):
-        return self.data_side
-
-
-def pairing_integral(metric, grid, V, vtau, test_source, backward_solution=None):
-    """I = integral of vtau * f+ over spacetime; optional volume cross-check."""
-    vdata = _as_array(vtau)
-    data_side = solver.spacetime_integral(grid, vdata, test_source.field)
-    if backward_solution is None:
-        return PairingResult(data_side)
-    vfield = vtau if isinstance(vtau, solver.GridField) else \
-        solver.GridField(grid, vdata)
-    Pv = solver.apply_wave_operator(metric, grid, V, vfield)
-    volume = solver.spacetime_integral(grid, _as_array(backward_solution),
-                                       Pv.data)
-    disc = abs(data_side - volume) / max(abs(volume), 1e-300)
-    return PairingResult(data_side, volume, disc, flagged=disc > 0.10)
+def pairing_integral(grid, vtau, test_source):
+    """I = integral of vtau * f+ over spacetime (the data-side pairing)."""
+    return complex(solver.spacetime_integral(grid, vtau, test_source.field))
 
 
 # ---------------------------------------------------------------------------
@@ -550,29 +521,6 @@ def differentiate_line_integral(s0s, Ls):
 
 
 # ---------------------------------------------------------------------------
-# direct formula on the measurement cylinder
-# ---------------------------------------------------------------------------
-
-def recover_on_mho(metric, grid, u, f, threshold=1e-6):
-    """V = (f - box u)/u pointwise, where the probe u is not too small.
-
-    Works on interior time slices; returns (V field, valid mask).  Points
-    with |u| below threshold * sup|u| are skipped and masked out.
-    """
-    udata = _as_array(u)
-    fdata = f.field if isinstance(f, solver.SourceTerm) else _as_array(f)
-    ufield = u if isinstance(u, solver.GridField) else \
-        solver.GridField(grid, udata)
-    box_u = solver.apply_wave_operator(metric, grid, None, ufield).data
-    sup = float(np.max(np.abs(udata)))
-    mask = np.abs(udata) > threshold * sup
-    mask[0] = mask[-1] = False          # operator undefined on end slices
-    vrec = np.zeros_like(udata)
-    vrec[mask] = (fdata[mask] - box_u[mask]) / udata[mask]
-    return solver.GridField(grid, vrec, name="recovered potential"), mask
-
-
-# ---------------------------------------------------------------------------
 # region driver (fast route)
 # ---------------------------------------------------------------------------
 
@@ -707,10 +655,9 @@ class FullPathResult:
     group velocity there (1 for a resolved carrier).
     """
 
-    def __init__(self, pairing, I_fast, quad, grid, go_ratios, kh,
+    def __init__(self, I_full, I_fast, quad, grid, go_ratios, kh,
                  I_check=None):
-        self.pairing = pairing
-        self.I_full = pairing.data_side
+        self.I_full = complex(I_full)
         self.I_fast = complex(I_fast)
         self.rel_diff = abs(self.I_full - self.I_fast) / \
             max(abs(self.I_fast), 1e-300)
@@ -807,7 +754,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
     stencil = cross_derivative(_odd(solve), h_eps, check=check)
     vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
-    pairing = pairing_integral(metric, tgrid, V, vfield, fplus)
+    I_full = pairing_integral(tgrid, vfield, fplus)
     I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta, nq=nq)
 
     I_check = None
@@ -819,7 +766,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         U0 = solver.solve_backward(metric, grid, V, fplus)
         I_check = solver.spacetime_integral(
             grid, U0.data, Us[0].data, Us[1].data, Us[2].data)
-    return FullPathResult(pairing, I_fast, quad, grid, go_ratios, k_top * h,
+    return FullPathResult(I_full, I_fast, quad, grid, go_ratios, k_top * h,
                           I_check=I_check)
 
 

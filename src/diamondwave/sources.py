@@ -12,7 +12,6 @@ a target point with endpoints on the measurement cylinder.
 """
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import geometry as geo
 from .solver import GridField, SourceTerm, apply_wave_operator
@@ -249,10 +248,9 @@ class ReturningGeodesics:
 
     gamma_minus runs from q_minus up through p, gamma_plus from p up to
     q_plus; margin is the minimal distance between the two curves outside
-    B(p, 0.1 (t_plus - t_minus)), certifying that they meet only at p.  On a
-    flat metric the curves are straight lines sampled exactly and the margin
-    is in closed form; on a split metric they are shot and the margin is
-    sampled.
+    B(p, 0.1 (t_plus - t_minus)), certifying that they meet only at p.  The
+    background is flat, so the curves are straight lines sampled exactly and
+    the margin is in closed form.
     """
 
     def __init__(self, p, q_minus, q_plus, geod_minus, geod_plus, margin):
@@ -262,21 +260,6 @@ class ReturningGeodesics:
         self.geod_minus = geod_minus
         self.geod_plus = geod_plus
         self.margin = float(margin)
-
-
-def _intersection_margin(gm, gp, p, exclude):
-    """Min distance between the two sampled curves outside B(p, exclude).
-
-    The pairwise distances are taken against blocks of 128 samples of the
-    second curve, so memory stays O(len(a)) rather than O(len(a) len(b)).
-    """
-    a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
-    b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
-    if len(a) == 0 or len(b) == 0:
-        return 0.0
-    return min(float(np.linalg.norm(a[:, None] - b[None, i:i + 128],
-                                    axis=-1).min())
-               for i in range(0, len(b), 128))
 
 
 def _line_margin(vm, vp, exclude):
@@ -294,8 +277,7 @@ def _null_line(metric, p, q, v, s_nodes):
     """The flat null geodesic x = q + s v sampled on [s_lo, s_hi].
 
     `s_nodes` is (s_lo, s_p, s_hi) with q + s_p v = p; s_p is a node and its
-    sample is p itself.  Nodes are as dense as the shot geodesics' steps
-    (400 per unit).
+    sample is p itself.  Nodes are at most 1/400 apart in s.
     """
     s_lo, s_p, s_hi = s_nodes
     k_lo = max(1, int(np.ceil((s_p - s_lo) * 400)))
@@ -308,67 +290,14 @@ def _null_line(metric, p, q, v, s_nodes):
     return geo.NullGeodesic(metric, s, x, xdot, np.zeros_like(x), 0.0)
 
 
-def _null_direction(metric, q, u):
-    """Future null vector (c, u) at q with unit spatial part u."""
-    G = metric.matrix(np.asarray(q, dtype=float))
-    # solve g00 c^2 + 2 c g0.u + u.g.u = 0 for c > 0
-    a = G[0, 0]
-    b = 2 * G[0, 1:] @ u
-    cc = u @ G[1:, 1:] @ u
-    disc = b * b - 4 * a * cc
-    c = (-b + np.sqrt(disc)) / (2 * a)
-    if c < 0:
-        c = (-b - np.sqrt(disc)) / (2 * a)
-    return np.concatenate([[c], u])
-
-
-def _shoot_to_axis(metric, p, anchor, T, future, steps=400):
-    """Null geodesic from p meeting the anchor's world line; returns (g, q).
-
-    Shoots over the initial angle, minimizing the closest spatial approach
-    of the curve to the anchor position.  The future tangent is kept and the
-    parameter range runs backwards for a past-directed shot.
-    """
-    d = anchor - p[1:]
-    theta0 = float(np.arctan2(d[1], d[0])) if len(d) > 1 else 0.0
-    span = (0.0, 1.5 * T)
-    if not future:
-        span = (-span[1], 0.0)
-        theta0 += np.pi
-
-    def miss(theta):
-        u = np.array([np.cos(theta), np.sin(theta)])[: len(d)]
-        v = _null_direction(metric, p, u)
-        g = geo.integrate_null_geodesic(metric, p, v / abs(v[0]), span,
-                                        steps_per_unit=steps)
-        dist = np.linalg.norm(g.x[:, 1:] - anchor, axis=-1)
-        i = int(np.argmin(dist))
-        q = g.x[i]
-        best = float(dist[i])
-        if 0 < i < len(dist) - 1:
-            # parabolic refinement of the sampled closest approach
-            d2 = dist**2
-            denom = d2[i - 1] - 2 * d2[i] + d2[i + 1]
-            if denom > 0:
-                frac = 0.5 * (d2[i - 1] - d2[i + 1]) / denom
-                frac = float(np.clip(frac, -1.0, 1.0))
-                j = i + 1 if frac >= 0 else i - 1
-                q = g.x[i] + abs(frac) * (g.x[j] - g.x[i])
-                best = float(np.linalg.norm(q[1:] - anchor))
-        return best, g, q
-
-    r = minimize_scalar(lambda th: miss(th)[0],
-                        bounds=(theta0 - 0.5, theta0 + 0.5), method="bounded",
-                        options={"xatol": 1e-12})
-    err, g, q = miss(float(r.x))
-    if err > 1e-6:
-        raise SourceError(
-            f"no null geodesic reaches the anchor line (miss {err:.2e})")
-    return g, q
-
-
 def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
-    """Null geodesics gamma_-/gamma_+ through p returning to the cylinder."""
+    """Null geodesics gamma_-/gamma_+ through p returning to the cylinder.
+
+    Only flat backgrounds are supported: there the geodesics are the null
+    lines from p to each anchor's world line, in closed form.
+    """
+    if not geo.is_flat(metric):
+        raise SourceError("returning geodesics need a flat background")
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
     if np.linalg.norm(p[1:]) < r and 0 < p[0] < T:
@@ -379,33 +308,24 @@ def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
     for a in anchors:
         a = np.asarray(a, dtype=float)
         try:
-            if geo.is_flat(metric):
-                d = float(np.linalg.norm(p[1:] - a))
-                tm, tp = p[0] - d, p[0] + d
-                if not (0 <= tm < tp <= T):
-                    raise SourceError("anchor cone times leave the slab")
-                qm = np.concatenate([[tm], a])
-                qp = np.concatenate([[tp], a])
-                u = (p[1:] - a) / d
-                vm = np.concatenate([[1.0], u])
-                vp = np.concatenate([[1.0], -u])
-                gm = _null_line(metric, p, qm, vm, (0.0, d, 3 * d))
-                # the upper line keeps its future tangent and runs its
-                # parameter backwards from q_plus through p
-                gp_rev = _null_line(metric, p, qp, vp, (-3 * d, -d, 0.0))
-                margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
-            else:
-                gm, qm = _shoot_to_axis(metric, p, a, T, future=False)
-                gp_rev, qp = _shoot_to_axis(metric, p, a, T, future=True)
-                tm, tp = qm[0], qp[0]
-                if not (0 <= tm < tp <= T):
-                    raise SourceError("anchor cone times leave the slab")
-                margin = _intersection_margin(gm, gp_rev, p,
-                                              exclude=0.1 * (tp - tm))
+            d = float(np.linalg.norm(p[1:] - a))
+            tm, tp = p[0] - d, p[0] + d
+            if not (0 <= tm < tp <= T):
+                raise SourceError("anchor cone times leave the slab")
+            qm = np.concatenate([[tm], a])
+            qp = np.concatenate([[tp], a])
+            u = (p[1:] - a) / d
+            vm = np.concatenate([[1.0], u])
+            vp = np.concatenate([[1.0], -u])
+            gm = _null_line(metric, p, qm, vm, (0.0, d, 3 * d))
+            # the upper line keeps its future tangent and runs its
+            # parameter backwards from q_plus through p
+            gp_rev = _null_line(metric, p, qp, vp, (-3 * d, -d, 0.0))
+            margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
             if margin < margin_min:
                 raise SourceError("returning geodesics fail transversality")
             return ReturningGeodesics(p, qm, qp, gm, gp_rev, margin)
-        except (SourceError, geo.GeometryError) as exc:
+        except SourceError as exc:
             last_err = exc
     raise SourceError(f"no returning geodesic configuration found: {last_err}")
 

@@ -155,15 +155,6 @@ def test_chart_injective_on_samples():
     assert d.min() > 1e-9
 
 
-def test_dump_csv(tmp_path):
-    ch = flat_chart()
-    path = tmp_path / "chart.csv"
-    ch.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("s,gamma0")
-    assert len(lines) == len(ch.geodesic.s) + 1
-
-
 def test_batched_jacobian_equals_per_point():
     ch = perturbed_chart()
     rng = np.random.default_rng(5)

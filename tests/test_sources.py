@@ -1,9 +1,8 @@
 """Cutoff surgery, covector dependence, and returning-geodesic tests."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from diamondwave import go, solver, sources
 from diamondwave import geometry as geo
@@ -152,8 +151,10 @@ def test_closed_form_margin_matches_sampled(p, anchor):
     ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0,
                                            anchors=[np.array(anchor)])
     exclude = 0.1 * (ret.q_plus[0] - ret.q_minus[0])
-    sampled = sources._intersection_margin(ret.geod_minus, ret.geod_plus,
-                                           p, exclude)
+    gm, gp = ret.geod_minus, ret.geod_plus
+    a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
+    b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
+    sampled = float(cdist(a, b).min())
     step = max(np.max(np.linalg.norm(np.diff(g.x, axis=0), axis=-1))
                for g in (ret.geod_minus, ret.geod_plus))
     assert ret.margin - 1e-12 <= sampled <= ret.margin + 2 * step
@@ -175,27 +176,6 @@ def test_flat_returning_lines_in_one_and_three_dimensions(p):
         assert np.allclose(g.x, g.x[0] + (g.s - g.s[0])[:, None] * g.xdot)
 
 
-@pytest.mark.parametrize("na, nb", [(1, 1), (37, 128), (50, 300), (300, 7)])
-def test_intersection_margin_matches_dense(na, nb):
-    # blockwise over the second curve, the margin is the dense minimum bit
-    # for bit wherever the closest pair sits, with the ball around p
-    # excluded from both curves
-    rng = np.random.default_rng(na + nb)
-    p = np.zeros(3)
-    gm = SimpleNamespace(x=rng.normal(size=(na, 3)))
-    b0 = rng.normal(size=(nb, 3))
-    for j in range(nb):
-        gp = SimpleNamespace(x=b0.copy())
-        gp.x[j] = gm.x[j % na] + 1e-3
-        for exclude in (0.0, 0.8):
-            a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
-            b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
-            dense = (float(np.linalg.norm(a[:, None] - b[None, :],
-                                          axis=-1).min())
-                     if len(a) and len(b) else 0.0)
-            assert sources._intersection_margin(gm, gp, p, exclude) == dense
-
-
 def test_point_inside_cylinder_rejected():
     m = geo.minkowski(2)
     with pytest.raises(sources.SourceError, match="outside"):
@@ -203,18 +183,18 @@ def test_point_inside_cylinder_rejected():
                                          r=1.0, T=5.0)
 
 
-def test_split_metric_shooting_hits_endpoint():
+def test_split_metric_rejected():
+    # returning geodesics are closed-form null lines; a curved background
+    # fails up front instead of running the flat formula
     m = geo.SplitMetric(
         2,
         beta=lambda x: np.ones(np.asarray(x).shape[:-1]),
         gmat=lambda x: (1 + 0.03 * np.sin(np.asarray(x)[..., 0]))[..., None, None]
         * np.eye(2),
     )
-    p = np.array([2.0, 1.8, 0.1])
-    ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0)
-    for g in (ret.geod_minus, ret.geod_plus):
-        assert np.min(np.linalg.norm(g.x - p, axis=-1)) < 1e-6
-    assert ret.margin > 0.05
+    with pytest.raises(sources.SourceError, match="flat background"):
+        sources.find_returning_geodesics(m, np.array([2.0, 1.8, 0.1]),
+                                         r=1.0, T=5.0)
 
 
 # -- source surgery ----------------------------------------------------------
