@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fermi import FermiChart
+from .fermi import FermiChart, chart_metric
 from .geometry import _rk4_span
 from .go import cumint, loglog_fit, resolve_chi
 
@@ -224,32 +224,17 @@ class BeamChart:
     def to_beam(self, zprime):
         return np.asarray(zprime) / self.scale
 
-    def pullback(self, s, y, h=2e-3, center=None):
-        """Chart metric g_ij(s, y) by 4th-order finite differences, batched.
+    def jacobian(self, s, y):
+        """(F(s, y), dF/d(s, y)): `FermiChart.jacobian` through z' = y*scale."""
+        F, J = self.chart.jacobian(s, np.asarray(y, dtype=float) * self.scale)
+        return F, J * np.concatenate([[1.0], self.scale])
 
-        `center` may pass the points forward(s, y) when the caller already
-        holds them; otherwise they are computed here.
-        """
+    def pullback(self, s, y):
+        """Chart metric g_ij(s, y) = J^T G(F) J, batched over s (at least
+        one axis) and y (..., n)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         y = np.asarray(y, dtype=float).reshape(s.shape + (self.n,))
-        dim = self.n + 1
-        J = np.empty(s.shape + (dim, dim))
-
-        def fwd(ds, dy):
-            return self.forward(s + ds, y + dy)
-
-        c1, c2 = 8.0 / (12 * h), 1.0 / (12 * h)
-        J[..., 0] = (c1 * (fwd(h, 0) - fwd(-h, 0))
-                     - c2 * (fwd(2 * h, 0) - fwd(-2 * h, 0)))
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            J[..., 1 + k] = (c1 * (fwd(0, e) - fwd(0, -e))
-                             - c2 * (fwd(0, 2 * e) - fwd(0, -2 * e)))
-        if center is None:
-            center = self.forward(s, y)
-        G = self.metric.matrix(center)
-        return np.einsum("...ai,...ab,...bj->...ij", J, G, J)
+        return chart_metric(self.metric, *self.jacobian(s, y))
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +250,13 @@ class ChartJets:
     optionally a potential V pulled back to the chart.
     """
 
-    def __init__(self, bchart: BeamChart, s_grid, deg=6, r_fit=0.12,
-                 h_fd=2e-3, V=None):
+    def __init__(self, bchart: BeamChart, s_grid, deg=6, r_fit=0.12, V=None):
         self.bchart = bchart
         self.n = bchart.n
         self.deg = deg
         self.s = np.asarray(s_grid, dtype=float)
         self.r_fit = r_fit
-        self._fit(h_fd, V)
+        self._fit(V)
 
     # -- fitting ------------------------------------------------------------
 
@@ -296,7 +280,7 @@ class ChartJets:
                               dtype=float)
         return cube.set_graded(0, self.deg, coefvecs).c
 
-    def _fit(self, h_fd, V):
+    def _fit(self, V):
         n, dim = self.n, self.n + 1
         cloud = self._cloud()
         self._pinv = pinv = np.linalg.pinv(self._vandermonde(cloud))
@@ -304,9 +288,9 @@ class ChartJets:
         S = np.repeat(self.s, nc)
         Y = np.tile(cloud, (ns, 1))
         # the lattice points in spacetime, kept for potentials fitted later
-        self._pts = self.bchart.forward(S, Y)
-        g = self.bchart.pullback(S, Y, h=h_fd,
-                                 center=self._pts).reshape(ns, nc, dim, dim)
+        self._pts, J = self.bchart.jacobian(S, Y)
+        g = chart_metric(self.bchart.metric, self._pts,
+                         J).reshape(ns, nc, dim, dim)
         ginv = np.linalg.inv(g)
         det = np.linalg.det(g)
         rho = np.sqrt(np.abs(det))
@@ -1002,16 +986,17 @@ def _tensor_grid(half_widths, nw):
 
 
 def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
-                          meas_deg=8, meas_r_fit=0.10, meas_hfd=1.5e-3,
+                          meas_deg=8, meas_r_fit=0.10,
                           nw=17, kw=6.0):
     """Grid norms of P_V u_tau over the cutoff plateau, with a log-log fit.
 
     The residual is evaluated through the conjugation identity on metric jets
-    fitted independently of the construction (higher degree, different cloud
-    radius and difference step), over a tau-adapted transverse window inside
-    the chi = 1 plateau.  The cutoff shell itself only contributes terms of
-    size exp(-C tau (delta'/4)^2), which are excluded from the norm and
-    documented rather than measured.  H^k norms for k in {1, 2} use the
+    fitted independently of the construction: they differ from the
+    construction jets in degree and cloud radius only, since both take the
+    same chart Jacobian.  The norm runs over a tau-adapted transverse window
+    inside the chi = 1 plateau.  The cutoff shell itself only contributes
+    terms of size exp(-C tau (delta'/4)^2), which are excluded from the norm
+    and documented rather than measured.  H^k norms for k in {1, 2} use the
     surrogate tau^k * L2 (each derivative of the oscillatory factor costs one
     power of tau).
     """
@@ -1021,7 +1006,7 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
     lo, hi = beam.chart.geodesic.s_range
     njet = max(int(round((hi - lo) / 0.02)) + 1, 8)
     jets_m = ChartJets(bchart, np.linspace(lo, hi, njet), deg=meas_deg,
-                       r_fit=meas_r_fit, h_fd=meas_hfd)
+                       r_fit=meas_r_fit)
     jets_m.attach_potential(V)
     data = _ResidualData(beam, jets_m)
     C = beam.measured_C()

@@ -366,6 +366,18 @@ def _flat_chart(n=2, span=(0.0, 2.0)):
     return fermi.FermiChart(g)
 
 
+def _split_chart(amp):
+    """Fermi chart along the null geodesic of `_split_test_metric(amp=amp)`
+    from the origin, over s in [0, 1.2]."""
+    ms = _split_test_metric(amp=amp)
+    beta0 = float(ms.beta(np.zeros(3)))
+    g11 = float(ms.gmat(np.zeros(3))[0, 0])
+    v = np.array([1.0, np.sqrt(beta0 / g11), 0.0])
+    g = geo.integrate_null_geodesic(ms, np.zeros(3), v, (0.0, 1.2),
+                                    steps_per_unit=400)
+    return fermi.FermiChart(g)
+
+
 def _suite_fermi(rng):
     def flat_forward():
         ch = _flat_chart()
@@ -374,30 +386,32 @@ def _suite_fermi(rng):
         return err < 1e-12, f"dev {err:.2e}"
 
     def perturbed_axis():
-        ms = _split_test_metric(amp=0.03)
-        beta0 = float(ms.beta(np.zeros(3)))
-        g11 = float(ms.gmat(np.zeros(3))[0, 0])
-        v = np.array([1.0, np.sqrt(beta0 / g11), 0.0])
-        g = geo.integrate_null_geodesic(ms, np.zeros(3), v, (0.0, 1.2),
-                                        steps_per_unit=400)
-        ch = fermi.FermiChart(g)
-        mdef, ddef = ch.axis_defects(nsamp=5)
+        mdef, ddef = _split_chart(amp=0.03).axis_defects(nsamp=5)
         return mdef < 1e-6 and ddef < 1e-5, f"mdef {mdef:.2e} ddef {ddef:.2e}"
 
     def frame_pairings():
-        ms = _split_test_metric(amp=0.04)
-        beta0 = float(ms.beta(np.zeros(3)))
-        g11 = float(ms.gmat(np.zeros(3))[0, 0])
-        v = np.array([1.0, np.sqrt(beta0 / g11), 0.0])
-        g = geo.integrate_null_geodesic(ms, np.zeros(3), v, (0.0, 1.2),
-                                        steps_per_unit=400)
-        fr = fermi.build_frame(g)
-        d = fr.pairing_defect()
+        d = _split_chart(amp=0.04).frame.pairing_defect()
         return d < 1e-8, f"pairing defect {d:.2e}"
+
+    def jacobian_vs_stencil():
+        # the Jacobi-field Jacobian against 4th-order central differences
+        # of the exponential map, step 2e-3, at random points of the tube
+        ch, h, m = _split_chart(amp=0.05), 2e-3, 200
+        s = rng.uniform(0.1, 1.1, m)
+        z = rng.uniform(-0.5, 0.5, (m, 2)) * ch.delta_prime
+        ref = np.empty((m, 3, 3))
+        for i, e in enumerate(np.eye(3) * h):
+            def f(k):
+                return ch.forward(s + k * e[0], z + k * e[1:])
+            ref[..., i] = (8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h)
+        J = ch.jacobian(s, z)[1]
+        dev = float(np.max(np.abs(J - ref)) / np.max(np.abs(ref)))
+        return dev < 1e-8, f"rel dev {dev:.2e}"
 
     return [("flat_forward_closed_form", flat_forward),
             ("perturbed_axis_defects", perturbed_axis),
-            ("frame_pairings_conserved", frame_pairings)]
+            ("frame_pairings_conserved", frame_pairings),
+            ("chart_jacobian_vs_stencil", jacobian_vs_stencil)]
 
 
 def _suite_go(rng):
@@ -787,7 +801,6 @@ def cmd_bench(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
     ap = argparse.ArgumentParser(
         prog="diamondwave", parents=[common],
         description="wave-packet probing of a potential on the causal diamond")
@@ -796,6 +809,8 @@ def build_parser():
     v = sub.add_parser("verify", parents=[common],
                        help="run a deterministic check suite")
     v.add_argument("suite", choices=sorted(SUITES))
+    v.add_argument("--seed", type=int, default=0,
+                   help="seed of the checks' random inputs")
 
     r = sub.add_parser("recover", parents=[common],
                        help="run the recovery pipeline")

@@ -19,6 +19,36 @@ class FermiError(RuntimeError):
 
 
 _SEED_BLOCK = 32    # geodesic samples per block of the Newton seed search
+_JACOBI_EPS = 1e-4  # step of the central difference that linearizes the spray
+
+
+def _jacobi_spray(metric):
+    """Right-hand side x'' = acc(x, x') of a geodesic with its Jacobi fields.
+
+    x and x' stack the geodesic at index 0 and the fields after it on a
+    leading axis.  A field's acceleration is the linearized spray along the
+    field, one central difference of `geodesic_acceleration` with step
+    `_JACOBI_EPS`.  Each spray is its own call, so a call holds no more
+    points than the geodesic alone.
+    """
+    spray = metric.geodesic_acceleration
+
+    def acc(x, v):
+        out = np.empty_like(x)
+        out[0] = spray(x[0], v[0])
+        for j in range(1, len(x)):
+            dx, dv = _JACOBI_EPS * x[j], _JACOBI_EPS * v[j]
+            np.subtract(spray(x[0] + dx, v[0] + dv),
+                        spray(x[0] - dx, v[0] - dv), out=out[j])
+        out[1:] /= 2 * _JACOBI_EPS
+        return out
+    return acc
+
+
+def chart_metric(metric, F, J):
+    """J^T G(F) J: the metric pulled back through chart points F (..., 1+n)
+    and their Jacobian J (..., 1+n, 1+n)."""
+    return np.einsum("...ai,...ab,...bj->...ij", J, metric.matrix(F), J)
 
 
 # target frame pairing matrix: <E_i, E_j>
@@ -129,23 +159,73 @@ class FermiChart:
         self.exp_steps = exp_steps
         self._flat = is_flat(self.metric)
 
-    def forward(self, s, zprime):
-        """F(s, z'); batched over leading axes of s (...,) and zprime (..., n)."""
+    def _batch(self, s, zprime):
+        """(s with at least one axis, zprime shaped (*s.shape, n), whether
+        s was a scalar)."""
         s = np.asarray(s, dtype=float)
-        zprime = np.asarray(zprime, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        zprime = zprime.reshape(s.shape + (self.n,))
+        zprime = np.asarray(zprime, dtype=float).reshape(s.shape + (self.n,))
+        return s, zprime, scalar
+
+    def _jacobi_start(self, s, zprime):
+        """Initial positions and velocities, each (n+2, ..., 1+n), of the
+        exponential map and its Jacobi fields: the geodesic first, then the
+        s-field, then one field per z'_k.
+
+        The s-field starts at the s-derivatives of the curve and frame
+        blends, (gammadot, z'.Edot); the z'_k field starts at (0, E_k).
+        """
+        geo, fr = self.geodesic, self.frame
+        idx, h, u = geo._locate(s)
+        blends = []
+        for f, d in ((geo.x, geo.xdot), (fr.E, fr.Edot)):
+            args = (u, h, f[idx], f[idx + 1], d[idx], d[idx + 1])
+            blends += [geo._hermite(*args), geo._hermite_ds(*args)]
+        base, dbase, E, dE = blends
+        x0 = np.zeros((self.n + 2,) + base.shape)
+        x0[0], x0[1] = base, dbase
+        v0 = np.empty_like(x0)
+        v0[0] = np.einsum("...k,...kc->...c", zprime, E[..., 1:, :])
+        v0[1] = np.einsum("...k,...kc->...c", zprime, dE[..., 1:, :])
+        v0[2:] = np.moveaxis(E[..., 1:, :], -2, 0)
+        return x0, v0
+
+    def forward(self, s, zprime):
+        """F(s, z'); batched over leading axes of s (...,) and zprime (..., n)."""
+        s, zprime, scalar = self._batch(s, zprime)
         base = self.geodesic.point(s)
         E = self.frame.at(s)           # (..., n+1, n+1)
         v = np.einsum("...k,...kc->...c", zprime, E[..., 1:, :])
         if self._flat:
             out = base + v
         else:
-            out, _ = _rk4_geodesic(self.metric, base, v, 1.0, self.exp_steps)
+            out, _ = _rk4_geodesic(self.metric.geodesic_acceleration, base, v,
+                                   1.0, self.exp_steps)
         if not np.all(np.isfinite(out)):
             raise FermiError("exponential map left the metric domain")
         return out[0] if scalar else out
+
+    def jacobian(self, s, zprime):
+        """(F(s, z'), dF/d(s, z')), batched like `forward`; the Jacobian is
+        (..., 1+n, 1+n) with J[..., a, i] = dF^a / d(chart coordinate i).
+
+        The columns are Jacobi fields (`_jacobi_start`) carried through the
+        same RK4 steps that map the points (`_jacobi_spray`).  On flat
+        metrics the exponential map is x + v, so J = [gammadot + z'.Edot,
+        E_1 .. E_n] in closed form.
+        """
+        s, zprime, scalar = self._batch(s, zprime)
+        x0, v0 = self._jacobi_start(s, zprime)
+        if self._flat:
+            X = x0 + v0
+        else:
+            X, _ = _rk4_geodesic(_jacobi_spray(self.metric), x0, v0,
+                                 1.0, self.exp_steps)
+        if not np.all(np.isfinite(X)):
+            raise FermiError("exponential map left the metric domain")
+        F, J = X[0], np.moveaxis(X[1:], 0, -1)
+        return (F[0], J[0]) if scalar else (F, J)
 
     def inverse(self, p):
         """(s, z') of one point by `inverse_many`; raises FermiError outside
@@ -201,7 +281,7 @@ class FermiChart:
                 continue
             sa, za, pa, r = sa[~done], za[~done], pa[~done], r[~done]
             idx = idx[~done]
-            J = self._jacobian(sa, za)
+            J = self.jacobian(sa, za)[1]
             try:
                 step = np.linalg.solve(J, r[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -218,33 +298,9 @@ class FermiChart:
                   & (np.linalg.norm(z, axis=-1) < self.delta_prime))
         return s, z, inside
 
-    def _jacobian(self, s, z, h=1e-6):
-        """Central-difference dF/d(s, z'), (..., 1+n, 1+n), batched over the
-        leading axes of s (...,) and z (..., n)."""
-        s = np.asarray(s, dtype=float)
-        J = np.empty(s.shape + (self.n + 1, self.n + 1))
-        J[..., 0] = (self.forward(s + h, z) - self.forward(s - h, z)) / (2 * h)
-        for k in range(self.n):
-            e = np.zeros(self.n)
-            e[k] = h
-            J[..., 1 + k] = (self.forward(s, z + e)
-                             - self.forward(s, z - e)) / (2 * h)
-        return J
-
-    def pullback_metric(self, s, zprime, h=None):
+    def pullback_metric(self, s, zprime):
         """Chart-coordinate metric gbar_chart = J^T G(F) J, batched."""
-        s = np.asarray(s, dtype=float)
-        zprime = np.asarray(zprime, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
-        zprime = zprime.reshape(s.shape + (self.n,))
-        if h is None:
-            h = max(self.delta_prime / 64.0, 1e-4)
-        # J[..., a, i] = dF^a / d(chart direction i)
-        J = self._jacobian(s, zprime, h)
-        G = self.metric.matrix(self.forward(s, zprime))
-        gchart = np.einsum("...ai,...ab,...bj->...ij", J, G, J)
-        return gchart[0] if scalar else gchart
+        return chart_metric(self.metric, *self.jacobian(s, zprime))
 
     def axis_metric_target(self):
         # g(d_s, d_z1) = <E0, E1> = 2 on the axis; spatial block identity
@@ -260,17 +316,17 @@ class FermiChart:
         mdef = 0.0
         ddef = 0.0
         for s in ss:
-            g0 = self.pullback_metric(s, np.zeros(self.n), h=h)
+            g0 = self.pullback_metric(s, np.zeros(self.n))
             mdef = max(mdef, float(np.max(np.abs(g0 - target))))
             # chart-direction first derivatives by central differences
-            gp = self.pullback_metric(s + h, np.zeros(self.n), h=h)
-            gm = self.pullback_metric(s - h, np.zeros(self.n), h=h)
+            gp = self.pullback_metric(s + h, np.zeros(self.n))
+            gm = self.pullback_metric(s - h, np.zeros(self.n))
             ddef = max(ddef, float(np.max(np.abs(gp - gm))) / (2 * h))
             for k in range(self.n):
                 e = np.zeros(self.n)
                 e[k] = h
-                gp = self.pullback_metric(s, e, h=h)
-                gm = self.pullback_metric(s, -e, h=h)
+                gp = self.pullback_metric(s, e)
+                gm = self.pullback_metric(s, -e)
                 ddef = max(ddef, float(np.max(np.abs(gp - gm))) / (2 * h))
         return mdef, ddef
 

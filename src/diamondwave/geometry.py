@@ -405,6 +405,17 @@ class NullGeodesic:
         h11 = u**3 - u**2
         return h00 * f0 + h10 * h * d0 + h01 * f1 + h11 * h * d1
 
+    @staticmethod
+    def _hermite_ds(u, h, f0, f1, d0, d1):
+        """Derivative of `_hermite` in the parameter s = s_i + u h."""
+        tail = (1,) * (np.ndim(f0) - np.ndim(u))
+        u = np.reshape(u, np.shape(u) + tail)
+        h = np.reshape(h, np.shape(h) + tail)
+        h00 = (6 * u**2 - 6 * u) / h
+        h10 = 3 * u**2 - 4 * u + 1
+        h11 = 3 * u**2 - 2 * u
+        return h00 * (f0 - f1) + h10 * d0 + h11 * d1
+
     def point(self, sq):
         idx, h, u = self._locate(sq)
         return self._hermite(u, h, self.x[idx], self.x[idx + 1],
@@ -440,38 +451,53 @@ def _rk4_span(rhs, s_nodes, i0, state0):
     return np.array(vals)
 
 
-def _rk4_step(metric, x, v, h):
-    """One classical RK4 step of the geodesic equation x'' = acc(x, x')."""
-    a1 = metric.geodesic_acceleration(x, v)
-    k2x = v + 0.5 * h * a1
-    a2 = metric.geodesic_acceleration(x + 0.5 * h * v, k2x)
-    k3x = v + 0.5 * h * a2
-    a3 = metric.geodesic_acceleration(x + 0.5 * h * k2x, k3x)
-    k4x = v + h * a3
-    a4 = metric.geodesic_acceleration(x + h * k3x, k4x)
-    return (x + (h / 6) * (v + 2 * k2x + 2 * k3x + k4x),
-            v + (h / 6) * (a1 + 2 * a2 + 2 * a3 + a4))
+def _rk4_step(acc, x, v, h):
+    """One classical RK4 step of the second-order system x'' = acc(x, x').
+
+    The weighted stage sums v + 2 k2 + 2 k3 + k4 and a1 + 2 a2 + 2 a3 + a4
+    are accumulated in that order while the stages run, so that no more
+    than two stages are held at once.
+    """
+    a1 = acc(x, v)
+    k = v + 0.5 * h * a1                      # k2
+    a = acc(x + 0.5 * h * v, k)               # a2
+    sx, sv = v + 2 * k, a1 + 2 * a
+    del a1
+    p = x + 0.5 * h * k
+    k = v + 0.5 * h * a                       # k3
+    a = acc(p, k)                             # a3
+    sx += 2 * k
+    sv += 2 * a
+    p = x + h * k
+    k = v + h * a                             # k4
+    a = acc(p, k)                             # a4
+    sx += k
+    sv += a
+    return x + (h / 6) * sx, v + (h / 6) * sv
 
 
-def _rk4_geodesic(metric, x0, v0, span, nsteps):
-    """End point (x, v) of `nsteps` fixed RK4 steps over the parameter
-    span from (x0, v0); batched over leading axes of x0, v0: (..., 1+n)."""
+def _rk4_geodesic(acc, x0, v0, span, nsteps):
+    """End point (x, v) of `nsteps` fixed RK4 steps of x'' = acc(x, x') over
+    the parameter span from (x0, v0); batched over leading axes of x0, v0.
+    For geodesics acc is `Metric.geodesic_acceleration`."""
     h = span / nsteps
     x = np.asarray(x0, dtype=float)
     v = np.asarray(v0, dtype=float)
     for _ in range(nsteps):
-        x, v = _rk4_step(metric, x, v, h)
+        x, v = _rk4_step(acc, x, v, h)
     return x, v
 
 
 def _rk4_geodesic_path(metric, x0, v0, span, nsteps):
-    """Every state of `_rk4_geodesic`: (xs, vs), each (nsteps + 1, ..., 1+n)."""
+    """Every state of `_rk4_geodesic` on the geodesic equation of `metric`:
+    (xs, vs), each (nsteps + 1, ..., 1+n)."""
     h = span / nsteps
     xs = np.empty((nsteps + 1,) + np.shape(x0))
     vs = np.empty_like(xs)
     xs[0], vs[0] = x0, v0
     for i in range(nsteps):
-        xs[i + 1], vs[i + 1] = _rk4_step(metric, xs[i], vs[i], h)
+        xs[i + 1], vs[i + 1] = _rk4_step(metric.geodesic_acceleration,
+                                         xs[i], vs[i], h)
     return xs, vs
 
 

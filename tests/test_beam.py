@@ -362,23 +362,26 @@ def test_mulp_matches_monomial_product(n, deg, leads, seed):
 
 
 def test_chart_jets_map_the_lattice_once(monkeypatch):
-    calls = []
-    forward = fermi.FermiChart.forward
+    calls = {"forward": 0, "jacobian": 0}
 
-    def counting(self, s, z):
-        calls.append(np.shape(s))
-        return forward(self, s, z)
+    def counting(name):
+        original = getattr(fermi.FermiChart, name)
 
-    monkeypatch.setattr(fermi.FermiChart, "forward", counting)
-    n = 2
-    bch = beam.BeamChart(flat_chart(n))
+        def wrapped(self, s, z):
+            calls[name] += 1
+            return original(self, s, z)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(fermi.FermiChart, name, counting(name))
+    bch = beam.BeamChart(flat_chart(2))
     V = gaussian_V()
     jets = beam.ChartJets(bch, np.linspace(0.0, 2.0, 8), deg=4, V=V)
-    # one center map plus the four-point stencil in each chart direction
-    assert len(calls) == 1 + 4 * (n + 1)
+    # one Jacobian call gives the lattice points and the chart metric
+    assert calls == {"forward": 0, "jacobian": 1}
     first = jets.V_c.copy()
     jets.attach_potential(lambda x: 2.0 * V(x))
-    assert len(calls) == 1 + 4 * (n + 1)
+    assert calls == {"forward": 0, "jacobian": 1}
     assert np.array_equal(jets.V_c, 2.0 * first)
 
 

@@ -15,14 +15,28 @@ def flat_chart(n=2, span=(0.0, 2.0)):
     return fermi.FermiChart(g)
 
 
-def perturbed_chart(amp=0.05, span=(0.0, 1.5), steps=400):
+def perturbed_chart(amp=0.05, span=(0.0, 1.5), steps=400, analytic=False):
+    """The perturbed chart of the curved-beam benchmark; with `analytic` its
+    metric takes closed-form derivatives instead of finite differences."""
     n = 2
+
+    def dbeta(x):
+        out = np.zeros(np.shape(x))
+        out[..., 1] = amp * np.cos(x[..., 1])
+        return out
+
+    def dgmat(x):
+        d = -amp * np.sin(x[..., 0] + 0.5 * x[..., 2])
+        return (d[..., None] * [1.0, 0.0, 0.5])[..., None, None] * np.eye(n)
+
     m = geo.SplitMetric(
         n,
         beta=lambda x: 1 + amp * np.sin(np.asarray(x)[..., 1]),
         gmat=lambda x: (1 + amp * np.cos(np.asarray(x)[..., 0]
                                          + 0.5 * np.asarray(x)[..., 2]))[..., None, None]
         * np.eye(n),
+        dbeta=dbeta if analytic else None,
+        dgmat=dgmat if analytic else None,
     )
     p = np.zeros(3)
     # make the initial direction null numerically: -beta v0^2 + g11 v1^2 = 0
@@ -160,7 +174,49 @@ def test_batched_jacobian_equals_per_point():
     rng = np.random.default_rng(5)
     s = rng.uniform(0.2, 1.3, 6)
     z = rng.uniform(-0.04, 0.04, (6, 2))
-    J = ch._jacobian(s, z)
+    F, J = ch.jacobian(s, z)
     assert J.shape == (6, 3, 3)
+    # the points are the exponential map's, bit for bit
+    assert np.array_equal(F, ch.forward(s, z))
     for i in range(6):
-        assert np.array_equal(J[i], ch._jacobian(s[i], z[i]))
+        Fi, Ji = ch.jacobian(s[i], z[i])
+        assert np.array_equal(Fi, F[i])
+        assert np.array_equal(Ji, J[i])
+
+
+def stencil_reference(ch, s, z, h=2e-3):
+    """Reference dF/d(s, z'): 4th-order central differences of `forward`."""
+    J = np.empty(s.shape + (ch.n + 1, ch.n + 1))
+    c1, c2 = 8.0 / (12 * h), 1.0 / (12 * h)
+    steps = np.eye(ch.n + 1) * h
+    for i, e in enumerate(steps):
+        def f(k):
+            return ch.forward(s + k * e[0], z + k * e[1:])
+        J[..., i] = c1 * (f(1) - f(-1)) - c2 * (f(2) - f(-2))
+    return J
+
+
+@pytest.mark.parametrize("analytic,bound", [(False, 1e-8), (True, 1e-9)])
+def test_jacobi_fields_match_stencil(analytic, bound):
+    # the Jacobi fields linearize the spray by a central difference of step
+    # fermi._JACOBI_EPS; the tolerance covers that step and the stencil's
+    # own h^4 error
+    ch = perturbed_chart(analytic=analytic)
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.2, 1.3, 1000)
+    z = rng.uniform(-0.5, 0.5, (1000, 2)) * ch.delta_prime
+    J = ch.jacobian(s, z)[1]
+    ref = stencil_reference(ch, s, z)
+    assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) < bound
+
+
+def test_flat_jacobi_fields_closed_form():
+    ch = flat_chart()
+    rng = np.random.default_rng(2)
+    s = rng.uniform(0.1, 1.9, 50)
+    z = rng.uniform(-0.2, 0.2, (50, 2))
+    F, J = ch.jacobian(s, z)
+    E = ch.frame.E[0]
+    expect = np.stack([[1.0, 1.0, 0.0], E[1], E[2]], axis=-1)
+    assert np.max(np.abs(J - expect)) <= 1e-12
+    assert np.max(np.abs(F - ch.forward(s, z))) <= 1e-12
