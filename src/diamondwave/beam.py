@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, chart_metric
-from .geometry import _rk4_span
+from .geometry import _rk4_span, _rk4_stages
 from .go import cumint, loglog_fit, resolve_chi
 
 
@@ -114,17 +114,19 @@ class PolyCube:
 
         One pass over the pair plan of `_product_plan`: gather the factor
         coefficients of every pair (alpha, beta) with |alpha|+|beta| <= deg,
-        multiply, and sum the products into the slots alpha+beta with one
-        matmul.  Slots with |gamma| > deg are never written.  The matmul runs
-        as one vector-matrix product per lead index, so a product over a
-        lattice equals the products at its nodes bit for bit.
+        multiply, and sum each run of products that lands in one slot
+        alpha+beta (a segment sum).  Slots with |gamma| > deg are never
+        written.  Each slot's sum runs over its own pairs in plan order
+        whatever the lead shape, so a product of two cubes over a lattice
+        equals the products at its nodes bit for bit.
         """
         D, n = self.deg + 1, self.n
-        ia, ib, scatter = _product_plan(n, self.deg)
+        ia, ib, starts, slots = _product_plan(n, self.deg)
         a = self.c.reshape(self.lead + (D**n,))[..., ia]
         b = other.c.reshape(other.lead + (D**n,))[..., ib]
-        prod = np.asarray(a * b, dtype=complex)
-        out = np.matmul(prod[..., None, :], scatter)[..., 0, :]
+        prod = a * b
+        out = np.zeros(prod.shape[:-1] + (D**n,), dtype=complex)
+        out[..., slots] = np.add.reduceat(prod, starts, axis=-1)
         return PolyCube(n, self.deg, out.reshape(out.shape[:-1] + (D,) * n))
 
     def diff(self, k):
@@ -170,28 +172,33 @@ class PolyCube:
     def axis(self):
         return self.c[(Ellipsis,) + (0,) * self.n]
 
+    def node(self, i):
+        """The cube at lead index i (a view)."""
+        return PolyCube(self.n, self.deg, self.c[i])
+
 
 @functools.lru_cache(maxsize=None)
 def _product_plan(n, deg):
     """Pair plan of the truncated product of two (deg+1,)*n cubes.
 
     Returns flat cube offsets (ia, ib) of every pair (alpha, beta) with
-    |alpha| + |beta| <= deg, and the (pairs, (deg+1)**n) 0/1 matrix that adds
-    the product of each pair into the slot alpha + beta.  Read-only: the
-    arrays are shared by every caller.
+    |alpha| + |beta| <= deg, sorted by the flat offset of alpha + beta, and
+    the segments of that order: `starts` indexes the first pair of each
+    destination slot and `slots` the slot itself.  Read-only: the arrays are
+    shared by every caller.
     """
     shape = (deg + 1,) * n
     alphas = multi_indices(n, deg)
     pairs = [(a, b) for a in alphas for b in alphas if sum(a) + sum(b) <= deg]
-    ia = np.array([np.ravel_multi_index(a, shape) for a, _ in pairs])
-    ib = np.array([np.ravel_multi_index(b, shape) for _, b in pairs])
-    dst = [np.ravel_multi_index(tuple(map(sum, zip(a, b))), shape)
-           for a, b in pairs]
-    scatter = np.zeros((len(pairs), (deg + 1) ** n))
-    scatter[np.arange(len(pairs)), dst] = 1.0
-    for arr in (ia, ib, scatter):
+    dst = np.array([np.ravel_multi_index(tuple(map(sum, zip(a, b))), shape)
+                    for a, b in pairs])
+    order = np.argsort(dst, kind="stable")
+    ia = np.array([np.ravel_multi_index(pairs[i][0], shape) for i in order])
+    ib = np.array([np.ravel_multi_index(pairs[i][1], shape) for i in order])
+    slots, starts = np.unique(dst[order], return_index=True)
+    for arr in (ia, ib, starts, slots):
         arr.flags.writeable = False
-    return ia, ib, scatter
+    return ia, ib, starts, slots
 
 
 def nmono(n, deg_lo, deg_hi):
@@ -399,16 +406,19 @@ class PhaseJet:
 
     Degree-2 data is carried through the linear (Y, Z) system so the
     conservation law det(Im H) |det Y|^2 = const is available as a check.
+    `stages` are the RK4 stages of the lattice from the node at s0, which
+    every jet ODE of the beam integrates over.
     """
 
-    def __init__(self, chart, bchart, jets, s0, H0, s_nodes, Y, Z):
+    def __init__(self, chart, bchart, jets, s0, H0, stages, Y, Z):
         self.chart = chart
         self.bchart = bchart
         self.jets = jets
         self.n = bchart.n
         self.s0 = float(s0)
         self.H0 = np.asarray(H0, dtype=complex)
-        self.s = np.asarray(s_nodes, dtype=float)
+        self.stages = stages
+        self.s = stages.params[stages.nodes]
         self.Y = Y
         self.Z = Z
         detY = np.linalg.det(Y)
@@ -418,7 +428,6 @@ class PhaseJet:
         self.H = 0.5 * (H + np.swapaxes(H, 1, 2))
         self.order = 2
         self.eikonal_defects = {}
-        self._pieces_cache = {}
         self._build_base_cubes()
         self._splines()
 
@@ -445,7 +454,6 @@ class PhaseJet:
         self.dsphi_c = dsphi
 
     def _splines(self):
-        self._pieces_cache = {}
         self._sp = {
             "Y": CubicSpline(self.s, self.Y, axis=0),
             "Z": CubicSpline(self.s, self.Z, axis=0),
@@ -463,9 +471,6 @@ class PhaseJet:
 
     def dsphi_cube_at(self, s):
         return PolyCube(self.n, self.phi_c.deg, self._sp["dsphi"](float(s)))
-
-    def ddsphi_cube_at(self, s):
-        return PolyCube(self.n, self.phi_c.deg, self._sp["ddsphi"](float(s)))
 
     def phase_eval(self, s, y):
         """phi(s, y) for matching point arrays s (m,), y (m, n)."""
@@ -489,7 +494,7 @@ class PhaseJet:
         if np.max(dphase, initial=0.0) > 0.5 * np.pi:
             raise BeamError("branch jump detected in det Y^{-1/2}")
         r = np.sqrt(detY)
-        i0 = int(np.argmin(np.abs(self.s - self.s0)))
+        i0 = self.stages.i0
         for i in range(i0 + 1, len(r)):
             if abs(r[i] - r[i - 1]) > abs(r[i] + r[i - 1]):
                 r[i] = -r[i]
@@ -525,18 +530,19 @@ def solve_riccati(chart: FermiChart, s0, H0=None, *, hs=0.015, deg=6,
         jets = ChartJets(bchart, np.linspace(lo, hi, njet), deg=deg,
                          r_fit=r_fit)
     C = _c_matrix(n)
-    s_nodes, i0 = _node_lattice(s0, lo, hi, hs)
+    stages = _rk4_stages(*_node_lattice(s0, lo, hi, hs))
+    D = jets.D_at(stages.params)
 
-    def rhs(s, state):
+    def rhs(j, state):
         Y = state[:n * n].reshape(n, n)
         Z = state[n * n:].reshape(n, n)
-        return np.concatenate([(C @ Z).ravel(), (-jets.D_at(s) @ Y).ravel()])
+        return np.concatenate([(C @ Z).ravel(), (-D[j] @ Y).ravel()])
 
     state0 = np.concatenate([np.eye(n).ravel() + 0j, H0.ravel()])
-    vals = _rk4_span(rhs, s_nodes, i0, state0)
+    vals = _rk4_span(rhs, stages, state0)
     Y = vals[:, :n * n].reshape(-1, n, n)
     Z = vals[:, n * n:].reshape(-1, n, n)
-    return PhaseJet(chart, bchart, jets, s0, H0, s_nodes, Y, Z)
+    return PhaseJet(chart, bchart, jets, s0, H0, stages, Y, Z)
 
 
 def _eikonal_pieces(G, phi):
@@ -580,29 +586,33 @@ def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
     simultaneously, with the forcing evaluated by polynomial arithmetic on
     the fitted metric jets.  Zero initial data at s0.
     """
-    n, ginv_at = jet.n, jet.jets.ginv_at
+    n, deg, stages = jet.n, jet.phi_c.deg, jet.stages
     if order > jet.jets.deg:
         raise BeamError("phase order exceeds the metric jet degree")
     if order <= 2:
         return jet
+    # the metric and the degree <= 2 phase at every stage parameter
+    G = jet.jets.ginv_at(stages.params)
+    phis, dsphis = (jet._sp[key](stages.params) for key in ("phi", "dsphi"))
 
-    def rhs(s, vec):
-        phi = jet.phi_cube_at(s).set_graded(3, order, vec)
-        dsphi = jet.dsphi_cube_at(s)
-        _fill_dsphi(ginv_at(s), phi, dsphi, order)
+    def G_at(j):
+        return [[g.node(j) for g in row] for row in G]
+
+    def rhs(j, vec):
+        phi = PolyCube(n, deg, phis[j].copy()).set_graded(3, order, vec)
+        dsphi = PolyCube(n, deg, dsphis[j].copy())
+        _fill_dsphi(G_at(j), phi, dsphi, order)
         return dsphi.graded(3, order)
 
-    i0 = int(np.argmin(np.abs(jet.s - jet.s0)))
     state0 = np.zeros(nmono(n, 3, order), dtype=complex)
-    vals = _rk4_span(rhs, jet.s, i0, state0)
+    vals = _rk4_span(rhs, stages, state0)
 
     # write the solved coefficients (and their s-derivatives) into the cubes
     jet.phi_c.set_graded(3, order, vals)
     defects = {m: 0.0 for m in range(order + 1)}
-    for i, s in enumerate(jet.s):
-        phi = PolyCube(n, jet.phi_c.deg, jet.phi_c.c[i])
-        dsphi = PolyCube(n, jet.phi_c.deg, jet.dsphi_c.c[i])
-        total = _eikonal(_fill_dsphi(ginv_at(s), phi, dsphi, order), dsphi)
+    for i, j in enumerate(stages.nodes):
+        phi, dsphi = jet.phi_c.node(i), jet.dsphi_c.node(i)
+        total = _eikonal(_fill_dsphi(G_at(j), phi, dsphi, order), dsphi)
         for m in range(order + 1):
             defects[m] = max(defects[m], total.max_degree_abs(m))
     jet.order = order
@@ -641,12 +651,30 @@ class _TransportPieces:
         self.boxphi = self.box(phi, ds, dds)
         self.e0ax = self.E[0].axis()
 
+    def node(self, i):
+        """The pieces at lead index i of a lattice construction (views)."""
+        out = object.__new__(_TransportPieces)
+        out.n, out.e0ax = self.n, self.e0ax[i]
+        out.G = [[g.node(i) for g in row] for row in self.G]
+        out.w, out.E = ([c.node(i) for c in cubes] for cubes in (self.w, self.E))
+        out.boxphi = self.boxphi.node(i)
+        return out
+
+    def _v_terms(self, v):
+        """The terms of T v that do not involve ds v: E_l d_l v, l >= 1,
+        and (box phi) v."""
+        return ([self.E[l].mulp(v.diff(l)) for l in range(1, self.n + 1)],
+                self.boxphi.mulp(v))
+
+    def _T_with(self, dsv, terms):
+        out = self.E[0].mulp(dsv)
+        for t in terms[0]:
+            out = out + t
+        return out - terms[1]
+
     def apply_T(self, v, dsv):
         """T a = 2 <dphi, da> - (box phi) a with the s-slot supplied."""
-        out = self.E[0].mulp(dsv)
-        for l in range(1, self.n + 1):
-            out = out + self.E[l].mulp(v.diff(l))
-        return out - self.boxphi.mulp(v)
+        return self._T_with(dsv, self._v_terms(v))
 
     def box(self, v, dsv, ddsv):
         """box v with its s-derivatives dsv, ddsv supplied."""
@@ -664,25 +692,14 @@ class _TransportPieces:
         return out.scaled(-1.0)
 
     def fill(self, v, forcing, mdeg):
-        """Solve [T v - forcing]_j = 0 for ds v, degrees j = 0..mdeg."""
+        """Solve [T v - forcing]_j = 0 for ds v, degrees j = 0..mdeg; the
+        terms of T v in v alone are formed once, not once per degree."""
         dsv = PolyCube.zeros(self.n, v.deg)
+        terms = self._v_terms(v)
         for j in range(mdeg + 1):
-            R = self.apply_T(v, dsv) - forcing
+            R = self._T_with(dsv, terms) - forcing
             dsv.set_graded(j, j, dsv.graded(j, j) - R.graded(j, j) / self.e0ax)
         return dsv
-
-
-def _pieces_at(jet: PhaseJet, s):
-    """Transport pieces of `jet` at one s, cached: every level hits the same
-    node/midpoint s values."""
-    key = round(float(s), 12)
-    out = jet._pieces_cache.get(key)
-    if out is None:
-        out = _TransportPieces(jet.jets.ginv_at(s), jet.jets.w_at(s),
-                               jet.phi_cube_at(s), jet.dsphi_cube_at(s),
-                               jet.ddsphi_cube_at(s))
-        jet._pieces_cache[key] = out
-    return out
 
 
 class AmplitudeJet:
@@ -693,6 +710,10 @@ class AmplitudeJet:
     weighs tau^{-k-m/2}: the grading drops only terms of weight
     tau^{-(N+1)/2} or smaller, while the forcing P_V v_{k-1} never needs
     coefficients beyond the previous level's solved degree.
+
+    What the transport solve reads at an RK4 stage and that does not depend
+    on the solution, the transport pieces and each level's forcing, is built
+    once as one lattice over the phase's stage parameters.
     """
 
     def __init__(self, phase: PhaseJet, V, N, s0=None):
@@ -710,8 +731,14 @@ class AmplitudeJet:
             raise BeamError("phase must be solved to order N+2 before "
                             "amplitudes")
         phase.jets.attach_potential(V)
-        self._i0 = int(np.argmin(np.abs(self.s - self.s0)))
-        self._forcing_cache = {}
+        self._i0 = phase.stages.i0
+        st, jets = phase.stages.params, phase.jets
+        self._pieces = _TransportPieces(
+            jets.ginv_at(st), jets.w_at(st),
+            *(PolyCube(self.n, phase.phi_c.deg, phase._sp[key](st))
+              for key in ("phi", "dsphi", "ddsphi")))
+        self._stage = [self._pieces.node(j) for j in range(len(st))]
+        self._forcing = []
         self.detY_root = phase.detY_sqrt()
         self.v = []
         self.dsv = []
@@ -726,39 +753,33 @@ class AmplitudeJet:
     def _mdeg(self, k):
         return max(self.N - 2 * k, 0)
 
-    def _forcing(self, k, s, pieces):
-        """-i P_V v_{k-1} as a PolyCube at stage s (zero cube for k=0)."""
-        deg = self.phase.phi_c.deg
+    def _level_forcing(self, k):
+        """-i P_V v_{k-1} on the stage lattice (zero cubes for k=0)."""
+        st, deg = self.phase.stages.params, self.phase.phi_c.deg
         if k == 0:
-            return PolyCube.zeros(self.n, deg)
-        key = (k, round(float(s), 12))
-        cached = self._forcing_cache.get(key)
-        if cached is not None:
-            return cached
-        vprev = PolyCube(self.n, deg, self._v_sp[k - 1](float(s)))
-        dsprev = PolyCube(self.n, deg, self._dsv_sp[k - 1](float(s)))
-        ddsprev = PolyCube(self.n, deg, self._ddsv_sp[k - 1](float(s)))
-        P = pieces.box(vprev, dsprev, ddsprev)
-        P = P + self.phase.jets.V_at(s).mulp(vprev)
-        out = P.scaled(-1j)
-        self._forcing_cache[key] = out
-        return out
+            return PolyCube.zeros(self.n, deg, lead=st.shape)
+        vprev, dsprev, ddsprev = (PolyCube(self.n, deg, sp[k - 1](st)) for sp in
+                                  (self._v_sp, self._dsv_sp, self._ddsv_sp))
+        P = self._pieces.box(vprev, dsprev, ddsprev)
+        P = P + self.phase.jets.V_at(st).mulp(vprev)
+        return P.scaled(-1j)
 
     def _solve_level(self, k):
         phase = self.phase
         n, deg = self.n, phase.phi_c.deg
         mdeg = self._mdeg(k)
+        F = self._level_forcing(k)
+        self._forcing.append(F)
 
-        def rhs(s, vec):
-            pieces = _pieces_at(phase, s)
+        def rhs(j, vec):
             v = PolyCube.zeros(n, deg).set_graded(0, mdeg, vec)
-            dsv = pieces.fill(v, self._forcing(k, s, pieces), mdeg)
+            dsv = self._stage[j].fill(v, F.node(j), mdeg)
             return dsv.graded(0, mdeg)
 
         state0 = np.zeros(nmono(n, 0, mdeg), dtype=complex)
         if k == 0:
             state0[0] = 1.0          # v_{0,0}(s0) = det Y(s0)^{-1/2} = 1
-        vals = _rk4_span(rhs, self.s, self._i0, state0)
+        vals = _rk4_span(rhs, phase.stages, state0)
 
         vk = PolyCube.zeros(n, deg, lead=(len(self.s),))
         vk.set_graded(0, mdeg, vals)
@@ -771,13 +792,11 @@ class AmplitudeJet:
             vk.c[(slice(None),) + (0,) * n] = vf
         dsvk = PolyCube.zeros(n, deg, lead=(len(self.s),))
         defect = 0.0
-        for i, s in enumerate(self.s):
-            pieces = _pieces_at(phase, s)
-            vi = PolyCube(n, deg, vk.c[i])
-            F = self._forcing(k, s, pieces)
-            dsi = pieces.fill(vi, F, mdeg)
+        for i, j in enumerate(phase.stages.nodes):
+            pieces, vi, Fj = self._stage[j], vk.node(i), F.node(j)
+            dsi = pieces.fill(vi, Fj, mdeg)
             dsvk.c[i] = dsi.c
-            R = pieces.apply_T(vi, dsi) - F
+            R = pieces.apply_T(vi, dsi) - Fj
             for m in range(mdeg + 1):
                 defect = max(defect, R.max_degree_abs(m))
         self.transport_defects[k] = defect
@@ -808,10 +827,7 @@ class AmplitudeJet:
         v10 = self.v[1].axis()
         self.b10 = v10 - self.c10
         # independent quadrature for v_{1,0} via the integrating factor
-        P0 = np.empty(len(self.s), dtype=complex)
-        for i, s in enumerate(self.s):
-            pieces = _pieces_at(self.phase, s)
-            P0[i] = 1j * self._forcing(1, s, pieces).axis()
+        P0 = 1j * self._forcing[1].axis()[self.phase.stages.nodes]
         quad = root_inv * cumint(self.s, -0.5j * self.detY_root * P0,
                                  self._i0)
         scale = max(np.max(np.abs(v10)), 1e-30)

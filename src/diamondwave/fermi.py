@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Metric, NullGeodesic, _rk4_geodesic, _rk4_span, is_flat
+from .geometry import (Metric, NullGeodesic, _rk4_geodesic, _rk4_span,
+                       _rk4_stages, is_flat)
 
 
 class FermiError(RuntimeError):
@@ -92,7 +93,14 @@ class PseudoFrame:
 
 def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
     """Initial frame by the lightlike-decomposition recipe, then parallel
-    transport with RK4 along the sampled geodesic."""
+    transport with RK4 along the sampled geodesic.
+
+    The curve, its velocity and the Christoffel symbols do not depend on the
+    frame, so each is evaluated in one batched call: at the stage parameters
+    of the RK4 span (`_rk4_stages`) for the transport, and at the geodesic
+    samples for Edot.  Each stage and sample contracts them as a single
+    point would.
+    """
     metric = metric or geodesic.metric
     n = metric.n
     x0 = geodesic.x[0]
@@ -130,18 +138,21 @@ def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
     frame.extend(spat)
     E0 = np.array(frame)
 
-    # parallel transport dE/ds = -Gamma(gammadot, E) along the curve
-    def rhs(si, Ei):
-        x = geodesic.point(np.array([si]))[0]
-        v = geodesic.velocity(np.array([si]))[0]
-        gam = geodesic.metric.christoffel(x)
-        return -np.einsum("kij,i,mj->mk", gam, v, Ei)
+    # parallel transport dE/ds = -Gamma(gammadot, E) along the curve, with
+    # the curve and Gamma evaluated once at every stage parameter
+    stages = _rk4_stages(geodesic.s, 0)
+    x = geodesic.point(stages.params)
+    v = geodesic.velocity(stages.params)
+    gam = metric.christoffel(x)
 
-    E = _rk4_span(rhs, geodesic.s, 0, E0)
+    def rhs(j, Ej):
+        return -np.einsum("kij,i,mj->mk", gam[j], v[j], Ej)
+
+    E = _rk4_span(rhs, stages, E0)
+    gam = metric.christoffel(geodesic.x)
     Edot = np.empty_like(E)
     for i in range(len(geodesic.s)):
-        gam = metric.christoffel(geodesic.x[i])
-        Edot[i] = -np.einsum("kij,i,mj->mk", gam, geodesic.xdot[i], E[i])
+        Edot[i] = -np.einsum("kij,i,mj->mk", gam[i], geodesic.xdot[i], E[i])
     return PseudoFrame(geodesic, E, Edot)
 
 
@@ -307,26 +318,24 @@ class FermiChart:
         return frame_pairing_target(self.n)
 
     def axis_defects(self, nsamp=9, h=None):
-        """(metric defect, first-derivative defect) on the axis."""
+        """(metric defect, first-derivative defect) on the axis.
+
+        The first derivatives are central differences in every chart
+        direction; the metric at all nsamp (3 + 2n) points is one batched
+        `pullback_metric` call.
+        """
         a, b = self.geodesic.s_range
         ss = np.linspace(a, b, nsamp)
         if h is None:
             h = max(self.delta_prime / 64.0, 1e-4)
-        target = self.axis_metric_target()
-        mdef = 0.0
-        ddef = 0.0
-        for s in ss:
-            g0 = self.pullback_metric(s, np.zeros(self.n))
-            mdef = max(mdef, float(np.max(np.abs(g0 - target))))
-            # chart-direction first derivatives by central differences
-            gp = self.pullback_metric(s + h, np.zeros(self.n))
-            gm = self.pullback_metric(s - h, np.zeros(self.n))
-            ddef = max(ddef, float(np.max(np.abs(gp - gm))) / (2 * h))
-            for k in range(self.n):
-                e = np.zeros(self.n)
-                e[k] = h
-                gp = self.pullback_metric(s, e)
-                gm = self.pullback_metric(s, -e)
-                ddef = max(ddef, float(np.max(np.abs(gp - gm))) / (2 * h))
+        n = self.n
+        # per sample: the axis point, then each +- pair of shifted points
+        s = np.repeat(ss[:, None], 3 + 2 * n, axis=1)
+        s[:, 1], s[:, 2] = ss + h, ss - h
+        z = np.zeros((nsamp, 3 + 2 * n, n))
+        for k in range(n):
+            z[:, 3 + 2 * k, k], z[:, 4 + 2 * k, k] = h, -h
+        g = self.pullback_metric(s, z)
+        mdef = float(np.max(np.abs(g[:, 0] - self.axis_metric_target())))
+        ddef = float(np.max(np.abs(g[:, 1::2] - g[:, 2::2]))) / (2 * h)
         return mdef, ddef
-

@@ -7,6 +7,8 @@ All metric evaluations are batched: x may have shape (..., 1+n).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .exprs import ScalarField
@@ -430,24 +432,54 @@ class NullGeodesic:
         return self.point(sq)
 
 
-def _rk4_span(rhs, s_nodes, i0, state0):
-    """Integrate dstate/ds = rhs(s, state) outward from node i0, both ways,
-    one classical RK4 step per node interval.  Returns the states at every
-    node, (len(s_nodes), *state0.shape), in the dtype of state0."""
-    vals = [None] * len(s_nodes)
-    vals[i0] = np.asarray(state0)
+class _RK4Stages(NamedTuple):
+    """The stages of `_rk4_span` over a node lattice, from `_rk4_stages`."""
+
+    params: np.ndarray  # sorted distinct stage parameters, the nodes included
+    nodes: np.ndarray   # index into params of every node
+    i0: int             # the node the integration starts from
+    steps: list         # (i, i', h, (j1, j2, j4)) in integration order
+
+
+def _rk4_stages(s_nodes, i0):
+    """List the stages of the RK4 span over `s_nodes` outward from node i0.
+
+    A step from node i to its neighbour i' = i +- 1 has h = s_i' - s_i and
+    evaluates the right-hand side at s_i, s_i + 0.5*h (twice) and s_i + h,
+    formed with exactly these float expressions; j1, j2 and j4 index them in
+    `params`.  A caller evaluates what the right-hand side needs that does
+    not depend on the state once over `params` and reads stage j from it.
+    """
+    s_nodes = np.asarray(s_nodes, dtype=float)
+    raw = []
     for direction in (+1, -1):
         i = i0
         while 0 <= i + direction < len(s_nodes):
-            s, sn = s_nodes[i], s_nodes[i + direction]
-            h = sn - s
-            y = vals[i]
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
-            vals[i + direction] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            s = s_nodes[i]
+            h = s_nodes[i + direction] - s
+            raw.append((i, i + direction, h, (s, s + 0.5 * h, s + h)))
             i += direction
+    params = np.unique(np.concatenate([s_nodes] + [st for *_, st in raw]))
+    steps = [(i, i2, h, tuple(np.searchsorted(params, st).tolist()))
+             for i, i2, h, st in raw]
+    return _RK4Stages(params, np.searchsorted(params, s_nodes), i0, steps)
+
+
+def _rk4_span(rhs, stages, state0):
+    """Integrate dstate/ds = rhs(j, state) from node `stages.i0` outward,
+    both ways, one classical RK4 step per node interval; j is the index of
+    the stage parameter in `stages.params` (`_rk4_stages`).  Returns the
+    states at every node, (len(stages.nodes), *state0.shape), in the dtype
+    of state0."""
+    vals = [None] * len(stages.nodes)
+    vals[stages.i0] = np.asarray(state0)
+    for i, i2, h, (j1, j2, j4) in stages.steps:
+        y = vals[i]
+        k1 = rhs(j1, y)
+        k2 = rhs(j2, y + 0.5 * h * k1)
+        k3 = rhs(j2, y + 0.5 * h * k2)
+        k4 = rhs(j4, y + h * k3)
+        vals[i2] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return np.array(vals)
 
 

@@ -361,6 +361,22 @@ def test_mulp_matches_monomial_product(n, deg, leads, seed):
             assert np.allclose(out.get(ga), ref[ga], rtol=1e-12, atol=1e-12)
 
 
+@given(n=st.integers(1, 3), deg=st.integers(0, 8), nodes=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mulp_on_lattice_equals_per_node(n, deg, nodes, seed):
+    # the segment sum of a product over a lattice runs each slot's sum in
+    # the same order at every node, so it equals the products at the nodes
+    # bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (nodes,) + (deg + 1,) * n
+    a, b = (beam.PolyCube(n, deg, rng.normal(size=shape)
+                          + 1j * rng.normal(size=shape)) for _ in range(2))
+    out = a.mulp(b)
+    for i in range(nodes):
+        assert np.array_equal(out.c[i], a.node(i).mulp(b.node(i)).c)
+
+
 def test_chart_jets_map_the_lattice_once(monkeypatch):
     calls = {"forward": 0, "jacobian": 0}
 
@@ -406,26 +422,59 @@ def test_graded_round_trip(n, deg, lead, data):
         assert np.array_equal(b.get(al), np.broadcast_to(want, lead))
 
 
+def fill_reference(pieces, v, forcing, mdeg):
+    """`_TransportPieces.fill` with all of T v formed again at every degree,
+    as E_0 ds v + sum_l E_l d_l v - (box phi) v in that order."""
+    dsv = beam.PolyCube.zeros(v.n, v.deg)
+    for j in range(mdeg + 1):
+        Tv = pieces.E[0].mulp(dsv)
+        for l in range(1, v.n + 1):
+            Tv = Tv + pieces.E[l].mulp(v.diff(l))
+        R = Tv - pieces.boxphi.mulp(v) - forcing
+        dsv.set_graded(j, j, dsv.graded(j, j) - R.graded(j, j) / pieces.e0ax)
+    return dsv
+
+
 def test_transport_pieces_on_lattice_equal_per_node(pert_beam):
-    # one construction over the whole s-lattice (the residual's) equals the
-    # per-stage construction of the transport solve at every node
+    # the transport solve reads its pieces and each level's forcing at an
+    # RK4 stage from one lattice construction over the stage parameters
+    # (nodes and midpoints); each equals the construction at that stage
+    # alone, and so does the residual's construction over the nodes
     b, _ = pert_beam
     jet, amp = b.phase, b.amp
-    s, n, deg = jet.s, jet.n, jet.phi_c.deg
+    s, n, deg, jets = jet.s, jet.n, jet.phi_c.deg, jet.jets
+    levels = (amp._v_sp, amp._dsv_sp, amp._ddsv_sp)
 
-    def lattice(sp):
-        return beam.PolyCube(n, deg, sp(s))
+    def lattice(sp, t):
+        return beam.PolyCube(n, deg, sp(t))
 
-    whole = beam._TransportPieces(
-        jet.jets.ginv_at(s), jet.jets.w_at(s),
-        *(lattice(jet._sp[k]) for k in ("phi", "dsphi", "ddsphi")))
-    v, dsv, ddsv = (lattice(sp[1]) for sp in
-                    (amp._v_sp, amp._dsv_sp, amp._ddsv_sp))
+    def pieces_at(t):
+        return beam._TransportPieces(
+            jets.ginv_at(t), jets.w_at(t),
+            *(lattice(jet._sp[k], t) for k in ("phi", "dsphi", "ddsphi")))
+
+    params = jet.stages.params
+    assert len(params) == 2 * len(s) - 1
+    for j, t in enumerate(params):
+        one, stage = pieces_at(float(t)), amp._stage[j]
+        for w, c in zip(stage.E + [stage.boxphi], one.E + [one.boxphi]):
+            assert np.array_equal(w.c, c.c)
+        for k in range(1, amp.N + 1):
+            v, dsv, ddsv = (lattice(sp[k - 1], float(t)) for sp in levels)
+            F = (one.box(v, dsv, ddsv)
+                 + jets.V_at(float(t)).mulp(v)).scaled(-1j)
+            assert np.array_equal(amp._forcing[k].c[j], F.c)
+
+    whole = pieces_at(s)
+    v, dsv, ddsv = (lattice(sp[1], s) for sp in levels)
     T, P = whole.apply_T(v, dsv), whole.box(v, dsv, ddsv)
-    for i, si in enumerate(s):
-        node = beam._pieces_at(jet, si)
+    for i, j in enumerate(jet.stages.nodes):
+        node = amp._stage[j]
         for w, c in zip(whole.E + [whole.boxphi], node.E + [node.boxphi]):
             assert np.array_equal(w.c[i], c.c)
-        vi, dsvi, ddsvi = (beam.PolyCube(n, deg, x.c[i]) for x in (v, dsv, ddsv))
+        vi, dsvi, ddsvi = (x.node(i) for x in (v, dsv, ddsv))
         assert np.array_equal(T.c[i], node.apply_T(vi, dsvi).c)
         assert np.array_equal(P.c[i], node.box(vi, dsvi, ddsvi).c)
+        F = amp._forcing[1].node(j)
+        assert np.array_equal(node.fill(vi, F, amp._mdeg(1)).c,
+                              fill_reference(node, vi, F, amp._mdeg(1)).c)

@@ -77,6 +77,33 @@ def test_frame_pairings_conserved_split():
     assert np.max(np.abs(fr.E[:, 0] - g.xdot)) < 1e-10  # E0 = gammadot
 
 
+def test_frame_equals_per_stage_transport():
+    # build_frame evaluates the curve and Gamma once over every RK4 stage
+    # parameter and once over the samples; its frame equals a transport
+    # that evaluates them at each stage, one point at a time, bit for bit
+    ch = perturbed_chart()
+    geod, metric = ch.geodesic, ch.metric
+
+    def rhs(s, E):
+        x = geod.point(np.array([s]))[0]
+        v = geod.velocity(np.array([s]))[0]
+        return -np.einsum("kij,i,mj->mk", metric.christoffel(x), v, E)
+
+    E = [ch.frame.E[0]]
+    for s, sn in zip(geod.s[:-1], geod.s[1:]):
+        h, y = sn - s, E[-1]
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(s + h, y + h * k3)
+        E.append(y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+    E = np.array(E)
+    Edot = np.array([-np.einsum("kij,i,mj->mk", metric.christoffel(x), v, e)
+                     for x, v, e in zip(geod.x, geod.xdot, E)])
+    assert np.array_equal(ch.frame.E, E)
+    assert np.array_equal(ch.frame.Edot, Edot)
+
+
 def test_flat_forward_closed_form():
     ch = flat_chart()
     for s, z1, z2 in [(0.3, 0.1, -0.2), (1.2, -0.05, 0.07)]:
@@ -116,13 +143,19 @@ def test_inverse_on_axis():
 def test_roundtrip_random():
     ch = perturbed_chart()
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        s = rng.uniform(0.2, 1.3)
-        z = rng.uniform(-0.5, 0.5, size=2) * ch.delta_prime
-        p = ch.forward(s, z)
-        s2, z2 = ch.inverse(p)
-        assert abs(s2 - s) < 1e-8
-        assert np.max(np.abs(z2 - z)) < 1e-8
+    draws = [(rng.uniform(0.2, 1.3), rng.uniform(-0.5, 0.5, size=2))
+             for _ in range(25)]
+    s = np.array([d[0] for d in draws])
+    z = np.array([d[1] for d in draws]) * ch.delta_prime
+    p = ch.forward(s, z)
+    s2, z2, inside = ch.inverse_many(p)
+    assert inside.all()
+    assert np.max(np.abs(s2 - s)) < 1e-8
+    assert np.max(np.abs(z2 - z)) < 1e-8
+    # the scalar inverse of one point
+    s1, z1 = ch.inverse(p[0])
+    assert abs(s1 - s[0]) < 1e-8
+    assert np.max(np.abs(z1 - z[0])) < 1e-8
 
 
 def test_block_seed_equals_dense_seed():
