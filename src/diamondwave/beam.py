@@ -118,7 +118,11 @@ class PolyCube:
         alpha+beta (a segment sum).  Slots with |gamma| > deg are never
         written.  Each slot's sum runs over its own pairs in plan order
         whatever the lead shape, so a product of two cubes over a lattice
-        equals the products at its nodes bit for bit.
+        equals the products at its nodes bit for bit.  That holds for
+        lattice x lattice products only: one node's cube broadcast across a
+        lattice may differ in the last bit (hypothesis found n=1, deg=0),
+        since numpy's complex multiply takes another inner loop for a
+        stride-0 factor.
         """
         D, n = self.deg + 1, self.n
         ia, ib, starts, slots = _product_plan(n, self.deg)

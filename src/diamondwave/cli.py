@@ -7,9 +7,8 @@ Subcommands:
     bench              time a few representative kernels
 
 Exit codes: 0 success, 1 I/O or config problems, 2 usage, 3 numerical gate.
-Config files are flat sectioned ``key = value`` text; field-valued entries
-(metric coefficients, the potential) use the expression grammar from
-:mod:`diamondwave.exprs`.
+Config files are flat sectioned ``key = value`` text; the potential uses the
+expression grammar from :mod:`diamondwave.exprs`.
 """
 
 import argparse
@@ -147,10 +146,10 @@ class ExperimentConfig:
             if pad < 0:
                 raise ConfigError(
                     f"grid.pad must be non-negative, got {pad:g}")
-            if dt > 0.5 * h / np.sqrt(self.n) * (1 + 1e-12):
+            limit = solver.cfl_limit(h, self.n)
+            if dt > limit:
                 raise ConfigError(
-                    f"grid dt={dt:g} violates the CFL bound "
-                    f"{0.5 * h / np.sqrt(self.n):g}")
+                    f"grid dt={dt:g} violates the CFL bound {limit:g}")
             self.grid_params = {"h": h, "dt": dt, "pad": pad}
         self.tau = _number(self.sections.get("full", {}).get("tau", "40"),
                            "full.tau")
@@ -171,20 +170,11 @@ class ExperimentConfig:
         return _number(sec[key], f"key {key!r}")
 
     def _build_metric(self, met):
+        # both recovery routes and the wave solver need a flat background
         kind = met.get("kind", "minkowski")
-        if kind == "minkowski":
-            return geo.minkowski(self.n)
-        if kind != "split":
-            raise ConfigError(f"metric.kind must be minkowski|split, got {kind!r}")
-        n = self.n
-        beta = exprs.ScalarField.from_text(met.get("beta", "1"), n)
-        conf = exprs.ScalarField.from_text(met.get("conformal", "1"), n)
-        eye = np.eye(n)
-
-        def gmat(x):
-            return conf(np.asarray(x, dtype=float))[..., None, None] * eye
-
-        return geo.SplitMetric(n, beta=beta, gmat=gmat)
+        if kind != "minkowski":
+            raise ConfigError(f"metric.kind must be minkowski, got {kind!r}")
+        return geo.minkowski(self.n)
 
     def _parse_points(self, text):
         pts = []
@@ -609,10 +599,6 @@ def cmd_recover(args):
         mode = "full"
     if not cfg.points:
         raise ConfigError("pipeline.points is empty")
-    if cfg.metric.kind != "minkowski":
-        # both routes need a flat background
-        raise ConfigError(
-            f"recover supports metric.kind = minkowski, got {cfg.metric.kind!r}")
 
     t0 = time.perf_counter()
     rec = recovery.recover_region(cfg.metric, cfg.V, cfg.points, cfg.r, cfg.T,

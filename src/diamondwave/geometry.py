@@ -51,9 +51,6 @@ class Metric:
         g = self.matrix(x)
         return np.einsum("...ij,...i,...j->...", g, v, w)
 
-    def sqrt_abs_det(self, x):
-        return np.sqrt(np.abs(np.linalg.det(self.matrix(x))))
-
     def christoffel(self, x):
         """Christoffel symbols of the second kind, shape (..., k, i, j)."""
         ginv = self.inverse(x)
@@ -282,13 +279,6 @@ class SplitMetric(Metric):
         for a in range(n):
             acc[..., 1 + a] = -0.5 * _dot(gik[a], r)
         return acc
-
-    def max_wavespeed(self, points):
-        """sup over sample points of the coordinate light speed, for CFL."""
-        beta = np.asarray(self.beta(points))
-        g = self.gmat(points)
-        lam_min = np.linalg.eigvalsh(g)[..., 0]
-        return float(np.sqrt(np.max(beta / lam_min)))
 
 
 def _components_first(a, k):
@@ -595,49 +585,6 @@ def geodesic_residual(geo: NullGeodesic):
     gam = geo.metric.christoffel(xm)
     res = am + np.einsum("...kij,...i,...j->...k", gam, vm, vm)
     return float(np.max(np.abs(res)))
-
-
-# ---------------------------------------------------------------------------
-# wave operator
-
-
-_D1_4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # 4th order first derivative
-_OFF = np.array([-2, -1, 0, 1, 2])
-
-
-def dalembertian(metric: Metric, u, p, h_op=1e-2):
-    """Coordinate d'Alembertian -|g|^{-1/2} d_i (|g|^{1/2} g^{ij} d_j u) at p.
-
-    `u` is a scalar closure on (1+n)-points; derivatives are 4th-order
-    central differences with step h_op.
-    """
-    p = np.asarray(p, dtype=float)
-    dim = metric.dim
-
-    def flux(xpts):
-        # F_i(x) = |g|^{1/2} g^{ij} d_j u(x), batched over leading axes
-        xpts = np.asarray(xpts, dtype=float)
-        du = np.empty(xpts.shape)
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = h_op
-            vals = np.stack([u(xpts + k * e) for k in _OFF], axis=-1)
-            du[..., j] = vals @ _D1_4 / h_op
-        ginv = metric.inverse(xpts)
-        sq = metric.sqrt_abs_det(xpts)[..., None]
-        return sq * np.einsum("...ij,...j->...i", ginv, du)
-
-    total = 0.0
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h_op
-        pts = p[None, :] + _OFF[:, None] * e[None, :]
-        fi = flux(pts)[:, i]
-        total += float(fi @ _D1_4) / h_op
-    val = -total / float(metric.sqrt_abs_det(p))
-    if not np.isfinite(val):
-        raise GeometryError("non-finite derivative samples in dalembertian")
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Finite-difference solver for box u + V u + u^3 = f on Minkowski/split metrics.
+"""Finite-difference solver for box u + V u + u^3 = f on Minkowski space.
 
-Leapfrog in time (second order), 4th-order spatial Laplacian on Minkowski and
-the divergence-form variable-coefficient operator on split metrics.  The
+Leapfrog in time (second order) with a 4th-order spatial Laplacian.  Only
+flat backgrounds are supported: a curved metric is rejected with SolverError
+(curved backgrounds are handled by Gaussian beams, without a PDE march).  The
 discrete wave operator is exposed separately (`apply_wave_operator`) using the
 *same* stencils, so that applying it to a computed solution returns the source
 to rounding error.  Boundaries are handled by padding the domain so that the
@@ -25,6 +26,12 @@ class SolverError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # grid
+
+
+def cfl_limit(h, n):
+    """Largest time step the leapfrog accepts on spacing h in n dimensions:
+    0.5 h / sqrt(n), with a relative slack of 1e-12 for rounding."""
+    return 0.5 * h / np.sqrt(n) * (1 + 1e-12)
 
 
 class Grid:
@@ -88,9 +95,9 @@ class Grid:
             out[..., 1 + i] = X[i]
         return out
 
-    def check_cfl(self, wavespeed=1.0):
-        limit = 0.5 * self.h / (np.sqrt(self.n) * wavespeed)
-        if self.dt > limit * (1 + 1e-12):
+    def check_cfl(self):
+        limit = cfl_limit(self.h, self.n)
+        if self.dt > limit:
             raise SolverError(
                 f"CFL violated: dt={self.dt:g} > {limit:g}")
 
@@ -272,51 +279,6 @@ def _shift(u, off, ax):
         dst[ax] = slice(-off, None)
     out[tuple(dst)] = u[tuple(src)]
     return out
-
-
-class _SplitCoeffs:
-    """Cached divergence-form coefficients for a split metric on one grid."""
-
-    def __init__(self, metric, grid):
-        self.metric = metric
-        self.grid = grid
-        self._cache = {}
-
-    def at_time(self, t):
-        key = round(t / (0.5 * self.grid.dt))
-        if key in self._cache:
-            return self._cache[key]
-        pts = self.grid.spacetime_slice(0).copy()
-        pts[..., 0] = t
-        beta = np.asarray(self.metric.beta(pts))
-        g = self.metric.gmat(pts)
-        detg = np.linalg.det(g)
-        sq = np.sqrt(beta * detg)          # |gbar|^{1/2}
-        ginv = np.linalg.inv(g)
-        A = sq[..., None, None] * ginv     # flux coefficients |gbar|^{1/2} g^{ij}
-        w = sq / beta                      # time-term coefficient |gbar|^{1/2}/beta
-        self._cache[key] = (sq, A, w)
-        if len(self._cache) > 8:
-            self._cache.pop(next(iter(self._cache)))
-        return self._cache[key]
-
-    def spatial_term(self, u, t):
-        """|gbar|^{-1/2} d_i(A^{ij} d_j u) with conservative diagonal stencils."""
-        sq, A, _ = self.at_time(t)
-        n, h = self.grid.n, self.grid.h
-        out = np.zeros_like(u)
-        for i in range(n):
-            Aii = A[..., i, i]
-            Ap = 0.5 * (Aii + _shift(Aii, 1, i))
-            Am = 0.5 * (Aii + _shift(Aii, -1, i))
-            out += (Ap * (_shift(u, 1, i) - u) - Am * (u - _shift(u, -1, i))) / (h * h)
-            for j in range(n):
-                if j == i:
-                    continue
-                du = (_shift(u, 1, j) - _shift(u, -1, j)) / (2 * h)
-                flux = A[..., i, j] * du
-                out += (_shift(flux, 1, i) - _shift(flux, -1, i)) / (2 * h)
-        return out / sq
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +468,15 @@ def _check_smallness(u, parts, bound, absbuf=None):
         raise SolverError("nonlinear solution left smallness regime")
 
 
+def _require_flat(metric):
+    if not is_flat(metric):
+        raise SolverError("the wave solver needs a flat background")
+
+
 def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
            backward):
-    is_mink = is_flat(metric)
-    if is_mink:
-        grid.check_cfl(1.0)
-        coeffs = None
-    else:
-        sample = grid.spacetime_slice(0)
-        grid.check_cfl(metric.max_wavespeed(sample.reshape(-1, grid.n + 1)))
-        coeffs = _SplitCoeffs(metric, grid)
+    _require_flat(metric)
+    grid.check_cfl()
 
     Vs = _as_potential_slices(V, grid)
     source = _source_slices(f, grid)
@@ -528,16 +489,8 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     def time_index(m):
         return (nt - 1 - m) if backward else m
 
-    def pot(m):
-        v = Vs(time_index(m))
-        return v
-
     def src(m):
         return source(time_index(m))
-
-    # u[m] in marching order; physical slice index = time_index(m)
-    u_prev = np.zeros(shape, dtype=dtype)
-    u_curr = np.zeros(shape, dtype=dtype)
 
     out = np.zeros((nt,) + shape, dtype=dtype) if store == "all" else None
 
@@ -548,47 +501,27 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
         for obs in observers:
             obs(ti, grid.time(ti), sl)
 
-    emit(0, u_prev)
-    # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0); on the zero
-    # slice the equation gives u_tt = f (Minkowski) or beta*f (split)
+    # u[m] in marching order; physical slice index = time_index(m)
+    emit(0, np.zeros(shape, dtype=dtype))
+    # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0), and on the
+    # zero slice the equation gives u_tt = f
     f0 = src(0)
     if f0 is None:
         u_curr = np.zeros(shape, dtype=dtype)
     else:
-        f0 = f0.astype(dtype)
-        if not is_mink:
-            pts0 = grid.spacetime_slice(time_index(0))
-            f0 = np.asarray(metric.beta(pts0)) * f0
-        u_curr = 0.5 * dt * dt * f0
+        u_curr = 0.5 * dt * dt * f0.astype(dtype)
     emit(1, u_curr)
 
-    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear) if is_mink else None
+    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear)
     cplx = dtype is complex
     absbuf = np.empty(shape)
     for m in range(1, nt - 1):
-        t_m = grid.time(time_index(m))
-        if is_mink:
-            u_next = leapfrog.step(None if V is None else pot(m), src(m))
-            # the new level's band: its ghost cells are zero
-            parts = leapfrog.bands[1].view(float) if cplx else None
-        else:
-            S = coeffs.spatial_term(u_curr, t_m)
-            sq, _, _ = coeffs.at_time(t_m)
-            half = -dt if backward else dt
-            _, _, w_p = coeffs.at_time(t_m + 0.5 * half)
-            _, _, w_m = coeffs.at_time(t_m - 0.5 * half)
-            rhs = S - pot(m) * u_curr
-            f_m = src(m)
-            if f_m is not None:
-                rhs = rhs + f_m
-            if nonlinear:
-                rhs = rhs - u_curr * (u_curr * u_curr)
-            u_next = u_curr + (w_m / w_p) * (u_curr - u_prev) \
-                + dt * dt * (sq / w_p) * rhs
-            parts = u_next.view(float) if cplx else None
+        u_next = leapfrog.step(None if V is None else Vs(time_index(m)),
+                               src(m))
+        # the new level's band: its ghost cells are zero
+        parts = leapfrog.bands[1].view(float) if cplx else None
         _check_smallness(u_next, parts, bound, absbuf)
         emit(m + 1, u_next)
-        u_prev, u_curr = u_curr, u_next
 
     if out is None:
         return None
@@ -601,25 +534,15 @@ def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
     Defined on interior time slices 1..nt-2; the first and last slices of the
     result are zero.
     """
-    is_mink = is_flat(metric)
-    coeffs = None if is_mink else _SplitCoeffs(metric, grid)
-    if is_mink:
-        lap = _laplacian_for(grid.shape, u.data.dtype, grid.h, grid.n)
+    _require_flat(metric)
+    lap = _laplacian_for(grid.shape, u.data.dtype, grid.h, grid.n)
     Vs = _as_potential_slices(V, grid)
     dt = grid.dt
     out = np.zeros_like(u.data)
     for m in range(1, grid.nt - 1):
         um, up, un = u.data[m], u.data[m - 1], u.data[m + 1]
-        if is_mink:
-            dtt = (un - 2 * um + up) / (dt * dt)
-            val = dtt - lap(um) + Vs(m) * um
-        else:
-            t_m = grid.time(m)
-            sq, _, _ = coeffs.at_time(t_m)
-            _, _, w_p = coeffs.at_time(t_m + 0.5 * dt)
-            _, _, w_m = coeffs.at_time(t_m - 0.5 * dt)
-            dtt = (w_p * (un - um) - w_m * (um - up)) / (dt * dt)
-            val = dtt / sq - coeffs.spatial_term(um, t_m) + Vs(m) * um
+        dtt = (un - 2 * um + up) / (dt * dt)
+        val = dtt - lap(um) + Vs(m) * um
         if nonlinear:
             val = val + um * (um * um)
         out[m] = val

@@ -5,7 +5,8 @@ fed to the solver directly.  Instead we cut it off in time with a ramp pair
 (zeta_-, zeta_+) and emit the source f = zeta_+ (box + V)(zeta_- u_tau), whose
 forward solution tracks zeta_- u_tau up to the ansatz truncation error.  The
 test function reverses the roles of the ramps and pairs with the backward
-solve.  The covector algebra builds the four-fold light-like dependence
+solve.  Surgery takes flat packets (`recovery.LinePacket`, `go.GOPacket`) on
+the solver's flat background.  The covector algebra builds the four-fold light-like dependence
 sigma^2 xi0 + k1 xi1 + k2 xi2 + k3 xi3 = 0 used to aim the packets, and the
 returning-geodesic search supplies the two transversal null geodesics through
 a target point with endpoints on the measurement cylinder.
@@ -53,26 +54,15 @@ class CutoffPair:
 
 
 def _tube_center_radius(obj):
-    """(center(t), radius) description of the packet/beam support tube."""
-    if hasattr(obj, "flow_point"):          # geometric-optics packet
-        speed = obj.flow_point(1.0)[0] - obj.q[0]     # dt/ds along the flow
+    """(center(t), radius) description of the packet support tube."""
+    if not hasattr(obj, "flow_point"):
+        raise SourceError("object has no recognised support tube")
+    speed = obj.flow_point(1.0)[0] - obj.q[0]     # dt/ds along the flow
 
-        def center(t):
-            s = (np.asarray(t) - obj.q[0]) / speed
-            return obj.flow_point(s)[..., 1:]
-        return center, 1.26 * obj.delta * np.sqrt(obj.n)
-    if hasattr(obj, "chart"):               # gaussian beam
-        g = obj.chart.geodesic
-        ts = g.x[:, 0]
-
-        def center(t):
-            t = np.asarray(t)
-            out = np.empty(t.shape + (g.x.shape[1] - 1,))
-            for i in range(out.shape[-1]):
-                out[..., i] = np.interp(t, ts, g.x[:, 1 + i])
-            return out
-        return center, obj.delta_prime
-    raise SourceError("object has no recognised support tube")
+    def center(t):
+        s = (np.asarray(t) - obj.q[0]) / speed
+        return obj.flow_point(s)[..., 1:]
+    return center, 1.26 * obj.delta * np.sqrt(obj.n)
 
 
 def default_rho(obj, grid, r, t0):
@@ -82,7 +72,7 @@ def default_rho(obj, grid, r, t0):
     ok = np.linalg.norm(center(times), axis=-1) + rad < r
     i0 = int(np.argmin(np.abs(times - t0)))
     if not ok[i0]:
-        raise SourceError("delta/delta' too large for aperture")
+        raise SourceError("packet delta too large for aperture")
     lo = i0
     while lo > 0 and ok[lo - 1]:
         lo -= 1
@@ -91,16 +81,13 @@ def default_rho(obj, grid, r, t0):
         hi += 1
     rho = 0.5 * min(t0 - times[lo], times[hi] - t0)
     if rho <= grid.dt:
-        raise SourceError("delta/delta' too large for aperture")
+        raise SourceError("packet delta too large for aperture")
     return float(rho)
 
 
 def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     if t0 is None:
-        if hasattr(obj, "q"):
-            t0 = float(obj.q[0])
-        else:
-            t0 = float(obj.chart.forward(obj.phase.s0, np.zeros(obj.chart.n))[0])
+        t0 = float(obj.q[0])
     if rho is None:
         rho = default_rho(obj, grid, r, t0)
     cut = CutoffPair(t0, rho)
@@ -116,7 +103,7 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     X = grid.spacetime_slice(0)[..., 1:]
     outside = np.linalg.norm(X, axis=-1) >= r
     if np.max(np.abs(fdata[:, outside])) > 1e-12 * max(np.max(np.abs(fdata)), 1e-300):
-        raise SourceError("delta/delta' too large for aperture")
+        raise SourceError("packet delta too large for aperture")
     fdata[:, outside] = 0.0
     src = SourceTerm(grid, field=fdata,
                      name="test function" if test else "packet source")
@@ -249,16 +236,14 @@ class ReturningGeodesics:
     gamma_minus runs from q_minus up through p, gamma_plus from p up to
     q_plus; margin is the minimal distance between the two curves outside
     B(p, 0.1 (t_plus - t_minus)), certifying that they meet only at p.  The
-    background is flat, so the curves are straight lines sampled exactly and
-    the margin is in closed form.
+    background is flat, so the curves are the null lines through q_minus and
+    p and through p and q_plus, and the margin is in closed form.
     """
 
-    def __init__(self, p, q_minus, q_plus, geod_minus, geod_plus, margin):
+    def __init__(self, p, q_minus, q_plus, margin):
         self.p = np.asarray(p, dtype=float)
         self.q_minus = np.asarray(q_minus, dtype=float)
         self.q_plus = np.asarray(q_plus, dtype=float)
-        self.geod_minus = geod_minus
-        self.geod_plus = geod_plus
         self.margin = float(margin)
 
 
@@ -271,23 +256,6 @@ def _line_margin(vm, vp, exclude):
     """
     cos = abs(vm @ vp) / (np.linalg.norm(vm) * np.linalg.norm(vp))
     return float(exclude * np.sqrt(max(2.0 - 2.0 * cos, 0.0)))
-
-
-def _null_line(metric, p, q, v, s_nodes):
-    """The flat null geodesic x = q + s v sampled on [s_lo, s_hi].
-
-    `s_nodes` is (s_lo, s_p, s_hi) with q + s_p v = p; s_p is a node and its
-    sample is p itself.  Nodes are at most 1/400 apart in s.
-    """
-    s_lo, s_p, s_hi = s_nodes
-    k_lo = max(1, int(np.ceil((s_p - s_lo) * 400)))
-    k_hi = max(1, int(np.ceil((s_hi - s_p) * 400)))
-    s = np.concatenate([np.linspace(s_lo, s_p, k_lo + 1),
-                        np.linspace(s_p, s_hi, k_hi + 1)[1:]])
-    x = q + s[:, None] * v
-    x[k_lo] = p
-    xdot = np.broadcast_to(v, x.shape).copy()
-    return geo.NullGeodesic(metric, s, x, xdot, np.zeros_like(x), 0.0)
 
 
 def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
@@ -317,14 +285,10 @@ def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
             u = (p[1:] - a) / d
             vm = np.concatenate([[1.0], u])
             vp = np.concatenate([[1.0], -u])
-            gm = _null_line(metric, p, qm, vm, (0.0, d, 3 * d))
-            # the upper line keeps its future tangent and runs its
-            # parameter backwards from q_plus through p
-            gp_rev = _null_line(metric, p, qp, vp, (-3 * d, -d, 0.0))
             margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
             if margin < margin_min:
                 raise SourceError("returning geodesics fail transversality")
-            return ReturningGeodesics(p, qm, qp, gm, gp_rev, margin)
+            return ReturningGeodesics(p, qm, qp, margin)
         except SourceError as exc:
             last_err = exc
     raise SourceError(f"no returning geodesic configuration found: {last_err}")

@@ -54,12 +54,10 @@ def test_parse_config_rejects_bare_line(tmp_path):
 
 
 def test_experiment_config_builds_fields(tmp_path):
-    cfg = cli.ExperimentConfig(cli.parse_config(write_cfg(tmp_path, """\
+    text = """\
 [metric]
-kind = split
+kind = minkowski
 n = 2
-beta = 1 + 0.05*sin(x1)
-conformal = 1 + 0.02*x2
 [potential]
 V = exp(-(x1^2 + x2^2)/0.2)
 [aperture]
@@ -67,12 +65,15 @@ r = 1.0
 T = 5.0
 [pipeline]
 points = 2.5 1.0 0.0
-""")))
-    assert cfg.metric.kind == "split"
+"""
+    cfg = cli.ExperimentConfig(cli.parse_config(write_cfg(tmp_path, text)))
+    assert cfg.metric.kind == "minkowski"
     p = np.array([0.3, 0.1, -0.2])
-    assert cfg.metric.beta(p) == pytest.approx(1 + 0.05 * np.sin(0.1))
     assert cfg.V(p) == pytest.approx(np.exp(-(0.1**2 + 0.2**2) / 0.2))
     assert len(cfg.points) == 1
+    with pytest.raises(cli.ConfigError, match="minkowski"):
+        cli.ExperimentConfig(cli.parse_config(write_cfg(
+            tmp_path, text.replace("kind = minkowski", "kind = split"))))
 
 
 def test_experiment_config_cfl_gate(tmp_path):

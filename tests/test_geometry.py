@@ -332,65 +332,6 @@ def test_null_geodesic_negative_range():
 
 
 # ---------------------------------------------------------------------------
-# d'Alembertian
-
-
-def test_dalembertian_t_squared():
-    m = geo.minkowski(2)
-    val = geo.dalembertian(m, lambda x: np.asarray(x)[..., 0] ** 2, [0.5, 0.1, 0.2])
-    assert val == pytest.approx(2.0, abs=1e-8)
-
-
-def test_dalembertian_wave_kernel_zero():
-    m = geo.minkowski(2)
-
-    def u(x):
-        x = np.asarray(x)
-        return x[..., 0] ** 2 + 0.5 * (x[..., 1] ** 2 + x[..., 2] ** 2)
-
-    # box u = d_t^2 u - Lap u = 2 - 2 = 0
-    assert geo.dalembertian(m, u, [0.3, -0.2, 0.4]) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_dalembertian_split_symbolic_oracle():
-    # beta=1, g=e^{0.1 t} I, u=t; oracle via sympy on the divergence-form formula
-    t, x1, x2 = sp.symbols("t x1 x2")
-    gm = sp.diag(-1, sp.exp(t / 10), sp.exp(t / 10))
-    ginv = gm.inv()
-    det = sp.sqrt(-gm.det())  # Lorentzian: det < 0
-    u_sym = t
-    syms = (t, x1, x2)
-    box = -sum(sp.diff(det * ginv[i, j] * sp.diff(u_sym, syms[j]), syms[i])
-               for i in range(3) for j in range(3)) / det
-    p = (0.4, 0.1, -0.3)
-    expected = float(box.subs(dict(zip(syms, p))))
-
-    m = geo.SplitMetric(
-        2,
-        beta=lambda x: np.ones(np.asarray(x).shape[:-1]),
-        gmat=lambda x: np.exp(0.1 * np.asarray(x)[..., 0])[..., None, None] * np.eye(2),
-    )
-    val = geo.dalembertian(m, lambda x: np.asarray(x)[..., 0], np.array(p))
-    assert val == pytest.approx(expected, abs=1e-6)
-
-
-def test_dalembertian_order_of_accuracy():
-    m = geo.minkowski(2)
-
-    def u(x):
-        x = np.asarray(x)
-        return np.sin(x[..., 0] + 0.5 * x[..., 1]) * np.cos(x[..., 2])
-
-    # exact: (-1 + 0.25 + 1) * u = 0.25 sin(..)cos(..) -> box = d_t^2 - Lap
-    p = np.array([0.2, 0.3, -0.1])
-    exact = (-1 + 0.25 + 1) * np.sin(p[0] + 0.5 * p[1]) * np.cos(p[2])
-    e1 = abs(geo.dalembertian(m, u, p, h_op=0.08) - exact)
-    e2 = abs(geo.dalembertian(m, u, p, h_op=0.04) - exact)
-    order = np.log2(e1 / e2)
-    assert order > 3.5
-
-
-# ---------------------------------------------------------------------------
 # causal structure
 
 

@@ -121,8 +121,6 @@ def test_minkowski_returning_closed_form():
     ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0)
     assert np.allclose(ret.q_minus, [0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(ret.q_plus, [4.0, 0.0, 0.0], atol=1e-12)
-    for g in (ret.geod_minus, ret.geod_plus):
-        assert np.min(np.linalg.norm(g.x - p, axis=-1)) < 1e-9
     assert ret.margin > 0.1
 
 
@@ -130,12 +128,19 @@ def test_returning_tangents_independent():
     m = geo.minkowski(2)
     ret = sources.find_returning_geodesics(m, np.array([2.0, 2.0, 0.0]),
                                            r=1.0, T=5.0)
-    im = np.argmin(np.linalg.norm(ret.geod_minus.x - ret.p, axis=-1))
-    ip = np.argmin(np.linalg.norm(ret.geod_plus.x - ret.p, axis=-1))
-    tm = ret.geod_minus.xdot[im]
-    tp = ret.geod_plus.xdot[ip]
+    tm = ret.p - ret.q_minus
+    tp = ret.q_plus - ret.p
     assert abs(tm[1] * tp[2] - tm[2] * tp[1]) + abs(
         tm[0] * tp[1] - tm[1] * tp[0]) > 0.1
+
+
+def sampled_line(p, v, lo, hi):
+    """p + sig v for sig in [lo, hi] (lo < 0 < hi), nodes at most 1/400
+    apart, p itself a node."""
+    k_lo, k_hi = (max(1, int(np.ceil(400 * w))) for w in (-lo, hi))
+    sig = np.concatenate([np.linspace(lo, 0.0, k_lo + 1),
+                          np.linspace(0.0, hi, k_hi + 1)[1:]])
+    return p + sig[:, None] * v
 
 
 @pytest.mark.parametrize("p, anchor", [
@@ -151,12 +156,15 @@ def test_closed_form_margin_matches_sampled(p, anchor):
     ret = sources.find_returning_geodesics(m, p, r=1.0, T=5.0,
                                            anchors=[np.array(anchor)])
     exclude = 0.1 * (ret.q_plus[0] - ret.q_minus[0])
-    gm, gp = ret.geod_minus, ret.geod_plus
-    a = gm.x[np.linalg.norm(gm.x - p, axis=-1) > exclude]
-    b = gp.x[np.linalg.norm(gp.x - p, axis=-1) > exclude]
+    # gamma_- from q_minus through p and on, gamma_+ from before p to q_plus
+    d = p[0] - ret.q_minus[0]
+    gm = sampled_line(p, (p - ret.q_minus) / d, -d, 2 * d)
+    gp = sampled_line(p, (ret.q_plus - p) / d, -2 * d, d)
+    a = gm[np.linalg.norm(gm - p, axis=-1) > exclude]
+    b = gp[np.linalg.norm(gp - p, axis=-1) > exclude]
     sampled = float(cdist(a, b).min())
-    step = max(np.max(np.linalg.norm(np.diff(g.x, axis=0), axis=-1))
-               for g in (ret.geod_minus, ret.geod_plus))
+    step = max(np.max(np.linalg.norm(np.diff(x, axis=0), axis=-1))
+               for x in (gm, gp))
     assert ret.margin - 1e-12 <= sampled <= ret.margin + 2 * step
     assert ret.margin == pytest.approx(np.sqrt(2) * exclude, rel=1e-12)
 
@@ -171,9 +179,6 @@ def test_flat_returning_lines_in_one_and_three_dimensions(p):
     d = np.linalg.norm(p[1:])
     assert np.allclose(ret.q_minus, np.r_[p[0] - d, 0 * p[1:]], atol=1e-12)
     assert np.allclose(ret.q_plus, np.r_[p[0] + d, 0 * p[1:]], atol=1e-12)
-    for g in (ret.geod_minus, ret.geod_plus):
-        assert np.min(np.linalg.norm(g.x - p, axis=-1)) == 0.0
-        assert np.allclose(g.x, g.x[0] + (g.s - g.s[0])[:, None] * g.xdot)
 
 
 def test_point_inside_cylinder_rejected():
