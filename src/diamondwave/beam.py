@@ -23,11 +23,19 @@ from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, chart_metric
 from .geometry import _rk4_span, _rk4_stages
-from .go import cumint, loglog_fit, resolve_chi
+from .go import cumint, loglog_fit
 
 
 class BeamError(RuntimeError):
     pass
+
+
+_HS = 0.015       # node step of the jet ODE lattice in s
+_HS_JET = 0.02    # spacing of the s-nodes of the fitted metric jets
+# the residual's measurement jets and transverse window: fit degree and
+# cloud radius, window points per axis and window half-width in units of
+# the beam's decay length 1/sqrt(C tau)
+_MEAS_DEG, _MEAS_R_FIT, _MEAS_NW, _MEAS_KW = 8, 0.10, 17, 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +522,16 @@ def _node_lattice(s0, lo, hi, hs):
     return s0 + hs * np.arange(-kneg, kpos + 1), kneg
 
 
-def solve_riccati(chart: FermiChart, s0, H0=None, *, hs=0.015, deg=6,
-                  r_fit=0.12, hs_jet=0.02, jets=None):
-    """Degree-2 phase via dY/ds = CZ, dZ/ds = -DY with Y(s0)=I, Z(s0)=H0."""
+def _jets_lattice(chart: FermiChart):
+    """The s-nodes of the metric jets: spacing about `_HS_JET`, at least 8."""
+    lo, hi = chart.geodesic.s_range
+    return np.linspace(lo, hi, max(int(round((hi - lo) / _HS_JET)) + 1, 8))
+
+
+def solve_riccati(chart: FermiChart, s0, H0=None, *, jets=None):
+    """Degree-2 phase via dY/ds = CZ, dZ/ds = -DY with Y(s0)=I, Z(s0)=H0,
+    on the node lattice of step `_HS` through s0; the metric jets default
+    to degree-6 fits over `_jets_lattice`."""
     bchart = BeamChart(chart)
     n = bchart.n
     if H0 is None:
@@ -530,11 +545,9 @@ def solve_riccati(chart: FermiChart, s0, H0=None, *, hs=0.015, deg=6,
     if not (lo <= s0 <= hi):
         raise BeamError("anchor s0 outside the geodesic range")
     if jets is None:
-        njet = max(int(round((hi - lo) / hs_jet)) + 1, 8)
-        jets = ChartJets(bchart, np.linspace(lo, hi, njet), deg=deg,
-                         r_fit=r_fit)
+        jets = ChartJets(bchart, _jets_lattice(chart))
     C = _c_matrix(n)
-    stages = _rk4_stages(*_node_lattice(s0, lo, hi, hs))
+    stages = _rk4_stages(*_node_lattice(s0, lo, hi, _HS))
     D = jets.D_at(stages.params)
 
     def rhs(j, state):
@@ -720,14 +733,10 @@ class AmplitudeJet:
     once as one lattice over the phase's stage parameters.
     """
 
-    def __init__(self, phase: PhaseJet, V, N, s0=None):
-        if s0 is None:
-            s0 = phase.s0
-        if abs(float(s0) - phase.s0) > 1e-12:
-            raise BeamError("amplitude anchor must match the phase anchor s0")
+    def __init__(self, phase: PhaseJet, V, N):
         self.phase = phase
         self.N = int(N)
-        self.s0 = float(s0)
+        self.s0 = phase.s0
         self.s = phase.s
         self.n = phase.n
         self.V = V
@@ -852,9 +861,9 @@ class AmplitudeJet:
         return out
 
 
-def solve_amplitudes(chart: FermiChart, jet: PhaseJet, V, N: int,
-                     s0=None) -> AmplitudeJet:
-    return AmplitudeJet(jet, V, N, s0=s0)
+def solve_amplitudes(chart: FermiChart, jet: PhaseJet, V,
+                     N: int) -> AmplitudeJet:
+    return AmplitudeJet(jet, V, N)
 
 
 # ---------------------------------------------------------------------------
@@ -869,21 +878,21 @@ def chi_plateau(u):
 
 
 class GaussianBeam:
-    """e^{i tau phi} chi(|z'|/delta') sum_k tau^{-k} v_k along the geodesic.
+    """e^{i tau phi} chi(|z'|/delta') sum_k tau^{-k} v_k along the geodesic,
+    with chi = `chi_plateau`.
 
     With the conjugation flag set the beam is e^{-i tau conj(phi)} conj(a),
     which solves the same equation family with the opposite phase sign.
     """
 
     def __init__(self, chart: FermiChart, phase: PhaseJet,
-                 amplitude: AmplitudeJet, conjugate=False, chi=None):
+                 amplitude: AmplitudeJet, conjugate=False):
         self.chart = chart
         self.bchart = phase.bchart
         self.phase = phase
         self.amp = amplitude
         self.N = amplitude.N
         self.conjugate = bool(conjugate)
-        self.chi = chi_plateau if chi is None else resolve_chi(chi)
         self.delta_prime = chart.delta_prime
 
     def measured_C(self):
@@ -893,7 +902,7 @@ class GaussianBeam:
     def _value(self, tau, s, y, znorm):
         phi = self.phase.phase_eval(s, y)
         a = self.amp.amp_eval(tau, s, y)
-        cut = self.chi(znorm / self.delta_prime)
+        cut = chi_plateau(znorm / self.delta_prime)
         if self.conjugate:
             return np.exp(-1j * tau * np.conj(phi)) * np.conj(a) * cut
         return np.exp(1j * tau * phi) * a * cut
@@ -928,16 +937,16 @@ class GaussianBeam:
         return "\n".join(lines)
 
 
-def make_beam(chart: FermiChart, V=None, N=4, s0=None, H0=None,
-              conjugate=False, chi=None, **riccati_opts):
-    """Full pipeline: Riccati, higher phase orders (N+2), amplitudes."""
+def make_beam(chart: FermiChart, V=None, N=4, s0=None, conjugate=False):
+    """Full pipeline: Riccati from H0 = i I, higher phase orders (N+2),
+    amplitudes."""
     if s0 is None:
         lo, hi = chart.geodesic.s_range
         s0 = 0.5 * (lo + hi)
-    jet = solve_riccati(chart, s0, H0, **riccati_opts)
+    jet = solve_riccati(chart, s0)
     jet = solve_phase_higher(chart, jet, N + 2)
     amp = solve_amplitudes(chart, jet, V, N)
-    return GaussianBeam(chart, jet, amp, conjugate=conjugate, chi=chi)
+    return GaussianBeam(chart, jet, amp, conjugate=conjugate)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,9 +1014,7 @@ def _tensor_grid(half_widths, nw):
     return pts.reshape(-1, len(half_widths)), axes
 
 
-def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
-                          meas_deg=8, meas_r_fit=0.10,
-                          nw=17, kw=6.0):
+def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
     """Grid norms of P_V u_tau over the cutoff plateau, with a log-log fit.
 
     The residual is evaluated through the conjugation identity on metric jets
@@ -1023,10 +1030,8 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
     phase, amp = beam.phase, beam.amp
     n = phase.n
     bchart = phase.bchart
-    lo, hi = beam.chart.geodesic.s_range
-    njet = max(int(round((hi - lo) / 0.02)) + 1, 8)
-    jets_m = ChartJets(bchart, np.linspace(lo, hi, njet), deg=meas_deg,
-                       r_fit=meas_r_fit)
+    jets_m = ChartJets(bchart, _jets_lattice(beam.chart), deg=_MEAS_DEG,
+                       r_fit=_MEAS_R_FIT)
     jets_m.attach_potential(V)
     data = _ResidualData(beam, jets_m)
     C = beam.measured_C()
@@ -1037,8 +1042,8 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
     ds_w = np.gradient(phase.s)
     norms, sups = [], []
     for tau in tau_list:
-        half = np.minimum(plateau, kw / np.sqrt(C * tau))
-        ypts, axes = _tensor_grid(half, nw)
+        half = np.minimum(plateau, _MEAS_KW / np.sqrt(C * tau))
+        ypts, axes = _tensor_grid(half, _MEAS_NW)
         cellw = [np.gradient(ax) for ax in axes]
         wy = cellw[0]
         for cw in cellw[1:]:
@@ -1051,11 +1056,11 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0, *,
         l2 = np.sqrt(np.sum(dens * wy[None, :] * ds_w[:, None]))
         norms.append(float(l2) * tau**k_norm)
         # C^0 size of the beam itself over the full tube
-        yfull, _ = _tensor_grid([dprime] * n, nw)
+        yfull, _ = _tensor_grid([dprime] * n, _MEAS_NW)
         af = data.amp_cube(tau).eval_grid(yfull)
         imf = data.phi.eval_grid(yfull).imag
         znorm = np.linalg.norm(yfull * bchart.scale, axis=-1)
-        cut = beam.chi(znorm / dprime)
+        cut = chi_plateau(znorm / dprime)
         sups.append(float(np.max(np.abs(af) * np.exp(-tau * imf)
                                  * cut[None, :])))
     slope, fitres = loglog_fit(tau_list, norms)

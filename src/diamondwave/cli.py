@@ -103,8 +103,10 @@ class ExperimentConfig:
         self.sections = sections
         met = self._sec("metric")
         self.n = _number(met.get("n", "2"), "metric.n", int)
-        if self.n < 1:
-            raise ConfigError("metric.n must be >= 1")
+        if self.n not in (2, 3):
+            # the covector quads of both routes need n >= 2; the geometry
+            # supports n <= 3
+            raise ConfigError(f"metric.n must be 2 or 3, got {self.n}")
         self.metric = self._build_metric(met)
         ap = self._sec("aperture")
         self.r = self._flt(ap, "r")
@@ -141,6 +143,8 @@ class ExperimentConfig:
             h = self._flt(gr, "h")
             dt = self._flt(gr, "dt")
             pad = _number(gr.get("pad", "0.25"), "grid.pad")
+            if h <= 0:
+                raise ConfigError(f"grid.h must be positive, got {h:g}")
             if dt <= 0:
                 raise ConfigError(f"grid.dt must be positive, got {dt:g}")
             if pad < 0:
@@ -801,10 +805,11 @@ def build_parser():
     r = sub.add_parser("recover", parents=[common],
                        help="run the recovery pipeline")
     r.add_argument("config", help="experiment config file")
-    r.add_argument("--fast-only", action="store_true",
-                   help="force the quadrature route")
-    r.add_argument("--full", action="store_true",
-                   help="force the PDE route for the interaction integral")
+    route = r.add_mutually_exclusive_group()
+    route.add_argument("--fast-only", action="store_true",
+                       help="force the quadrature route")
+    route.add_argument("--full", action="store_true",
+                       help="force the PDE route for the interaction integral")
 
     d = sub.add_parser("dump", parents=[common],
                        help="materialize a named object")

@@ -1,8 +1,8 @@
-"""Small arithmetic expression grammar for metric/potential fields.
+"""Small arithmetic expression grammar for the potential of a config file.
 
-Expressions use +, -, *, /, ^, sin, cos, exp and the variables t, x1..xn.
-They are parsed with sympy (restricted namespace) so that analytic
-derivatives are available for Christoffel symbols and wave operators.
+Expressions use +, -, *, /, ^, sin, cos, exp, sqrt and the variables
+t, x1..xn.  They are parsed with sympy in a restricted namespace and
+evaluated as numpy functions.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def parse_expression(text: str, n: int) -> sp.Expr:
 
 
 class ScalarField:
-    """Callable scalar field of (t, x') with analytic first/second derivatives.
+    """Callable scalar field of (t, x') parsed from an expression.
 
     Accepts points of shape (1+n,) or batched (..., 1+n).  `time_dependent`
     tells whether t occurs in the expression.
@@ -51,31 +51,14 @@ class ScalarField:
         syms = coordinate_symbols(n)
         if isinstance(syms, sp.Symbol):
             syms = (syms,)
-        self._syms = syms
         self._f = sp.lambdify(syms, expr, modules="numpy")
         self.time_dependent = syms[0] in expr.free_symbols
-        self._df = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "ScalarField":
         return cls(parse_expression(text, n), n)
 
-    @classmethod
-    def constant(cls, value: float, n: int) -> "ScalarField":
-        return cls(sp.Float(value), n)
-
-    def _args(self, x):
-        x = np.asarray(x, dtype=float)
-        return [x[..., i] for i in range(self.n + 1)]
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._f(*self._args(x))
+        out = self._f(*(x[..., i] for i in range(self.n + 1)))
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1]).copy()
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        args = self._args(x)
-        cols = [np.broadcast_to(np.asarray(d(*args), dtype=float), x.shape[:-1])
-                for d in self._df]
-        return np.stack(cols, axis=-1)

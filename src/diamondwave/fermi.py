@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (Metric, NullGeodesic, _rk4_geodesic, _rk4_span,
-                       _rk4_stages, is_flat)
+from .geometry import (NullGeodesic, _rk4_geodesic, _rk4_span, _rk4_stages,
+                       is_flat)
 
 
 class FermiError(RuntimeError):
@@ -21,6 +21,9 @@ class FermiError(RuntimeError):
 
 _SEED_BLOCK = 32    # geodesic samples per block of the Newton seed search
 _JACOBI_EPS = 1e-4  # step of the central difference that linearizes the spray
+# a Newton inverse has converged at this sup-norm residual, and gives up
+# after this many steps
+_NEWTON_TOL, _NEWTON_MAXITER = 1e-9, 30
 
 
 def _jacobi_spray(metric):
@@ -91,7 +94,7 @@ class PseudoFrame:
         return worst
 
 
-def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
+def build_frame(geodesic: NullGeodesic) -> PseudoFrame:
     """Initial frame by the lightlike-decomposition recipe, then parallel
     transport with RK4 along the sampled geodesic.
 
@@ -101,7 +104,7 @@ def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
     samples for Edot.  Each stage and sample contracts them as a single
     point would.
     """
-    metric = metric or geodesic.metric
+    metric = geodesic.metric
     n = metric.n
     x0 = geodesic.x[0]
     v0 = geodesic.xdot[0]
@@ -159,12 +162,12 @@ def build_frame(geodesic: NullGeodesic, metric: Metric = None) -> PseudoFrame:
 class FermiChart:
     """Exponential-map chart (s, z') -> spacetime around a null geodesic."""
 
-    def __init__(self, geodesic: NullGeodesic, frame: PseudoFrame = None,
-                 delta_prime=None, exp_steps=16):
+    def __init__(self, geodesic: NullGeodesic, delta_prime=None,
+                 exp_steps=16):
         self.geodesic = geodesic
         self.metric = geodesic.metric
         self.n = self.metric.n
-        self.frame = frame or build_frame(geodesic)
+        self.frame = build_frame(geodesic)
         length = geodesic.s[-1] - geodesic.s[0]
         self.delta_prime = delta_prime if delta_prime is not None else 0.15 * length
         self.exp_steps = exp_steps
@@ -266,7 +269,7 @@ class FermiChart:
             idx[closer] = i + j[closer]
         return self.geodesic.s[idx].astype(float)
 
-    def inverse_many(self, pts, tol=1e-9, maxiter=30):
+    def inverse_many(self, pts):
         """Vectorized Newton inversion of the forward map, (m, 1+n) points.
 
         Returns (s, z, inside) where points that diverge or land outside the
@@ -279,13 +282,13 @@ class FermiChart:
         z = np.zeros((m, self.n))
         alive = np.ones(m, dtype=bool)
         converged = np.zeros(m, dtype=bool)
-        for _ in range(maxiter):
+        for _ in range(_NEWTON_MAXITER):
             act = alive & ~converged
             if not act.any():
                 break
             sa, za, pa = s[act], z[act], pts[act]
             r = self.forward(sa, za) - pa
-            done = np.max(np.abs(r), axis=-1) < tol
+            done = np.max(np.abs(r), axis=-1) < _NEWTON_TOL
             idx = np.flatnonzero(act)
             converged[idx[done]] = True
             if done.all():
@@ -317,17 +320,16 @@ class FermiChart:
         # g(d_s, d_z1) = <E0, E1> = 2 on the axis; spatial block identity
         return frame_pairing_target(self.n)
 
-    def axis_defects(self, nsamp=9, h=None):
+    def axis_defects(self, nsamp=9):
         """(metric defect, first-derivative defect) on the axis.
 
-        The first derivatives are central differences in every chart
-        direction; the metric at all nsamp (3 + 2n) points is one batched
-        `pullback_metric` call.
+        The first derivatives are central differences of step
+        max(delta'/64, 1e-4) in every chart direction; the metric at all
+        nsamp (3 + 2n) points is one batched `pullback_metric` call.
         """
         a, b = self.geodesic.s_range
         ss = np.linspace(a, b, nsamp)
-        if h is None:
-            h = max(self.delta_prime / 64.0, 1e-4)
+        h = max(self.delta_prime / 64.0, 1e-4)
         n = self.n
         # per sample: the axis point, then each +- pair of shifted points
         s = np.repeat(ss[:, None], 3 + 2 * n, axis=1)

@@ -11,11 +11,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exprs import ScalarField
-
 
 class GeometryError(RuntimeError):
     pass
+
+
+H_G = 1e-5  # step of the central differences of split-metric coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,7 @@ class SplitMetric(Metric):
     """Metric of the form -beta(t,x') dt^2 + g(t,x') on R x R^n.
 
     `beta` maps (...,1+n) -> (...); `gmat` maps (...,1+n) -> (...,n,n).
-    Analytic derivative closures may be supplied; otherwise central finite
-    differences of beta and g with step `h_g` are used.
+    Their derivatives are central finite differences with step `H_G`.
 
     The kernels use the block structure: the inverse is -1/beta (+) g^{-1}
     with the n x n inverse by cofactors, and `christoffel` is the block
@@ -120,47 +120,10 @@ class SplitMetric(Metric):
 
     kind = "split"
 
-    def __init__(self, n, beta, gmat, dbeta=None, dgmat=None, h_g=1e-5):
+    def __init__(self, n, beta, gmat):
         super().__init__(n)
         self.beta = beta
         self.gmat = gmat
-        self._dbeta = dbeta
-        self._dgmat = dgmat
-        self.h_g = h_g
-
-    @classmethod
-    def from_expressions(cls, n, beta_text, g_texts):
-        """Build from the config expression grammar.
-
-        g_texts is an n x n nested list of expression strings.
-        """
-        beta_f = ScalarField.from_text(beta_text, n)
-        g_f = [[ScalarField.from_text(g_texts[i][j], n) for j in range(n)]
-               for i in range(n)]
-
-        def beta(x):
-            return beta_f(x)
-
-        def gmat(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape[:-1] + (n, n))
-            for i in range(n):
-                for j in range(n):
-                    out[..., i, j] = g_f[i][j](x)
-            return out
-
-        def dbeta(x):
-            return beta_f.gradient(x)
-
-        def dgmat(x):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape[:-1] + (n + 1, n, n))
-            for i in range(n):
-                for j in range(n):
-                    out[..., :, i, j] = g_f[i][j].gradient(x)
-            return out
-
-        return cls(n, beta, gmat, dbeta=dbeta, dgmat=dgmat)
 
     def matrix(self, x):
         x = np.asarray(x, dtype=float)
@@ -181,9 +144,7 @@ class SplitMetric(Metric):
 
     def _derivatives(self, x):
         """(d_k beta, d_k g_ij), shapes (..., 1+n) and (..., 1+n, n, n)."""
-        if self._dbeta is not None and self._dgmat is not None:
-            return self._dbeta(x), self._dgmat(x)
-        h = self.h_g
+        h = H_G
         e = h * np.eye(self.dim)
         db = np.empty(x.shape[:-1] + (self.dim,))
         dg = np.empty(x.shape[:-1] + (self.dim, self.n, self.n))
@@ -347,10 +308,11 @@ def flat(metric: Metric, p, v):
     return np.einsum("...ij,...j->...i", metric.matrix(p), np.asarray(v, dtype=float))
 
 
-def is_null(metric: Metric, p, v, tol=1e-10):
+def is_null(metric: Metric, p, v):
+    """Whether |<v, v>| <= 1e-10 max_i |v^i|^2 at p."""
     v = np.asarray(v, dtype=float)
     scale = max(np.max(np.abs(v)) ** 2, 1e-300)
-    return abs(float(metric.inner(p, v, v))) <= tol * scale
+    return abs(float(metric.inner(p, v, v))) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +485,13 @@ def _rk4_geodesic_path(metric, x0, v0, span, nsteps):
     return xs, vs
 
 
-def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
-                            max_refine=4):
+_MAX_REFINE = 4     # step halvings of `integrate_null_geodesic`
+
+
+def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200):
     """Integrate the null geodesic through (p, v) over s in [a, b].
 
-    Classical RK4 with a fixed step; the step is halved (up to `max_refine`
+    Classical RK4 with a fixed step; the step is halved (up to `_MAX_REFINE`
     times) while the null defect sup |<gdot,gdot>| exceeds 1e-9.
     """
     p = np.asarray(p, dtype=float)
@@ -542,7 +506,7 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200,
         raise GeometryError("empty parameter range")
 
     nsteps = max(8, int(np.ceil(span * steps_per_unit)))
-    for _ in range(max_refine + 1):
+    for _ in range(_MAX_REFINE + 1):
         # integrate forward from s=0 towards both ends (p sits at s=0)
         nf = max(1, int(round(nsteps * max(b, 0) / span))) if b > 0 else 0
         nb = max(1, int(round(nsteps * max(-a, 0) / span))) if a < 0 else 0

@@ -51,20 +51,20 @@ def chi_indicator(m):
 
 
 def resolve_chi(spec):
-    if spec == "bump" or spec is None:
+    """The cutoff profile named "bump" or ("indicator", m)."""
+    if spec == "bump":
         return chi_bump
-    if callable(spec):
-        return spec
     if isinstance(spec, tuple) and spec[0] == "indicator":
         return chi_indicator(spec[1])
     raise GOError(f"unknown cutoff profile {spec!r}")
 
 
-def cumint(s, f, i0, axis=0):
-    """int_{s[i0]}^{s} f ds~ along `axis` by cumulative Simpson (complex ok)."""
-    out = (cumulative_simpson(f.real, x=s, axis=axis, initial=0.0)
-           + 1j * cumulative_simpson(f.imag, x=s, axis=axis, initial=0.0))
-    return out - np.take(out, [i0], axis=axis)
+def cumint(s, f, i0):
+    """int_{s[i0]}^{s} f ds~ along the first axis by cumulative Simpson
+    (complex ok)."""
+    out = (cumulative_simpson(f.real, x=s, axis=0, initial=0.0)
+           + 1j * cumulative_simpson(f.imag, x=s, axis=0, initial=0.0))
+    return out - np.take(out, [i0], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ class GOPacket:
     """Hypercube-supported geometric-optics packet of depth N."""
 
     def __init__(self, n, q, xi, delta, V=None, N=2, chi="bump",
-                 s_range=(-1.0, 1.0), ns=601, nw=49, r_aperture=None):
+                 s_range=(-1.0, 1.0), ns=601, nw=49):
         self.n = int(n)
         self.q = np.asarray(q, dtype=float)
         self.xi = np.asarray(xi, dtype=float)
@@ -105,11 +105,6 @@ class GOPacket:
         self.delta = float(delta)
         self.N = int(N)
         self.chi = resolve_chi(chi)
-        self.warnings = []
-        if r_aperture is not None and self.delta * np.sqrt(n) > r_aperture:
-            self.warnings.append(
-                f"support hypercube (half-diag {self.delta * np.sqrt(n):.3g}) "
-                f"exceeds aperture radius {r_aperture:.3g}")
 
         self._build_frames()
         self._build_grid(s_range, ns, nw)

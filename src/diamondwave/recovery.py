@@ -20,10 +20,10 @@ any wave type.
 """
 
 import csv
-import functools
 import itertools
 
 import numpy as np
+from scipy.integrate import simpson
 
 from . import geometry as geo
 from . import go, solver, sources
@@ -168,49 +168,37 @@ def tensor_quadrature(center, half_widths, nq):
 # closed-form packets for the quadrature-only route
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+# Gauss-Legendre nodes and weights on [-1, 1] of the potential integral
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_ORACLE_NODES = 4001    # Simpson nodes of the line-integral oracles
 
 
-def _chi_second_derivative(chi):
-    """chi'' as a callable; analytic for the standard bump, else central FD."""
-    if chi is go.chi_bump:
-        def d2(u):
-            u = np.asarray(u, dtype=float)
-            inside = np.abs(u) < 1.0
-            us = np.where(inside, u, 0.0)
-            one = 1.0 - us**2
-            g1 = -2.0 * us / one**2
-            g2 = -2.0 * (1.0 + 3.0 * us**2) / one**3
-            return np.where(inside, chi(us) * (g1 * g1 + g2), 0.0)
-        return d2
-    h = 1e-4
-
-    def d2(u):
-        return (chi(u + h) - 2.0 * chi(u) + chi(u - h)) / h**2
-    return d2
+def _chi_bump_d2(u):
+    """Second derivative of the bump `go.chi_bump`, in closed form."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    us = np.where(inside, u, 0.0)
+    one = 1.0 - us**2
+    g1 = -2.0 * us / one**2
+    g2 = -2.0 * (1.0 + 3.0 * us**2) / one**3
+    return np.where(inside, go.chi_bump(us) * (g1 * g1 + g2), 0.0)
 
 
 class LinePacket:
     """Geometric-optics packet in closed form (flat background).
 
-    The leading amplitude a0 is a bump profile constant along the flow, so
-    the first transport integral collapses to
+    The leading amplitude a0 is a product of bumps (`go.chi_bump`) across
+    the flow and constant along it, so the first transport integral
+    collapses to
         a1 = (1/2i) (s * lap_perp a0 + a0 * int_0^s V(gamma) ds~),
     with no grid construction needed.  The potential integral runs along the
     characteristic through the evaluation point back to the anchoring
     hyperplane s = 0; it is computed by Gauss-Legendre nodes on the segment,
-    whose physical length stays O(1) even for rescaled covectors.  For the
-    standard bump, whose chi'' is zero outside (-1, 1), a1 vanishes
-    wherever a0 does.
+    whose physical length stays O(1) even for rescaled covectors.  The
+    bump's chi'' is zero outside (-1, 1), so a1 vanishes wherever a0 does.
     """
 
-    def __init__(self, q, xi, delta, V=None, chi="bump", gl_nodes=64):
+    def __init__(self, q, xi, delta, V=None):
         self.q = np.asarray(q, dtype=float)
         self.xi = np.asarray(xi, dtype=float)
         n = len(self.q) - 1
@@ -220,8 +208,6 @@ class LinePacket:
             raise RecoveryError("covector is not light-like")
         self.delta = float(delta)
         self.V = V
-        self.chi = go.resolve_chi(chi)
-        self._chi_d2 = _chi_second_derivative(self.chi)
         self.xi_sharp = np.concatenate([[-xi0], xip])
         # flow coordinates: s along gamma, w0 phase direction, w transverse
         self._s_row = self.xi_sharp / (2.0 * xi0 * xi0)
@@ -236,7 +222,6 @@ class LinePacket:
                 break
         self._omegas = np.array([np.concatenate([[0.0], om])
                                  for om in basis[1:]])
-        self._gl = _gauss_legendre(int(gl_nodes))
 
     def coords(self, x):
         """(s, w0, transverse array) of spacetime points x (..., 1+n)."""
@@ -252,14 +237,14 @@ class LinePacket:
     def _profiles(self, w0, wt):
         """(a0, lap_perp a0) from the cutoff profiles."""
         d = self.delta
-        f0 = self.chi(w0 / d)
-        ft = [self.chi(wt[..., i] / d) for i in range(wt.shape[-1])]
+        f0 = go.chi_bump(w0 / d)
+        ft = [go.chi_bump(wt[..., i] / d) for i in range(wt.shape[-1])]
         a0 = f0
         for f in ft:
             a0 = a0 * f
         lap = np.zeros_like(a0)
         for i in range(wt.shape[-1]):
-            term = f0 * self._chi_d2(wt[..., i] / d) / d**2
+            term = f0 * _chi_bump_d2(wt[..., i] / d) / d**2
             for j, f in enumerate(ft):
                 if j != i:
                     term = term * f
@@ -270,10 +255,9 @@ class LinePacket:
         """int_0^{s(x)} V along the characteristic through x."""
         if self.V is None:
             return np.zeros_like(s)
-        t, w = self._gl
         x = np.asarray(x, dtype=float)
         out = np.zeros(s.shape)
-        for ti, wi in zip(t, w):
+        for ti, wi in zip(_GL_NODES, _GL_WEIGHTS):
             # node s~ = s (ti+1)/2 on [0, s], offset from x by (s~ - s) xi^#
             off = s * ((ti + 1.0) / 2.0 - 1.0)
             pts = x + off[..., None] * self.xi_sharp
@@ -287,9 +271,9 @@ class LinePacket:
     def support(self, x):
         """Mask of the spacetime points x where a0 is nonzero."""
         w0, wt = self._cross_coords(np.asarray(x, dtype=float) - self.q)
-        inside = self.chi(w0 / self.delta) != 0
+        inside = go.chi_bump(w0 / self.delta) != 0
         for i in range(wt.shape[-1]):
-            inside &= self.chi(wt[..., i] / self.delta) != 0
+            inside &= go.chi_bump(wt[..., i] / self.delta) != 0
         return inside
 
     def amplitudes(self, x):
@@ -333,8 +317,7 @@ class PacketQuad:
     zero bitwise (the last one is defined by the dependence).
     """
 
-    def __init__(self, p, s0, direction, sigma, V=None, delta=0.1,
-                 e2=None, chi="bump", gl_nodes=64):
+    def __init__(self, p, s0, direction, sigma, V=None, delta=0.1):
         p = np.asarray(p, dtype=float)
         n = len(p) - 1
         if n < 2:
@@ -346,11 +329,9 @@ class PacketQuad:
         self.sigma = float(sigma)
         xp = np.asarray(direction, dtype=float)
         xp = xp / np.linalg.norm(xp)
-        if e2 is None:
-            cand = np.eye(n)[int(np.argmin(np.abs(xp)))]
-            e2 = cand - (cand @ xp) * xp
-            e2 = e2 / np.linalg.norm(e2)
-        e2 = np.asarray(e2, dtype=float)
+        cand = np.eye(n)[int(np.argmin(np.abs(xp)))]
+        e2 = cand - (cand @ xp) * xp
+        e2 = e2 / np.linalg.norm(e2)
         root = np.sqrt(1.0 - sigma**2)
         k1, k2 = sources.kappa_closed_form(sigma)
         tilde = [np.concatenate([[-1.0], -xp]),
@@ -369,29 +350,26 @@ class PacketQuad:
             sharp = np.concatenate([[-xi[j][0]], xi[j][1:]])
             qj = p - self.s_at_p[j] * sharp
             self.anchors.append(qj)
-            self.packets.append(LinePacket(qj, xi[j], delta, V=V, chi=chi,
-                                           gl_nodes=gl_nodes))
+            self.packets.append(LinePacket(qj, xi[j], delta, V=V))
 
     def xi_total(self):
         return self.xi[0] + self.xi[1] + self.xi[2] + self.xi[3]
 
-    def c_values(self, V, nq=4001):
+    def c_values(self, V):
         """Quadrature oracle for the segment weights: 2i c^{(j)} = int V."""
         out = []
         for j in range(4):
             pk = self.packets[j]
-            s = np.linspace(0.0, self.s_at_p[j], nq)
+            s = np.linspace(0.0, self.s_at_p[j], _ORACLE_NODES)
             vals = np.asarray(V(pk.flow_point(s)))
-            from scipy.integrate import simpson
             out.append(simpson(vals, x=s) / 2j)
         return np.array(out)
 
-    def target_line_integral(self, V, nq=4001):
+    def target_line_integral(self, V):
         """Oracle for the sigma -> 0 limit: int_0^{s0} V down from anchor 0."""
-        s = np.linspace(0.0, self.s0, nq)
+        s = np.linspace(0.0, self.s0, _ORACLE_NODES)
         seg = self.anchors[0] + s[:, None] * np.concatenate(
             [[-1.0], self.xi[1][1:] / self.kappa[1]])
-        from scipy.integrate import simpson
         return float(simpson(np.asarray(V(seg)), x=s))
 
 
@@ -399,7 +377,12 @@ class PacketQuad:
 # interaction integral by quadrature
 # ---------------------------------------------------------------------------
 
-def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
+# largest integrand on the box boundary, relative to its peak, that still
+# counts as localized
+_LOC_TOL = 1e-3
+
+
+def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=_LOC_TOL):
     """Quadrature of the product of the given waves on a box around center.
 
     When every wave exposes a linear phase (GO packets), the total covector
@@ -431,7 +414,7 @@ def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=1e-3):
     return complex(np.sum(w * integrand))
 
 
-def interaction_series(packets, center, half_widths, nq=41, loc_tol=1e-3):
+def interaction_series(packets, center, half_widths, nq=41):
     """Exact leading coefficients (I0, Im1, csum) of I(tau) for line packets.
 
     With covectors summing to zero the quadrature of I(tau) carries no
@@ -461,7 +444,7 @@ def interaction_series(packets, center, half_widths, nq=41, loc_tol=1e-3):
     peak = float(np.max(np.abs(a0_prod), initial=0.0))
     if peak > 0:
         leak = float(np.max(np.abs(a0_prod[boundary]), initial=0.0)) / peak
-        if leak > loc_tol:
+        if leak > _LOC_TOL:
             raise RecoveryError(
                 f"tube intersection not localized (boundary level {leak:.1e})")
     I0 = complex(np.sum(w * a0_prod))
@@ -479,12 +462,13 @@ def interaction_series(packets, center, half_widths, nq=41, loc_tol=1e-3):
 # sigma limit, differentiation
 # ---------------------------------------------------------------------------
 
-def richardson_sigma(sigmas, values, tol=0.5):
+def richardson_sigma(sigmas, values):
     """sigma -> 0 limit of values sampled on a halving sigma schedule.
 
     The error is O(sigma^2), so successive pairs eliminate sigma^2 then
-    sigma^4.  Returns (limit, flags); a flag is raised when the corrections
-    do not shrink (extrapolation not in its asymptotic regime).
+    sigma^4.  Returns (limit, flags); a flag is raised when the last
+    difference of successive values is more than half the one before it
+    (extrapolation not in its asymptotic regime).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -494,7 +478,7 @@ def richardson_sigma(sigmas, values, tol=0.5):
         raise RecoveryError("sigma schedule must halve at each step")
     flags = []
     first = np.abs(np.diff(values))
-    if len(first) >= 2 and first[-1] > tol * first[-2] and \
+    if len(first) >= 2 and first[-1] > 0.5 * first[-2] and \
             first[-2] > 1e-14 * max(np.abs(values)):
         flags.append("sigma extrapolation non-monotone")
     level = values
@@ -562,7 +546,7 @@ class RecoveryReport:
 
 
 def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
-                  nq=41, V_true=None, report=None):
+                  V_true=None, report=None):
     """Recover V(p) by the quadrature route; returns (value, flags, report).
 
     Pipeline: returning geodesics fix the segment geometry; for three
@@ -590,8 +574,7 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
         sigmas = [sigma0, sigma0 / 2, sigma0 / 4]
         for sig in sigmas:
             quad = PacketQuad(pp, s0, direction, sig, V=V, delta=delta)
-            I0, Im1, csum = interaction_series(quad.packets, pp, 3.0 * delta,
-                                               nq)
+            I0, Im1, csum = interaction_series(quad.packets, pp, 3.0 * delta)
             # the reversal packet integrates from its anchor backwards along
             # the flow (its parameter at p is negative), so the rescaled
             # c-sum carries a minus sign relative to the down-segment
@@ -669,9 +652,12 @@ class FullPathResult:
         self.group_velocity = float(solver.stencil_group_velocity(kh))
 
 
+_H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
+
+
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
-                          h=0.006, dt=None, pad=0.25, rho=0.06, h_eps=0.1,
-                          nq=41, check=True, consistency=False):
+                          h=0.006, dt=None, pad=0.25, rho=0.06, check=True,
+                          consistency=False):
     """Interaction integral I(tau) through the nonlinear solver.
 
     The eight corners of the three-parameter source family (plus eight at
@@ -752,10 +738,10 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                              store="none", observers=(obs,))
         return buf
 
-    stencil = cross_derivative(_odd(solve), h_eps, check=check)
+    stencil = cross_derivative(_odd(solve), _H_EPS, check=check)
     vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
     I_full = pairing_integral(tgrid, vfield, fplus)
-    I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta, nq=nq)
+    I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta)
 
     I_check = None
     if consistency:
@@ -771,14 +757,14 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
 
 def recover_region(metric, V, points, r, T, V_true=None, sigma0=0.1,
-                   delta=0.1, ds0=0.05, nq=41):
+                   delta=0.1, ds0=0.05):
     """Run `recover_point` over a point list; failures are recorded rows."""
     report = RecoveryReport()
     for p in points:
         p = np.asarray(p, dtype=float)
         try:
             recover_point(metric, V, p, r, T, sigma0=sigma0, delta=delta,
-                          ds0=ds0, nq=nq, V_true=V_true, report=report)
+                          ds0=ds0, V_true=V_true, report=report)
         except (RecoveryError, sources.SourceError, geo.GeometryError,
                 solver.SolverError, np.linalg.LinAlgError) as exc:
             report.add(p_t=p[0], p_x1=p[1],

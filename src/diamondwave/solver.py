@@ -393,9 +393,10 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
                   blowup_factor, backward=False)
 
 
-def solve_backward(metric, grid, V, f: SourceTerm, store="all", observers=()):
-    """Solve the linear backward problem with zero data at the last slice."""
-    return _march(metric, grid, V, f, False, store, observers, 1e6, backward=True)
+def solve_backward(metric, grid, V, f: SourceTerm):
+    """Solve the linear backward problem with zero data at the last slice,
+    keeping every slice."""
+    return _march(metric, grid, V, f, False, "all", (), 1e6, backward=True)
 
 
 class _Leapfrog:

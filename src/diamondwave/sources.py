@@ -258,11 +258,12 @@ def _line_margin(vm, vp, exclude):
     return float(exclude * np.sqrt(max(2.0 - 2.0 * cos, 0.0)))
 
 
-def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
+def find_returning_geodesics(metric, p, r, T, anchors=None):
     """Null geodesics gamma_-/gamma_+ through p returning to the cylinder.
 
     Only flat backgrounds are supported: there the geodesics are the null
-    lines from p to each anchor's world line, in closed form.
+    lines from p to each anchor's world line, in closed form.  An anchor
+    qualifies when its margin is at least 1e-3.
     """
     if not geo.is_flat(metric):
         raise SourceError("returning geodesics need a flat background")
@@ -286,7 +287,7 @@ def find_returning_geodesics(metric, p, r, T, anchors=None, margin_min=1e-3):
             vm = np.concatenate([[1.0], u])
             vp = np.concatenate([[1.0], -u])
             margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
-            if margin < margin_min:
+            if margin < 1e-3:
                 raise SourceError("returning geodesics fail transversality")
             return ReturningGeodesics(p, qm, qp, margin)
         except SourceError as exc:

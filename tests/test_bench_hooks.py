@@ -1,31 +1,62 @@
-"""The benchmark's tracing wraps library entry points by name.
+"""The benchmark's workloads call the library, and its tracing wraps
+library entry points by name.
 
 A renamed or removed entry point (say `beam.solve_amplitudes` or
-`FermiChart.forward`) makes `perfbench/tracing.install` fail, and a hook
-that reads its arguments by position breaks when a signature changes; these
-tests make both a test failure instead of a benchmark failure.
+`FermiChart.forward`) makes `perfbench/tracing.install` fail, a hook that
+reads its arguments by position breaks when a signature changes, and a
+workload breaks when a parameter it passes is removed; these tests make
+each a test failure instead of a benchmark failure.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
-from diamondwave import beam, fermi, solver
+from diamondwave import beam, fermi, recovery, solver, sources
 from diamondwave import geometry as geo
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_workload_calls_bind_to_library_signatures():
+    # every library call of perfbench/workloads.py, with its keywords, bound
+    # against the current signatures; binding runs nothing
+    wl = load_perfbench("workloads")
+    built = {name: cls(0) for name, cls in wl.WORKLOADS.items()}
+    assert set(built) == {"fast_recovery", "full_route", "curved_beam"}
+    metric, V, p = geo.minkowski(2), built["fast_recovery"].V, np.zeros(3)
+    calls = [
+        (recovery.full_path_interaction, (metric, None),
+         dict(tau=wl.FULL_ROUTE_TAU, check=True, **wl.FULL_ROUTE_ARGS)),
+        (recovery.recover_point, (metric, None, p, wl.R, wl.T), {}),
+        (recovery.recover_region, (metric, V, [p], wl.R, wl.T),
+         dict(V_true=V)),
+        (recovery.PacketQuad, (p, 1.0, p[1:], 0.1), dict(V=V)),
+        (recovery.PacketQuad.target_line_integral, (None, V), {}),
+        (sources.find_returning_geodesics, (metric, p, wl.R, wl.T), {}),
+        (geo.SplitMetric, (2,), dict(beta=None, gmat=None)),
+        (geo.integrate_null_geodesic, (metric, p, p, (0.0, 1.5)),
+         dict(steps_per_unit=400)),
+        (fermi.FermiChart, (None,), {}),
+        (beam.make_beam, (None,), dict(V=V, N=4)),
+        (beam.beam_residual_scaling, (None, V, wl.BEAM_TAUS), {}),
+    ]
+    for func, args, kwargs in calls:
+        inspect.signature(func).bind(*args, **kwargs)
+
+
 def test_tracing_installs_and_restores_every_hook():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     originals = (beam.solve_amplitudes, fermi.FermiChart.forward)
     metric = geo.minkowski(2)
     tracer = tracing.Tracer()
@@ -42,7 +73,7 @@ def test_tracing_installs_and_restores_every_hook():
 def test_traced_march_reads_grid_and_source_by_position():
     # the march hook reads the grid and the source as args[1] and args[3]
     # of solve_forward(metric, grid, V, f)
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     metric = geo.minkowski(1)
     grid = solver.Grid.for_ball(1, 0.2, 0.2, h=0.05, dt=0.02)
     f = solver.SourceTerm.from_closure(

@@ -308,7 +308,8 @@ def test_recover_non_numeric_value_is_config_error(tmp_path, capsys, section,
     ("pipeline", "ds0", "0"), ("pipeline", "ds0", "-0.05"),
     ("pipeline", "ds0", "nan"), ("packets", "delta", "-0.1"),
     ("packets", "delta", "0"), ("grid", "dt", "0"), ("grid", "dt", "-0.004"),
-    ("grid", "pad", "-0.1"), ("full", "tau", "0")])
+    ("grid", "h", "0"), ("grid", "h", "-0.012"), ("grid", "pad", "-0.1"),
+    ("full", "tau", "0")])
 def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
                                                  key, value):
     base = RECOVER_CFG + (GRID_CFG if section == "grid" else "")
@@ -316,4 +317,24 @@ def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
     out = tmp_path / "out"
     assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_recover_unsupported_dimension_is_config_error(tmp_path, capsys, n):
+    # both routes need n >= 2 and the geometry stops at n = 3
+    cfgp = write_cfg(tmp_path, set_entry(RECOVER_CFG, "metric", "n", n))
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
+    assert "metric.n must be 2 or 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_route_flags_are_exclusive(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, RECOVER_CFG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["recover", cfgp, "--fast-only", "--full", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "not allowed with" in capsys.readouterr().err
     assert not out.exists()

@@ -132,9 +132,3 @@ def test_n1_packet_transport():
     p = make_packet(N=1, n=1, V=lambda x: np.full(np.asarray(x).shape[:-1], c))
     a1 = p.amplitude(1, p.flow_point(np.array([0.6]))[0])
     assert a1 == pytest.approx(c * 0.6 / 2j, abs=1e-7)
-
-
-def test_aperture_warning():
-    xi = np.array([-1.0, 1.0, 0.0])
-    p = go.GOPacket(2, np.zeros(3), xi, 0.5, N=0, r_aperture=0.4)
-    assert p.warnings
