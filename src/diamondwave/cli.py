@@ -108,9 +108,8 @@ class ExperimentConfig:
             # supports n <= 3
             raise ConfigError(f"metric.n must be 2 or 3, got {self.n}")
         self.metric = self._build_metric(met)
-        ap = self._sec("aperture")
-        self.r = self._flt(ap, "r")
-        self.T = self._flt(ap, "T")
+        self.r = self._flt("aperture", "r")
+        self.T = self._flt("aperture", "T")
         if self.r <= 0 or self.T <= 0:
             raise ConfigError("aperture r and T must be positive")
         pot = self.sections.get("potential", {})
@@ -140,8 +139,8 @@ class ExperimentConfig:
         gr = self.sections.get("grid", None)
         self.grid_params = None
         if gr is not None:
-            h = self._flt(gr, "h")
-            dt = self._flt(gr, "dt")
+            h = self._flt("grid", "h")
+            dt = self._flt("grid", "dt")
             pad = _number(gr.get("pad", "0.25"), "grid.pad")
             if h <= 0:
                 raise ConfigError(f"grid.h must be positive, got {h:g}")
@@ -167,11 +166,13 @@ class ExperimentConfig:
             raise ConfigError(f"missing required [{name}] section")
         return self.sections[name]
 
-    @staticmethod
-    def _flt(sec, key):
+    def _flt(self, section, key):
+        """The required number `key` of [section], named section.key in
+        errors."""
+        sec = self._sec(section)
         if key not in sec:
-            raise ConfigError(f"missing key {key!r}")
-        return _number(sec[key], f"key {key!r}")
+            raise ConfigError(f"missing key {section}.{key}")
+        return _number(sec[key], f"{section}.{key}")
 
     def _build_metric(self, met):
         # both recovery routes and the wave solver need a flat background
@@ -274,12 +275,12 @@ def _run_checks(checks):
     return rows
 
 
-def _split_test_metric(n=2, amp=0.05):
+def _split_test_metric(amp=0.05):
     return geo.SplitMetric(
-        n,
+        2,
         beta=lambda x: 1 + amp * np.sin(np.asarray(x)[..., 1]),
         gmat=lambda x: (1 + amp * np.asarray(x)[..., 0])[..., None, None]
-        * np.eye(n),
+        * np.eye(2),
     )
 
 
@@ -352,11 +353,10 @@ def _suite_geometry(rng):
             ("diamond_membership", diamond_membership)]
 
 
-def _flat_chart(n=2, span=(0.0, 2.0)):
-    m = geo.minkowski(n)
-    v = np.zeros(n + 1)
-    v[0] = v[1] = 1.0
-    g = geo.integrate_null_geodesic(m, np.zeros(n + 1), v, span)
+def _flat_chart(span=(0.0, 2.0)):
+    m = geo.minkowski(2)
+    v = np.array([1.0, 1.0, 0.0])
+    g = geo.integrate_null_geodesic(m, np.zeros(3), v, span)
     return fermi.FermiChart(g)
 
 
@@ -402,10 +402,29 @@ def _suite_fermi(rng):
         dev = float(np.max(np.abs(J - ref)) / np.max(np.abs(ref)))
         return dev < 1e-8, f"rel dev {dev:.2e}"
 
+    def jacobi_spray_vs_difference():
+        # the closed-form linearized spray against a Richardson-extrapolated
+        # central difference of the spray along (xi, eta), steps 1e-2 and
+        # 5e-3; the bound covers the rounding of the metric's second
+        # differences (step geometry.H_G2)
+        ms, m = _split_test_metric(), 64
+        x = rng.uniform(-1.0, 1.0, (m, 3))
+        v, xi, eta = rng.normal(size=(3, m, 3))
+        dacc = ms.linearized_spray(x, v, xi[None], eta[None])[1][0]
+
+        def diff(h):
+            acc = ms.geodesic_acceleration
+            return (acc(x + h * xi, v + h * eta)
+                    - acc(x - h * xi, v - h * eta)) / (2 * h)
+        ref = (4 * diff(5e-3) - diff(1e-2)) / 3
+        dev = float(np.max(np.abs(dacc - ref)) / np.max(np.abs(ref)))
+        return dev < 2e-6, f"rel dev {dev:.2e}"
+
     return [("flat_forward_closed_form", flat_forward),
             ("perturbed_axis_defects", perturbed_axis),
             ("frame_pairings_conserved", frame_pairings),
-            ("chart_jacobian_vs_stencil", jacobian_vs_stencil)]
+            ("chart_jacobian_vs_stencil", jacobian_vs_stencil),
+            ("split_jacobi_spray_vs_difference", jacobi_spray_vs_difference)]
 
 
 def _suite_go(rng):
@@ -488,7 +507,8 @@ def _suite_solver(rng):
                 leak = max(leak, float(np.max(np.abs(U.data[mstep][outside]))))
         return leak < 1e-10, f"cone leak {leak:.2e}"
 
-    def snapshot_roundtrip(tmpname="__verify_snap.bin"):
+    def snapshot_roundtrip():
+        tmpname = "__verify_snap.bin"
         fld = solver.GridField(grid, rng.normal(size=(grid.nt,) + grid.shape))
         solver.write_snapshot(tmpname, fld)
         back = solver.read_snapshot(tmpname)

@@ -20,7 +20,6 @@ class FermiError(RuntimeError):
 
 
 _SEED_BLOCK = 32    # geodesic samples per block of the Newton seed search
-_JACOBI_EPS = 1e-4  # step of the central difference that linearizes the spray
 # a Newton inverse has converged at this sup-norm residual, and gives up
 # after this many steps
 _NEWTON_TOL, _NEWTON_MAXITER = 1e-9, 30
@@ -31,20 +30,12 @@ def _jacobi_spray(metric):
 
     x and x' stack the geodesic at index 0 and the fields after it on a
     leading axis.  A field's acceleration is the linearized spray along the
-    field, one central difference of `geodesic_acceleration` with step
-    `_JACOBI_EPS`.  Each spray is its own call, so a call holds no more
-    points than the geodesic alone.
+    field, in closed form from one metric stencil per call
+    (`SplitMetric.linearized_spray`).
     """
-    spray = metric.geodesic_acceleration
-
     def acc(x, v):
         out = np.empty_like(x)
-        out[0] = spray(x[0], v[0])
-        for j in range(1, len(x)):
-            dx, dv = _JACOBI_EPS * x[j], _JACOBI_EPS * v[j]
-            np.subtract(spray(x[0] + dx, v[0] + dv),
-                        spray(x[0] - dx, v[0] - dv), out=out[j])
-        out[1:] /= 2 * _JACOBI_EPS
+        out[0], out[1:] = metric.linearized_spray(x[0], v[0], x[1:], v[1:])
         return out
     return acc
 

@@ -17,6 +17,7 @@ class GeometryError(RuntimeError):
 
 
 H_G = 1e-5  # step of the central differences of split-metric coefficients
+H_G2 = 1e-4  # step of their second differences (`linearized_spray`)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +133,17 @@ class SplitMetric(Metric):
         out[..., 1:, 1:] = self.gmat(x)
         return out
 
-    def _inverse_blocks(self, x):
-        """(1/beta, g^{-1}) at x; the spatial inverse by cofactors."""
+    def _values(self, x):
+        """(beta, g) at x, beta broadcast over the leading axes of x."""
         beta = np.empty(x.shape[:-1])
         beta[...] = self.beta(x)
-        ginv, det = _cofactor_inverse(self.gmat(x))
+        return beta, self.gmat(x)
+
+    @staticmethod
+    def _inverse_blocks(beta, g):
+        """(1/beta, g^{-1}) from the values at a point; the spatial inverse
+        by cofactors."""
+        ginv, det = _cofactor_inverse(g)
         ok = np.isfinite(beta) & (beta != 0) & np.isfinite(det) & (det != 0)
         if not ok.all():
             raise GeometryError("degenerate metric at point")
@@ -156,11 +163,36 @@ class SplitMetric(Metric):
         dg /= 2 * h
         return db, dg
 
+    def _second_derivatives(self, x, beta, g):
+        """(d_k d_l beta, d_k d_l g_ij): nested lists over k and l of arrays
+        (...) and (..., n, n), whose (l, k) entry is the (k, l) one.  Second
+        differences of step `H_G2` around the values beta and g at x, from
+        x +- H e_k and the corners x +- H e_k +- H e_l."""
+        dim, h2 = self.dim, H_G2 * H_G2
+        e = H_G2 * np.eye(dim)
+        hb = [[None] * dim for _ in range(dim)]
+        hg = [[None] * dim for _ in range(dim)]
+        for k in range(dim):
+            xp, xm = x + e[k], x - e[k]
+            hb[k][k] = ((self.beta(xp) - 2.0 * beta) + self.beta(xm)) / h2
+            hg[k][k] = ((self.gmat(xp) - 2.0 * g) + self.gmat(xm)) / h2
+            for l in range(k + 1, dim):
+                # the corners ++, +-, -+, -- of the (k, l) square
+                pts = [x + (e[k] + e[l]), x + (e[k] - e[l]),
+                       x - (e[k] - e[l]), x - (e[k] + e[l])]
+                cb = [self.beta(p) for p in pts]
+                cg = [self.gmat(p) for p in pts]
+                hb[k][l] = hb[l][k] = (
+                    ((cb[0] - cb[1]) - (cb[2] - cb[3])) / (4 * h2))
+                hg[k][l] = hg[l][k] = (
+                    ((cg[0] - cg[1]) - (cg[2] - cg[3])) / (4 * h2))
+        return hb, hg
+
     def inverse(self, x):
         """Block inverse -1/beta (+) g^{-1}; raises GeometryError where beta
         or det g is zero or non-finite."""
         x = np.asarray(x, dtype=float)
-        binv, ginv = self._inverse_blocks(x)
+        binv, ginv = self._inverse_blocks(*self._values(x))
         out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
         out[..., 0, 0] = -binv
         out[..., 1:, 1:] = ginv
@@ -184,7 +216,7 @@ class SplitMetric(Metric):
         """
         x = np.asarray(x, dtype=float)
         n, lead = self.n, x.shape[:-1]
-        binv, ginv = self._inverse_blocks(x)
+        binv, ginv = self._inverse_blocks(*self._values(x))
         db, dg = self._derivatives(x)
         w = (0.5 * binv)[..., None]
         hg = 0.5 * ginv
@@ -204,42 +236,74 @@ class SplitMetric(Metric):
         return gam
 
     def geodesic_acceleration(self, x, v):
-        """-Gamma^k_ij v^i v^j in block closed form, never building Gamma.
+        """-Gamma^k_ij v^i v^j in block closed form, never building Gamma
+        (`_spray_lowered`, `_raise`); batched over leading axes, or plain
+        scalars at a single point."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        binv, ginv = self._inverse_blocks(*self._values(x))
+        db, dg = self._derivatives(x)
+        _check_finite(db, dg)
+        vk = _components_first(v, 1)
+        gv = [_matvec(dgk, vk[1:]) for dgk in _components_first(dg, 3)]
+        return _raise(binv, _components_first(ginv, 2),
+                      *_spray_lowered(_components_first(db, 1), gv, vk))
 
-        With w = 1/(2 beta), spatial indices a, b, c, d, d_0 = d_t and
-        (v.dg)_cb = v^k d_k g_cb summed over all 1+n indices k:
-        acc^0 = -w (d_0 beta v0^2 + 2 v0 d_a beta v^a + d_0 g_ab v^a v^b),
-        acc^a = -1/2 g^{ac} (d_c beta v0^2 + 2 (v.dg)_cb v^b
-                             - d_c g_bd v^b v^d),
-        one component at a time: arrays over the leading axes, or plain
-        scalars at a single point.
+    def linearized_spray(self, x, v, xi, eta):
+        """(acc(x, v), d/de acc(x + e xi, v + e eta) at e = 0).
+
+        xi and eta stack fields on a leading axis, (m, ..., 1+n), and so
+        does the second result; acc is `geodesic_acceleration(x, v)` bit
+        for bit.  The linearization is in closed form from one stencil of
+        the metric (`_derivatives`, `_second_derivatives`).  In lowered
+        components (`_raise`) it sums
+        - the spray of the derivatives along xi, (d^2 beta . xi, d^2 g . xi);
+        - the derivatives of 1/beta and g^{-1} along xi, which add
+          2 (d beta . xi) acc^0 to the time and 2 (d g . xi)_cb acc^b to
+          the spatial components;
+        - the derivative along eta, 2 B(v, eta) with B the symmetric
+          bilinear form of the spray (`_spray_lowered_dv`).
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         n, dim = self.n, self.dim
-        binv, ginv = self._inverse_blocks(x)
+        beta, g = self._values(x)
+        binv, ginv = self._inverse_blocks(beta, g)
         db, dg = self._derivatives(x)
-        if not (np.isfinite(db).all() and np.isfinite(dg).all()):
-            raise GeometryError("non-finite metric derivatives")
+        _check_finite(db, dg)
+        hb, hg = self._second_derivatives(x, beta, g)
+        _check_finite(*(a for row in hb + hg for a in row))
         vk = _components_first(v, 1)
         dbk = _components_first(db, 1)
         dgk = _components_first(dg, 3)
         gik = _components_first(ginv, 2)
-        vs = vk[1:]
-        # gv[k][c] = d_k g_cb v^b and q[k] = d_k g_bd v^b v^d
-        gv = [[_dot(dgk[k, c], vs) for c in range(n)] for k in range(dim)]
-        q = [_dot(gvk, vs) for gvk in gv]
-        v0sq = vk[0] * vk[0]
-        acc0 = (-0.5 * binv) * (dbk[0] * v0sq + 2.0 * vk[0] * _dot(dbk[1:], vs)
-                                + q[0])
-        r = [dbk[1 + c] * v0sq
-             + 2.0 * _dot([gv[k][c] for k in range(dim)], vk) - q[1 + c]
+        gv = [_matvec(dgk_k, vk[1:]) for dgk_k in dgk]
+        acc = _raise(binv, gik, *_spray_lowered(dbk, gv, vk))
+        ak = _components_first(acc, 1)
+        xk = _components_first(np.asarray(xi, dtype=float), 1)
+        ek = _components_first(np.asarray(eta, dtype=float), 1)
+        # hgv[k][l][c] = d_k d_l g_cb v^b, symmetric in k and l
+        hgv = [[None] * dim for _ in range(dim)]
+        for k in range(dim):
+            for l in range(k, dim):
+                hgv[k][l] = hgv[l][k] = _matvec(
+                    _components_first(hg[k][l], 2), vk[1:])
+        del hg  # lowers the peak memory of the (fields, ...) terms below
+        l0, r = _spray_lowered(
+            [_dot(hb_k, xk) for hb_k in hb],
+            [[_dot([hgv_kl[c] for hgv_kl in hgv_k], xk) for c in range(n)]
+             for hgv_k in hgv], vk)
+        l0v, rv = _spray_lowered_dv(dbk, dgk, gv, vk, ek)
+        ga = [_matvec(dgk_k, ak[1:]) for dgk_k in dgk]
+        l0 = l0 + l0v + 2.0 * _dot(dbk, xk) * ak[0]
+        r = [r[c] + rv[c] + 2.0 * _dot([ga_k[c] for ga_k in ga], xk)
              for c in range(n)]
-        acc = np.empty(np.shape(acc0) + (dim,))
-        acc[..., 0] = acc0
-        for a in range(n):
-            acc[..., 1 + a] = -0.5 * _dot(gik[a], r)
-        return acc
+        return acc, _raise(binv, gik, l0, r)
+
+
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise GeometryError("non-finite metric derivatives")
 
 
 def _components_first(a, k):
@@ -254,6 +318,57 @@ def _dot(a, b):
     for i in range(1, len(a)):
         out = out + a[i] * b[i]
     return out
+
+
+def _matvec(a, w):
+    """[_dot(a[c], w) for every row c of a]."""
+    return [_dot(row, w) for row in a]
+
+
+def _spray_lowered(dbk, gv, vk):
+    """(l0, r): the split spray at velocity vk with the index of each
+    component still down, components first.
+
+    dbk[k] = d_k beta and gv[k][c] = d_k g_cb v^b.  With q_k = gv[k][c] v^c,
+    l0 = d_0 beta v0^2 + 2 v0 d_a beta v^a + q_0 and
+    r_c = d_c beta v0^2 + 2 v^k gv[k][c] - q_c, summed over all 1+n k;
+    `_raise` turns them into acc.
+    """
+    vs = vk[1:]
+    q = [_dot(gv_k, vs) for gv_k in gv]
+    v0sq = vk[0] * vk[0]
+    l0 = dbk[0] * v0sq + 2.0 * vk[0] * _dot(dbk[1:], vs) + q[0]
+    r = [dbk[1 + c] * v0sq + 2.0 * _dot([gv_k[c] for gv_k in gv], vk)
+         - q[1 + c] for c in range(len(gv[0]))]
+    return l0, r
+
+
+def _spray_lowered_dv(dbk, dgk, gv, vk, ek):
+    """The derivative of `_spray_lowered(dbk, gv, vk)` along ek at fixed x;
+    dgk[k][c][b] = d_k g_cb, and gv is formed from it at vk."""
+    vs, es = vk[1:], ek[1:]
+    ge = [_matvec(dgk_k, es) for dgk_k in dgk]
+    dq = [_dot(gv_k, es) + _dot(ge_k, vs) for gv_k, ge_k in zip(gv, ge)]
+    dv0sq = 2.0 * (vk[0] * ek[0])
+    l0 = (dbk[0] * dv0sq
+          + 2.0 * (ek[0] * _dot(dbk[1:], vs) + vk[0] * _dot(dbk[1:], es))
+          + dq[0])
+    r = [dbk[1 + c] * dv0sq
+         + 2.0 * (_dot([gv_k[c] for gv_k in gv], ek)
+                  + _dot([ge_k[c] for ge_k in ge], vk))
+         - dq[1 + c] for c in range(len(gv[0]))]
+    return l0, r
+
+
+def _raise(binv, gik, l0, r):
+    """acc from `_spray_lowered`'s (l0, r): acc^0 = -1/(2 beta) l0 and
+    acc^a = -1/2 g^{ac} r_c, stacked on a last axis."""
+    acc0 = (-0.5 * binv) * l0
+    acc = np.empty(np.shape(acc0) + (1 + len(r),))
+    acc[..., 0] = acc0
+    for a in range(len(r)):
+        acc[..., 1 + a] = -0.5 * _dot(gik[a], r)
+    return acc
 
 
 def _cofactor_inverse(g):

@@ -122,8 +122,8 @@ class GridField:
         self.name = name
 
     @classmethod
-    def zeros(cls, grid, dtype=float, name=""):
-        return cls(grid, np.zeros((grid.nt,) + grid.shape, dtype=dtype), name=name)
+    def zeros(cls, grid):
+        return cls(grid, np.zeros((grid.nt,) + grid.shape))
 
     @classmethod
     def from_closure(cls, grid, func, dtype=float, name=""):
@@ -294,8 +294,8 @@ class SourceTerm:
         self.name = name
 
     @classmethod
-    def from_field(cls, gridfield: GridField, name=""):
-        return cls(gridfield.grid, gridfield.data, name=name)
+    def from_field(cls, gridfield: GridField):
+        return cls(gridfield.grid, gridfield.data)
 
     @classmethod
     def from_closure(cls, grid, func, name=""):

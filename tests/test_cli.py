@@ -90,6 +90,16 @@ dt = 0.009
 """)))
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda t: t.replace("T = 5.0\n", ""), "aperture.T"),
+    (lambda t: t + "[grid]\nh = abc\ndt = 0.001\n", "grid.h"),
+])
+def test_experiment_config_errors_name_their_section(tmp_path, edit, name):
+    with pytest.raises(cli.ConfigError, match=re.escape(name)):
+        cli.ExperimentConfig(cli.parse_config(write_cfg(
+            tmp_path, edit(GOOD_CFG))))
+
+
 def test_experiment_config_bad_point_arity(tmp_path):
     with pytest.raises(cli.ConfigError, match="coordinates"):
         cli.ExperimentConfig(cli.parse_config(write_cfg(tmp_path, """\
@@ -136,6 +146,10 @@ def test_verify_writes_csv_and_passes(tmp_path, capsys):
     text = (tmp_path / "verify_recovery.csv").read_text()
     assert text.splitlines()[0] == "check,status,detail"
     assert "fail" not in text
+    assert cli.main(["verify", "fermi", "--out", str(tmp_path)]) == cli.EXIT_OK
+    rows = (tmp_path / "verify_fermi.csv").read_text().splitlines()
+    assert any(r.startswith("split_jacobi_spray_vs_difference,pass,")
+               for r in rows)
 
 
 def test_verify_deterministic(tmp_path, capsys):

@@ -217,9 +217,9 @@ def stencil_reference(ch, s, z, h=2e-3):
 
 
 def test_jacobi_fields_match_stencil():
-    # the Jacobi fields linearize the spray by a central difference of step
-    # fermi._JACOBI_EPS; the tolerance covers that step and the stencil's
-    # own h^4 error
+    # the Jacobi fields linearize the spray in closed form from the metric's
+    # second differences (step geometry.H_G2); the tolerance covers their
+    # rounding and the stencil's own h^4 error
     ch = perturbed_chart()
     rng = np.random.default_rng(11)
     s = rng.uniform(0.2, 1.3, 1000)
@@ -227,6 +227,27 @@ def test_jacobi_fields_match_stencil():
     J = ch.jacobian(s, z)[1]
     ref = stencil_reference(ch, s, z)
     assert np.max(np.abs(J - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+def test_jacobian_evaluates_one_metric_stencil_per_stage():
+    # every RK4 stage of the Jacobi pass calls beta and g once per point of
+    # one stencil: x, x +- H_G e_k and the 18 points of the second
+    # differences, 25 for n = 2 (seven finite-difference sprays took 49)
+    steps = 3
+    ch = fermi.FermiChart(perturbed_chart().geodesic, exp_steps=steps)
+    m = ch.metric
+    calls = {"beta": 0, "gmat": 0}
+
+    def counted(name, f):
+        def wrapped(x):
+            calls[name] += 1
+            return f(x)
+        return wrapped
+    m.beta, m.gmat = counted("beta", m.beta), counted("gmat", m.gmat)
+    rng = np.random.default_rng(4)
+    ch.jacobian(rng.uniform(0.2, 1.3, 20),
+                rng.uniform(-0.05, 0.05, (20, 2)))
+    assert calls == {"beta": 25 * 4 * steps, "gmat": 25 * 4 * steps}
 
 
 def test_flat_jacobi_fields_closed_form():
