@@ -649,13 +649,14 @@ def cmd_recover(args):
                prof)
 
     if mode == "full":
-        gp = cfg.grid_params or {"h": 0.012, "dt": None, "pad": 0.25}
+        # without a [grid] section the library's grid defaults apply
+        gp = cfg.grid_params or {}
         tau = cfg.tau
         t0 = time.perf_counter()
         try:
             res = recovery.full_path_interaction(
                 cfg.metric, cfg.V, cfg.points[0], cfg.r, cfg.T, tau,
-                delta=cfg.delta, h=gp["h"], dt=gp["dt"], pad=gp["pad"])
+                delta=cfg.delta, **gp)
         except _STAGE_ERRORS as exc:
             res = None
             report.check("full vs fast interaction", False,
@@ -730,7 +731,7 @@ def _dump_source(ident, outdir):
                     delta=0.2, V=None, N=2, s_range=(-1.0, 1.5))
     src, _ = sources.make_source(p, m, grid, tau=30.0, r=1.0)
     path = os.path.join(outdir, "source_surgery.snap")
-    solver.write_snapshot(path, solver.GridField(grid, src.field))
+    solver.write_snapshot(path, solver.GridField(grid, src.dense()))
     return path
 
 

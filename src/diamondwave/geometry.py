@@ -177,15 +177,13 @@ class SplitMetric(Metric):
             hb[k][k] = ((self.beta(xp) - 2.0 * beta) + self.beta(xm)) / h2
             hg[k][k] = ((self.gmat(xp) - 2.0 * g) + self.gmat(xm)) / h2
             for l in range(k + 1, dim):
-                # the corners ++, +-, -+, -- of the (k, l) square
-                pts = [x + (e[k] + e[l]), x + (e[k] - e[l]),
-                       x - (e[k] - e[l]), x - (e[k] + e[l])]
-                cb = [self.beta(p) for p in pts]
-                cg = [self.gmat(p) for p in pts]
-                hb[k][l] = hb[l][k] = (
-                    ((cb[0] - cb[1]) - (cb[2] - cb[3])) / (4 * h2))
-                hg[k][l] = hg[l][k] = (
-                    ((cg[0] - cg[1]) - (cg[2] - cg[3])) / (4 * h2))
+                # the corners ++, +-, -+, -- of the (k, l) square; each
+                # difference is formed as soon as its two corners exist
+                pp, pm = e[k] + e[l], e[k] - e[l]
+                for f, out in ((self.beta, hb), (self.gmat, hg)):
+                    out[k][l] = out[l][k] = (
+                        (f(x + pp) - f(x + pm)) - (f(x - pm) - f(x - pp))
+                    ) / (4 * h2)
         return hb, hg
 
     def inverse(self, x):
@@ -262,7 +260,7 @@ class SplitMetric(Metric):
           2 (d beta . xi) acc^0 to the time and 2 (d g . xi)_cb acc^b to
           the spatial components;
         - the derivative along eta, 2 B(v, eta) with B the symmetric
-          bilinear form of the spray (`_spray_lowered_dv`).
+          bilinear form of the spray (`_add_spray_lowered_dv`).
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -291,13 +289,16 @@ class SplitMetric(Metric):
         del hg  # lowers the peak memory of the (fields, ...) terms below
         l0, r = _spray_lowered(
             [_dot(hb_k, xk) for hb_k in hb],
-            [[_dot([hgv_kl[c] for hgv_kl in hgv_k], xk) for c in range(n)]
-             for hgv_k in hgv], vk)
-        l0v, rv = _spray_lowered_dv(dbk, dgk, gv, vk, ek)
+            ([_dot([hgv_kl[c] for hgv_kl in hgv_k], xk) for c in range(n)]
+             for hgv_k in hgv), vk)
+        del hgv
+        # the other terms are added into (l0, r) in place as each is formed,
+        # in the order of l0 + l0v + (2 d beta . xi) acc^0
+        _add_spray_lowered_dv(l0, r, dbk, dgk, gv, vk, ek)
         ga = [_matvec(dgk_k, ak[1:]) for dgk_k in dgk]
-        l0 = l0 + l0v + 2.0 * _dot(dbk, xk) * ak[0]
-        r = [r[c] + rv[c] + 2.0 * _dot([ga_k[c] for ga_k in ga], xk)
-             for c in range(n)]
+        l0 += 2.0 * _dot(dbk, xk) * ak[0]
+        for c in range(n):
+            r[c] += 2.0 * _dot([ga_k[c] for ga_k in ga], xk)
         return acc, _raise(binv, gik, l0, r)
 
 
@@ -325,6 +326,16 @@ def _matvec(a, w):
     return [_dot(row, w) for row in a]
 
 
+def _add_scaled_row(sums, row, w):
+    """One step of `_dot` over rows: sums[c] + row[c] w for every c, in
+    place, or [row[c] w] when sums is None."""
+    if sums is None:
+        return [a * w for a in row]
+    for c, a in enumerate(row):
+        sums[c] += a * w
+    return sums
+
+
 def _spray_lowered(dbk, gv, vk):
     """(l0, r): the split spray at velocity vk with the index of each
     component still down, components first.
@@ -332,32 +343,40 @@ def _spray_lowered(dbk, gv, vk):
     dbk[k] = d_k beta and gv[k][c] = d_k g_cb v^b.  With q_k = gv[k][c] v^c,
     l0 = d_0 beta v0^2 + 2 v0 d_a beta v^a + q_0 and
     r_c = d_c beta v0^2 + 2 v^k gv[k][c] - q_c, summed over all 1+n k;
-    `_raise` turns them into acc.
+    `_raise` turns them into acc.  gv may be any iterable of its rows: each
+    row is used once, as it comes, so a generator holds one at a time.
     """
     vs = vk[1:]
-    q = [_dot(gv_k, vs) for gv_k in gv]
+    q, gvv = [], None
+    for gv_k, w in zip(gv, vk):
+        q.append(_dot(gv_k, vs))
+        gvv = _add_scaled_row(gvv, gv_k, w)
     v0sq = vk[0] * vk[0]
     l0 = dbk[0] * v0sq + 2.0 * vk[0] * _dot(dbk[1:], vs) + q[0]
-    r = [dbk[1 + c] * v0sq + 2.0 * _dot([gv_k[c] for gv_k in gv], vk)
-         - q[1 + c] for c in range(len(gv[0]))]
+    r = [dbk[1 + c] * v0sq + 2.0 * gvv[c] - q[1 + c]
+         for c in range(len(gvv))]
     return l0, r
 
 
-def _spray_lowered_dv(dbk, dgk, gv, vk, ek):
-    """The derivative of `_spray_lowered(dbk, gv, vk)` along ek at fixed x;
-    dgk[k][c][b] = d_k g_cb, and gv is formed from it at vk."""
+def _add_spray_lowered_dv(l0, r, dbk, dgk, gv, vk, ek):
+    """Add to (l0, r), in place, the derivative of
+    `_spray_lowered(dbk, gv, vk)` along ek at fixed x; dgk[k][c][b] =
+    d_k g_cb, and gv is formed from it at vk."""
     vs, es = vk[1:], ek[1:]
-    ge = [_matvec(dgk_k, es) for dgk_k in dgk]
-    dq = [_dot(gv_k, es) + _dot(ge_k, vs) for gv_k, ge_k in zip(gv, ge)]
+    # ge[k][c] = d_k g_cb eta^b, one row at a time
+    dq, gev = [], None
+    for gv_k, dgk_k, w in zip(gv, dgk, vk):
+        ge_k = _matvec(dgk_k, es)
+        dq.append(_dot(gv_k, es) + _dot(ge_k, vs))
+        gev = _add_scaled_row(gev, ge_k, w)
     dv0sq = 2.0 * (vk[0] * ek[0])
-    l0 = (dbk[0] * dv0sq
-          + 2.0 * (ek[0] * _dot(dbk[1:], vs) + vk[0] * _dot(dbk[1:], es))
-          + dq[0])
-    r = [dbk[1 + c] * dv0sq
-         + 2.0 * (_dot([gv_k[c] for gv_k in gv], ek)
-                  + _dot([ge_k[c] for ge_k in ge], vk))
-         - dq[1 + c] for c in range(len(gv[0]))]
-    return l0, r
+    l0 += (dbk[0] * dv0sq
+           + 2.0 * (ek[0] * _dot(dbk[1:], vs) + vk[0] * _dot(dbk[1:], es))
+           + dq[0])
+    for c in range(len(r)):
+        r[c] += (dbk[1 + c] * dv0sq
+                 + 2.0 * (_dot([gv_k[c] for gv_k in gv], ek) + gev[c])
+                 - dq[1 + c])
 
 
 def _raise(binv, gik, l0, r):

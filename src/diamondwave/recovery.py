@@ -67,11 +67,11 @@ class _Negated:
 def _assemble_cross(corners, h):
     """sum over sign corners of s1 s2 s3 u_{s h} / (8 h^3).
 
-    The terms are summed in corner order into one accumulator through one
-    term buffer; a `_Negated` corner enters as (-s1 s2 s3) u, which is
-    s1 s2 s3 (-u) bit for bit.
+    The terms are summed in corner order into one accumulator, each added
+    or subtracted in place: x + (-1) u is x - u bit for bit.  A `_Negated`
+    corner enters as (-s1 s2 s3) u, which is s1 s2 s3 (-u) bit for bit.
     """
-    total = term = None
+    total = None
     for s in _CORNERS:
         sign, u = s[0] * s[1] * s[2], corners[s]
         if isinstance(u, _Negated):
@@ -79,11 +79,11 @@ def _assemble_cross(corners, h):
         u = _as_array(u)
         if total is None:
             total = np.empty(u.shape, np.result_type(u, 1.0))
-            term = np.empty_like(total)
             np.multiply(sign, u, out=total)
+        elif sign > 0:
+            np.add(total, u, out=total)
         else:
-            np.multiply(sign, u, out=term)
-            np.add(total, term, out=total)
+            np.subtract(total, u, out=total)
     return np.divide(total, 8.0 * h**3, out=total)
 
 
@@ -125,7 +125,7 @@ def cross_derivative(solve, h_eps, check=True):
 
 def pairing_integral(grid, vtau, test_source):
     """I = integral of vtau * f+ over spacetime (the data-side pairing)."""
-    return complex(solver.spacetime_integral(grid, vtau, test_source.field))
+    return complex(solver.spacetime_integral(grid, vtau, test_source.dense()))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ _H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
 
 
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
-                          h=0.006, dt=None, pad=0.25, rho=0.06, check=True,
+                          h=0.012, dt=None, pad=0.25, rho=0.06, check=True,
                           consistency=False):
     """Interaction integral I(tau) through the nonlinear solver.
 
@@ -669,8 +669,10 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     exact negatives (`_odd`).
 
     Memory is kept at desk scale by confining the surgery and the pairing
-    to short time windows around the two anchor slabs and streaming the
-    forward marches through an observer instead of storing full solutions.
+    to short time windows around the two anchor slabs, storing the sources
+    and the family on their support boxes (`solver.SourceTerm`), and
+    streaming the forward marches through an observer instead of storing
+    full solutions.
     The surgery cuts the closed-form packets of the quadrature itself; the
     upper window grid carries its time origin, so packets, cutoffs and V
     are evaluated at physical times.

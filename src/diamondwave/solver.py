@@ -110,6 +110,44 @@ class Grid:
                 and abs(self.t0 - other.t0) < 1e-14
                 and abs(self.h - other.h) < 1e-14 and abs(self.dt - other.dt) < 1e-14)
 
+    def embed(self, data):
+        """`data` on this grid; a crop grid embeds it in its parent."""
+        return data
+
+
+def _box_shape(box):
+    return tuple(s.stop - s.start for s in box)
+
+
+def _embed(data, shape, box):
+    """(nt, *box shape) data placed on box of (nt, *shape) zeros."""
+    out = np.zeros(data.shape[:1] + tuple(shape), dtype=data.dtype)
+    out[(slice(None),) + tuple(box)] = data
+    return out
+
+
+class CropGrid(Grid):
+    """The cells of a spatial box (a tuple of slices) of a parent grid, on
+    the parent's times.
+
+    Its coordinates are the parent's own values, sliced, so anything
+    evaluated on them (packets, cutoffs, potentials) equals its value on
+    the parent bit for bit.
+    """
+
+    def __init__(self, parent, box):
+        self.parent, self.box = parent, tuple(box)
+        start = np.array([s.start for s in self.box])
+        super().__init__(parent.n, parent.lo + parent.h * start,
+                         _box_shape(self.box), parent.h, parent.dt,
+                         parent.T, t0=parent.t0)
+
+    def axis(self, i):
+        return self.parent.axis(i)[self.box[i]]
+
+    def embed(self, data):
+        return self.parent.embed(_embed(data, self.parent.shape, self.box))
+
 
 class GridField:
     """Time-sliced field on a Grid; array shape (nt, *grid.shape)."""
@@ -133,8 +171,9 @@ class GridField:
             data[m] = func(grid.spacetime_slice(m))
         return cls(grid, data, name=name)
 
-    def copy(self):
-        return GridField(self.grid, self.data.copy(), name=self.name)
+    def dense(self):
+        """The data on the uncropped grid, zero outside a crop."""
+        return self.grid.embed(self.data)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.data)))
@@ -174,8 +213,9 @@ class _PaddedLayout:
         self.strides = [int(np.prod(self.padded[ax + 1:]))
                         for ax in range(len(shape))]
         self.start = _GHOST * sum(self.strides)
-        self.stop = self.start + sum(
-            (s - 1) * st for s, st in zip(shape, self.strides)) + 1
+        # an empty shape has an empty band
+        self.stop = max(self.start, self.start + sum(
+            (s - 1) * st for s, st in zip(shape, self.strides)) + 1)
 
     def zeros(self, dtype):
         return np.zeros(self.padded, dtype=dtype)
@@ -286,12 +326,22 @@ def _shift(u, off, ax):
 
 
 class SourceTerm:
-    """Source f on a grid: a dense field of shape (nt, *grid.shape)."""
+    """Source f on a grid, stored on a spatial box (a tuple of slices of
+    grid.shape) outside which it is zero: `field` has shape
+    (nt, *box shape).  The default box is the whole grid."""
 
-    def __init__(self, grid, field, name=""):
+    def __init__(self, grid, field, name="", box=None):
         self.grid = grid
         self.field = field
         self.name = name
+        self.box = (tuple(slice(0, s) for s in grid.shape) if box is None
+                    else tuple(box))
+
+    def dense(self):
+        """The field on the whole grid, zero outside the box."""
+        if self.field.shape[1:] == self.grid.shape:
+            return self.field
+        return _embed(self.field, self.grid.shape, self.box)
 
     @classmethod
     def from_field(cls, gridfield: GridField):
@@ -313,15 +363,43 @@ class SourceTerm:
         return self.field[m]
 
     def scale(self):
-        return float(np.max(np.abs(self.field)))
+        """max |f|; zero outside the box, so 0 on an empty one."""
+        return float(np.max(np.abs(self.field), initial=0.0))
 
     def __mul__(self, c):
-        return SourceTerm(self.grid, self.field * c)
+        return SourceTerm(self.grid, self.field * c, box=self.box)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return SourceTerm(self.grid, self.field + other.field)
+        """The sum on the union of the two boxes.  Each term is added into
+        zeros, so every cell holds the value of the whole-grid sum."""
+        box = tuple(slice(min(a.start, b.start), max(a.stop, b.stop))
+                    for a, b in zip(self.box, other.box))
+        out = np.zeros(self.field.shape[:1] + _box_shape(box),
+                       dtype=np.result_type(self.field, other.field))
+        for term in (self, other):
+            view = out[(slice(None),) + tuple(
+                slice(a.start - u.start, a.stop - u.start)
+                for a, u in zip(term.box, box))]
+            np.add(view, term.field, out=view)
+        return SourceTerm(self.grid, out, box=box)
+
+
+def support_box(data):
+    """Bounding box of the nonzero cells of (nt, *shape) data over all
+    slices, widened by the stencil reach and clipped to the grid; empty
+    when every cell is zero."""
+    mask = np.any(data != 0, axis=0)
+    box = []
+    for ax, size in enumerate(mask.shape):
+        rest = tuple(a for a in range(mask.ndim) if a != ax)
+        idx = np.flatnonzero(np.any(mask, axis=rest))
+        if idx.size == 0:
+            return tuple(slice(0, 0) for _ in mask.shape)
+        box.append(slice(max(int(idx[0]) - _GHOST, 0),
+                         min(int(idx[-1]) + 1 + _GHOST, size)))
+    return tuple(box)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +439,7 @@ def _source_slices(f, grid):
     The source may live on a time window of the march grid (same spatial
     layout and dt, origin a whole number of steps from the grid's): it is
     read at the slice with the same time, and is None (zero) outside the
-    window, so the march skips the add.
+    window, so the march skips the add.  A slice holds the source's box.
     """
     fg = f.grid
     offset = (fg.t0 - grid.t0) / grid.dt
@@ -370,6 +448,11 @@ def _source_slices(f, grid):
             and np.allclose(fg.lo, grid.lo) and abs(fg.h - grid.h) < 1e-14
             and abs(fg.dt - grid.dt) < 1e-14 and abs(offset - k) < 1e-9):
         raise SolverError("source grid is not a time window of the march grid")
+    if not (len(f.box) == grid.n
+            and all(0 <= s.start <= s.stop <= size and s.step is None
+                    for s, size in zip(f.box, grid.shape))
+            and f.field.shape == (fg.nt,) + _box_shape(f.box)):
+        raise SolverError("source box does not match its field and grid")
 
     def read(m):
         j = m - k
@@ -405,12 +488,13 @@ class _Leapfrog:
 
     The three time levels live in rotating zero-ghosted buffers and every
     intermediate goes to a preallocated one, so a step allocates nothing.
-    Terms that do not involve V or f run over the contiguous band.  The
+    Terms that do not involve V or f run over the contiguous band, and f is
+    added on the source's box (slices; () is the whole grid).  The
     expression order is that of the plain array formula, so the result
     equals it bit for bit (up to the sign of zeros).
     """
 
-    def __init__(self, grid, dtype, u1, nonlinear):
+    def __init__(self, grid, dtype, u1, nonlinear, box=()):
         lay = _PaddedLayout(grid.shape)
         self.layout = lay
         self.levels = [lay.zeros(dtype) for _ in range(3)]     # u-, u, u+
@@ -421,13 +505,15 @@ class _Leapfrog:
         tmp = lay.zeros(dtype)
         self.tmp_inner, self.tmp_band = lay.interior(tmp), lay.band(tmp)
         self.rhs_inner = lay.interior(self.lap.out)
+        self.rhs_box = self.rhs_inner[box]
         self.dt2 = grid.dt * grid.dt
         self.nonlinear = nonlinear
 
     def step(self, v, f):
         """Advance by one step with potential slice v and source slice f
-        (None for no potential or no source).  Returns the new slice as a
-        view of a buffer that the step after next overwrites."""
+        on the source box (None for no potential or no source).  Returns
+        the new slice as a view of a buffer that the step after next
+        overwrites."""
         u_prev, u, u_next = self.bands
         rhs, tmp = self.lap.out_band, self.tmp_band
         self.lap(self.levels[1])
@@ -435,7 +521,7 @@ class _Leapfrog:
             np.multiply(v, self.inner[1], out=self.tmp_inner)
             np.subtract(self.rhs_inner, self.tmp_inner, out=self.rhs_inner)
         if f is not None:
-            np.add(self.rhs_inner, f, out=self.rhs_inner)
+            np.add(self.rhs_box, f, out=self.rhs_box)
         if self.nonlinear:
             np.multiply(u, u, out=tmp)
             np.multiply(u, tmp, out=tmp)
@@ -507,13 +593,12 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0), and on the
     # zero slice the equation gives u_tt = f
     f0 = src(0)
-    if f0 is None:
-        u_curr = np.zeros(shape, dtype=dtype)
-    else:
-        u_curr = 0.5 * dt * dt * f0.astype(dtype)
+    u_curr = np.zeros(shape, dtype=dtype)
+    if f0 is not None:
+        u_curr[f.box] = 0.5 * dt * dt * f0.astype(dtype)
     emit(1, u_curr)
 
-    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear)
+    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear, f.box)
     cplx = dtype is complex
     absbuf = np.empty(shape)
     for m in range(1, nt - 1):

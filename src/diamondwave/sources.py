@@ -15,7 +15,8 @@ a target point with endpoints on the measurement cylinder.
 import numpy as np
 
 from . import geometry as geo
-from .solver import GridField, SourceTerm, apply_wave_operator
+from .solver import (CropGrid, GridField, SourceTerm, apply_wave_operator,
+                     support_box)
 
 
 class SourceError(RuntimeError):
@@ -92,27 +93,38 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
         rho = default_rho(obj, grid, r, t0)
     cut = CutoffPair(t0, rho)
     u = GridField.from_closure(grid, lambda pts: obj.eval(tau, pts),
-                               dtype=complex, name="packet")
+                               dtype=complex, name="packet").data
+    # outside the box the packet is zero, and so is the wave operator of its
+    # cut: the stencils reach _GHOST cells
+    box = support_box(u)
+    crop = CropGrid(grid, box)
     times = grid.times()
     inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)
-    zu = GridField(grid, u.data * inner(times).reshape(-1, *([1] * grid.n)),
+    zu = GridField(crop, u[(slice(None),) + box]
+                   * inner(times).reshape(-1, *([1] * grid.n)),
                    name="cut packet")
-    Pzu = apply_wave_operator(metric, grid, V, zu)
+    del u
+    Pzu = apply_wave_operator(metric, crop, V, zu)
     fdata = Pzu.data * outer(times).reshape(-1, *([1] * grid.n))
     # grid-exact support check against the measurement cylinder
-    X = grid.spacetime_slice(0)[..., 1:]
+    X = crop.spacetime_slice(0)[..., 1:]
     outside = np.linalg.norm(X, axis=-1) >= r
-    if np.max(np.abs(fdata[:, outside])) > 1e-12 * max(np.max(np.abs(fdata)), 1e-300):
+    if np.max(np.abs(fdata[:, outside]), initial=0.0) > 1e-12 * max(
+            np.max(np.abs(fdata), initial=0.0), 1e-300):
         raise SourceError("packet delta too large for aperture")
     fdata[:, outside] = 0.0
-    src = SourceTerm(grid, field=fdata,
+    src = SourceTerm(grid, field=fdata, box=box,
                      name="test function" if test else "packet source")
     src.cutoffs = cut
     return src, zu
 
 
 def make_source(obj, metric, grid, tau, V=None, r=np.inf, t0=None, rho=None):
-    """f = zeta_+ (box + V)(zeta_- u_tau) plus the reference field zeta_- u."""
+    """f = zeta_+ (box + V)(zeta_- u_tau) plus the reference field zeta_- u.
+
+    Both live on the support box of u_tau: f is a SourceTerm with that box
+    and zeta_- u a GridField on the box's CropGrid (`dense()` embeds them).
+    """
     return _surgery(obj, metric, grid, tau, V, r, t0, rho, test=False)
 
 

@@ -171,11 +171,13 @@ def test_surgery_tracking_decay():
         grid = solver.Grid.for_ball(1, 1.0, T, h, dt, pad=0.5)
         src, zu = sources.make_source(pk, m, grid, tau, V=V, r=1.0)
         U = solver.solve_forward(m, grid, V, src)
-        errs_f.append(float(np.max(np.abs(U.data - zu.data))) / zu.sup_norm())
+        errs_f.append(float(np.max(np.abs(U.data - zu.dense())))
+                      / zu.sup_norm())
         del U, src, zu
         fplus, zpu = sources.make_test_function(pk, m, grid, tau, V=V, r=1.0)
         U = solver.solve_backward(m, grid, V, fplus)
-        errs_b.append(float(np.max(np.abs(U.data - zpu.data))) / zpu.sup_norm())
+        errs_b.append(float(np.max(np.abs(U.data - zpu.dense())))
+                      / zpu.sup_norm())
         del U, fplus, zpu
     slope_f, _ = loglog_slope(taus, errs_f)
     slope_b, _ = loglog_slope(taus, errs_b)

@@ -1,5 +1,6 @@
 """Command-line runner tests: config parsing, exit codes, artifacts."""
 
+import inspect
 import re
 
 import numpy as np
@@ -290,6 +291,25 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     assert "kappa_top tau h: 1.56" in rr
     assert "stencil group velocity at kappa_top tau h: 0.876" in rr
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
+
+
+def test_recover_full_without_grid_section_uses_library_defaults(
+        tmp_path, monkeypatch, capsys):
+    # a bare full run passes no grid keywords, so the grid step and padding
+    # are those of recovery.full_path_interaction
+    seen = {}
+
+    def fake(*args, **kwargs):
+        seen.update(kwargs)
+        raise solver.SolverError("stop")
+    defaults = inspect.signature(recovery.full_path_interaction).parameters
+    monkeypatch.setattr(recovery, "full_path_interaction", fake)
+    cfgp = write_cfg(tmp_path, RECOVER_CFG.replace("mode = fast",
+                                                   "mode = full"))
+    cli.main(["recover", cfgp, "--out", str(tmp_path / "out")])
+    assert seen and not {"h", "dt", "pad"} & set(seen)
+    assert [defaults[k].default for k in ("h", "dt", "pad")] == \
+        [0.012, None, 0.25]
 
 
 def set_entry(text, section, key, value):

@@ -488,6 +488,31 @@ def test_full_route_outputs_are_pinned():
     assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
 
 
+def test_full_route_sources_live_on_small_boxes(monkeypatch):
+    # every surgery source, and the family they sum to, is stored on its
+    # support box: a small part of the grid
+    made, marched = [], []
+    for name in ("make_source", "make_test_function"):
+        def keep(*args, _surgery=getattr(sources, name), **kwargs):
+            made.append(_surgery(*args, **kwargs)[0])
+            return made[-1], None
+        monkeypatch.setattr(sources, name, keep)
+    forward = solver.solve_forward
+
+    def keep_family(metric, grid, V, f, **kwargs):
+        marched.append(f)
+        return forward(metric, grid, V, f, **kwargs)
+    monkeypatch.setattr(solver, "solve_forward", keep_family)
+    rc.full_path_interaction(geo.minkowski(2), None, check=False,
+                             **COARSE_FULL_ROUTE)
+
+    def share(f):
+        return f.field[0].size / np.prod(f.grid.shape)
+    assert len(made) == 4 and len(marched) == 4
+    assert max(share(f) for f in made) < 0.1
+    assert max(share(f) for f in marched) < 0.3
+
+
 def test_full_route_surgery_builds_no_grid_packet(monkeypatch):
     # the surgery cuts the closed-form packets of the quadrature
     def refuse(*args, **kwargs):

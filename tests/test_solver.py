@@ -434,6 +434,44 @@ def test_window_field_source_is_read_by_time(backward):
     assert np.any(u.data != 0)
 
 
+@pytest.mark.parametrize("backward", [False, True])
+def test_boxed_source_march_equals_dense_march(backward):
+    # a source stored on its support box marches as its whole-grid embedding
+    g = small_grid()
+    m = geo.minkowski(2)
+    dense = bump_source(g, rad=0.3).field * (1.0 + 0.5j)
+    box = slv.support_box(dense)
+    boxed = slv.SourceTerm(g, dense[(slice(None),) + box], box=box)
+    assert boxed.field.size < dense.size
+    assert np.array_equal(boxed.dense(), dense)
+    assert boxed.scale() == slv.SourceTerm(g, dense).scale()
+    if backward:
+        u = slv.solve_backward(m, g, 0.3, boxed)
+        ref = slv.solve_backward(m, g, 0.3, slv.SourceTerm(g, dense))
+    else:
+        u = slv.solve_forward(m, g, 0.3, boxed, nonlinear=True)
+        ref = slv.solve_forward(m, g, 0.3, slv.SourceTerm(g, dense),
+                                nonlinear=True)
+    assert np.array_equal(u.data, ref.data)
+    assert np.any(u.data != 0)
+
+
+def test_source_box_must_fit_field_and_grid():
+    g = small_grid(n=1)
+    for box, width in (((slice(0, 4),), 3), ((slice(-1, 2),), 3),
+                       ((slice(g.shape[0] - 2, g.shape[0] + 1),), 3)):
+        f = slv.SourceTerm(g, np.zeros((g.nt, width)), box=box)
+        with pytest.raises(slv.SolverError, match="box"):
+            slv.solve_forward(geo.minkowski(1), g, None, f)
+
+
+def test_support_box_is_the_widened_bounding_box():
+    data = np.zeros((3, 20, 30))
+    data[1, 5, 7] = data[2, 9, 28] = 1.0
+    assert slv.support_box(data) == (slice(3, 12), slice(5, 30))
+    assert slv.support_box(np.zeros((3, 4))) == (slice(0, 0),)
+
+
 def test_window_source_must_share_the_march_layout():
     g = small_grid(n=1)
     T = 4 * g.dt

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from diamondwave import go, solver, sources
+from diamondwave import exprs, go, solver, sources
 from diamondwave import geometry as geo
 from diamondwave.recovery import LinePacket
 
@@ -231,7 +231,7 @@ def test_source_spatial_support(surgery_setup):
     m, grid, p = surgery_setup
     src, _ = sources.make_source(p, m, grid, tau=30.0, r=1.0)
     x = grid.axis(0)
-    assert np.max(np.abs(src.field[:, np.abs(x) >= 1.0])) == 0
+    assert np.max(np.abs(src.dense()[:, np.abs(x) >= 1.0])) == 0
 
 
 def test_surgery_identity(surgery_setup):
@@ -239,13 +239,14 @@ def test_surgery_identity(surgery_setup):
     m, grid, p = surgery_setup
     src, zu = sources.make_source(p, m, grid, tau=30.0, r=1.0)
     cut = src.cutoffs
-    Pzu = solver.apply_wave_operator(m, grid, None, zu)
+    Pzu = solver.apply_wave_operator(m, grid, None,
+                                     solver.GridField(grid, zu.dense()))
     u = solver.GridField.from_closure(
         grid, lambda pts: p.eval(30.0, pts), dtype=complex)
     Pu = solver.apply_wave_operator(m, grid, None, u)
     times = grid.times()
     sel = times > cut.t0 + 2 * grid.dt
-    lhs = Pzu.data[sel] - src.field[sel]
+    lhs = Pzu.data[sel] - src.dense()[sel]
     rhs = (1 - cut.zplus(times[sel]))[:, None] * Pu.data[sel]
     assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(Pu.data))
 
@@ -255,7 +256,7 @@ def test_forward_solution_tracks_cut_packet(surgery_setup):
     for tau in (15.0, 30.0):
         src, zu = sources.make_source(p, m, grid, tau=tau, r=1.0)
         U = solver.solve_forward(m, grid, None, src)
-        err = float(np.max(np.abs(U.data - zu.data)))
+        err = float(np.max(np.abs(U.data - zu.dense())))
         assert err < 0.02 * zu.sup_norm()
 
 
@@ -269,7 +270,7 @@ def test_test_function_mirrors_source(surgery_setup):
     assert np.all(sup_t[times > cut.t0 + cut.rho + grid.dt + 1e-12] == 0)
     # backward solution approximates zeta_+ u
     U = solver.solve_backward(m, grid, None, fplus)
-    assert float(np.max(np.abs(U.data - zpu.data))) < 0.02 * zpu.sup_norm()
+    assert float(np.max(np.abs(U.data - zpu.dense()))) < 0.02 * zpu.sup_norm()
 
 
 @pytest.mark.parametrize("which", ["1d", "2d"])
@@ -294,6 +295,78 @@ def test_aperture_leak_rejected(surgery_setup):
     fat = packet_1d(N=1, delta=0.9, chi=("indicator", 4))
     with pytest.raises(sources.SourceError, match="aperture"):
         sources.make_source(fat, m, grid, tau=40.0, r=1.0)
+
+
+# -- support boxes -----------------------------------------------------------
+
+def dense_surgery(obj, m, grid, tau, V, r, test):
+    """The surgery on every cell of the grid, as (f, cut packet) arrays: the
+    reference for the cropped one, which must equal it bit for bit (up to
+    the sign of zeros)."""
+    t0 = float(obj.q[0])
+    cut = sources.CutoffPair(t0, sources.default_rho(obj, grid, r, t0))
+    u = solver.GridField.from_closure(grid, lambda pts: obj.eval(tau, pts),
+                                      dtype=complex)
+    times = grid.times()
+    inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)
+    shape = (-1,) + (1,) * grid.n
+    zu = solver.GridField(grid, u.data * inner(times).reshape(shape))
+    f = solver.apply_wave_operator(m, grid, V, zu).data * \
+        outer(times).reshape(shape)
+    X = grid.spacetime_slice(0)[..., 1:]
+    f[:, np.linalg.norm(X, axis=-1) >= r] = 0.0
+    return f, zu.data
+
+
+def line_setup(V=None, q=(0.5, 0.1, -0.1)):
+    grid = solver.Grid.for_ball(2, 1.0, 1.5, h=0.05, dt=0.02, pad=0.2)
+    return geo.minkowski(2), grid, LinePacket(q, [-1.0, 0.6, 0.8], 0.15, V=V)
+
+
+@pytest.mark.parametrize("test", [False, True])
+@pytest.mark.parametrize("case", ["1d", "2d", "2d with V"])
+def test_cropped_surgery_equals_dense_surgery(surgery_setup, case, test):
+    if case == "1d":
+        (m, grid, pk), V, tau = surgery_setup, None, 30.0
+    else:
+        V = (exprs.ScalarField.from_text("0.3*exp(-(x1^2 + x2^2))", 2)
+             if case == "2d with V" else None)
+        (m, grid, pk), tau = line_setup(V), 10.0
+    make = sources.make_test_function if test else sources.make_source
+    src, zu = make(pk, m, grid, tau, V=V, r=1.0)
+    f, z = dense_surgery(pk, m, grid, tau, V, 1.0, test)
+    assert src.field.size < f.size
+    assert zu.data.shape == src.field.shape
+    assert np.array_equal(src.dense(), f)
+    assert np.array_equal(zu.dense(), z)
+
+
+def test_surgery_of_a_packet_missing_the_grid_is_zero():
+    # no nonzero cell: the box is empty and the source marches to zero
+    m = geo.minkowski(2)
+    grid = solver.Grid.for_ball(2, 0.5, 0.6, h=0.1, dt=0.03)
+    pk = LinePacket([0.3, 5.0, 5.0], [-1.0, 0.6, 0.8], 0.15)
+    src, zu = sources.make_source(pk, m, grid, 10.0, t0=0.3, rho=0.1)
+    assert src.field.size == 0 and src.scale() == 0.0
+    assert not np.any(src.dense()) and not np.any(zu.dense())
+    assert solver.solve_forward(m, grid, None, src).sup_norm() == 0.0
+
+
+def test_three_family_sums_on_the_union_box():
+    srcs = []
+    for q in [(0.5, 0.1, -0.1), (0.5, -0.3, 0.2), (0.6, 0.2, 0.3)]:
+        m, grid, pk = line_setup(q=q)
+        srcs.append(sources.make_source(pk, m, grid, 10.0, r=1.0)[0])
+    b0, b1, b2 = (s.box for s in srcs)
+    assert b0 != b1 and b1 != b2 and b0 != b2
+    fam = sources.build_three_family(*srcs)
+    eps = (0.2, -0.3, 0.5)
+    got = fam(eps)
+    assert got.field.size < got.dense().size
+    dense = [s.dense() for s in srcs]
+    ref = dense[0] * eps[0] + dense[1] * eps[1] + dense[2] * eps[2]
+    assert np.array_equal(got.dense(), ref)
+    assert got.scale() == float(np.max(np.abs(ref)))
 
 
 def test_three_family_linearity(surgery_setup):
