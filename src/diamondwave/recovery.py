@@ -37,46 +37,27 @@ class RecoveryError(RuntimeError):
 # third cross derivative in the source family parameters
 # ---------------------------------------------------------------------------
 
-_CORNERS = [s for s in itertools.product((-1, 1), repeat=3)]
+# the sign corners with eps1 < 0, in march order; their partners -s are
+# the other four
+_CORNERS = [s for s in itertools.product((-1, 1), repeat=3) if s[0] < 0]
 
 
-class EpsilonStencil:
-    """Third cross difference assembled from the eight corner solutions."""
+def _marched_cross(solve, h, with_max):
+    """(cross, max |u| of the corners if `with_max`) from the four corners
+    with eps1 < 0.
 
-    def __init__(self, h_eps, cross):
-        self.h_eps = float(h_eps)
-        self.cross = cross
-
-    @property
-    def vtau(self):
-        """-(1/6) of the cross derivative (the three-wave interaction field)."""
-        return -self.cross / 6.0
-
-
-def _as_array(u):
-    return np.asarray(getattr(u, "data", u))
-
-
-class _Negated:
-    """The corner solution -u, held as u without materializing -u."""
-
-    def __init__(self, u):
-        self.u = u
-
-
-def _assemble_cross(corners, h):
-    """sum over sign corners of s1 s2 s3 u_{s h} / (8 h^3).
-
-    The terms are summed in corner order into one accumulator, each added
-    or subtracted in place: x + (-1) u is x - u bit for bit.  A `_Negated`
-    corner enters as (-s1 s2 s3) u, which is s1 s2 s3 (-u) bit for bit.
+    An odd map's partner corner -s enters the eight-corner stencil as
+    (-s1 s2 s3)(-u_s) = s1 s2 s3 u_s, the same term again, so the stencil is
+    sum_s s1 s2 s3 u_s / (4 h^3) over the four corners.  Each is added or
+    subtracted in place into one accumulator as it is solved and then
+    dropped.
     """
-    total = None
+    total, umax = None, 0.0
     for s in _CORNERS:
-        sign, u = s[0] * s[1] * s[2], corners[s]
-        if isinstance(u, _Negated):
-            sign, u = -sign, u.u
-        u = _as_array(u)
+        sign = s[0] * s[1] * s[2]
+        u = solve(tuple(h * si for si in s))
+        if with_max:
+            umax = max(umax, float(np.max(np.abs(u))))
         if total is None:
             total = np.empty(u.shape, np.result_type(u, 1.0))
             np.multiply(sign, u, out=total)
@@ -84,39 +65,35 @@ def _assemble_cross(corners, h):
             np.add(total, u, out=total)
         else:
             np.subtract(total, u, out=total)
-    return np.divide(total, 8.0 * h**3, out=total)
+        del u
+    return np.divide(total, 4.0 * h**3, out=total), umax
 
 
 def cross_derivative(solve, h_eps, check=True):
-    """Third mixed central difference of solve(eps) at eps = 0.
+    """Third mixed central difference of solve(eps) at eps = 0, an array.
 
-    `solve` maps an epsilon triple to a field (anything with `.data`, a
-    plain array, or a `_Negated` one).  With `check`, the stencil is
-    recomputed at h_eps/2 and the two must agree to 5%.
+    Precondition: `solve` is odd, solve(-eps) = -solve(eps), and returns
+    an array.  (With zero data the source-to-solution map of the cubic
+    equation is odd, in floating point too.)  Only the four corners with
+    eps1 < 0 are solved.  With `check`, the stencil is recomputed at
+    h_eps/2 and the two must agree to 5%.
     """
     h = float(h_eps)
-
-    def corners_at(step):
-        return {s: solve(tuple(step * si for si in s)) for s in _CORNERS}
-
-    corners = corners_at(h)
-    cross = _assemble_cross(corners, h)
+    cross, umax = _marched_cross(solve, h, check)
     if check:
         # a stencil at pure rounding level has nothing to disagree about
-        # |-u| = |u|: a negated corner adds nothing to the scale
-        corner_scale = max(float(np.max(np.abs(_as_array(u))))
-                           for u in corners.values()
-                           if not isinstance(u, _Negated)) / (8.0 * h**3)
-        del corners     # free the h-step solutions before solving at h/2
-        fine = _assemble_cross(corners_at(h / 2), h / 2)
+        corner_scale = umax / (8.0 * h**3)
+        fine, _ = _marched_cross(solve, h / 2, False)
         scale = float(np.max(np.abs(fine)))
         if scale > 1e-9 * corner_scale:
-            disagree = float(np.max(np.abs(cross - fine))) / scale
+            # |fine - cross|, formed in place: fine is not read again
+            np.subtract(fine, cross, out=fine)
+            disagree = float(np.max(np.abs(fine))) / scale
             if disagree > 0.05:
                 raise RecoveryError(
                     f"epsilon-step outside asymptotic window "
                     f"(Richardson disagreement {disagree:.1%})")
-    return EpsilonStencil(h, cross)
+    return cross
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +172,8 @@ class LinePacket:
     characteristic through the evaluation point back to the anchoring
     hyperplane s = 0; it is computed by Gauss-Legendre nodes on the segment,
     whose physical length stays O(1) even for rescaled covectors.  The
-    bump's chi'' is zero outside (-1, 1), so a1 vanishes wherever a0 does.
+    bump's chi'' is zero outside (-1, 1), and lap_perp a0 is cleared where
+    the product a0 underflows, so a1 vanishes wherever a0 does.
     """
 
     def __init__(self, q, xi, delta, V=None):
@@ -235,7 +213,9 @@ class LinePacket:
         return dx @ self._w0_row, wt
 
     def _profiles(self, w0, wt):
-        """(a0, lap_perp a0) from the cutoff profiles."""
+        """(a0, lap_perp a0) from the cutoff profiles.  lap_perp a0 is set
+        to zero where the product a0 underflows to zero although no factor
+        is zero, so a1 vanishes wherever a0 does."""
         d = self.delta
         f0 = go.chi_bump(w0 / d)
         ft = [go.chi_bump(wt[..., i] / d) for i in range(wt.shape[-1])]
@@ -249,7 +229,7 @@ class LinePacket:
                 if j != i:
                     term = term * f
             lap = lap + term
-        return a0, lap
+        return a0, np.where(a0 != 0, lap, 0.0)
 
     def _potential_integral(self, x, s):
         """int_0^{s(x)} V along the characteristic through x."""
@@ -269,12 +249,13 @@ class LinePacket:
         return np.asarray(s)[..., None] * self.xi_sharp + self.q
 
     def support(self, x):
-        """Mask of the spacetime points x where a0 is nonzero."""
+        """Mask of the spacetime points x where a0 is nonzero: the product
+        of `_profiles`, in its order, formed in place."""
         w0, wt = self._cross_coords(np.asarray(x, dtype=float) - self.q)
-        inside = go.chi_bump(w0 / self.delta) != 0
+        a0 = go.chi_bump(w0 / self.delta)
         for i in range(wt.shape[-1]):
-            inside &= go.chi_bump(wt[..., i] / self.delta) != 0
-        return inside
+            a0 *= go.chi_bump(wt[..., i] / self.delta)
+        return a0 != 0
 
     def amplitudes(self, x):
         """(a0, a1, c) at spacetime points x.
@@ -607,27 +588,6 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
 # full route: PDE pipeline for the interaction integral
 # ---------------------------------------------------------------------------
 
-def _odd(solve):
-    """`solve` for a map that is odd in eps, marching each sign pair once.
-
-    With zero Cauchy data and a cubic nonlinearity the source-to-solution
-    map is odd, and every step of the march (the linear family, the
-    stencils, u (u u)) commutes with negation exactly in floating point, so
-    solve(-eps) equals -solve(eps) bit for bit (up to the sign of zeros).
-    The first of a sign pair is solved and kept until its partner is asked
-    for, which gets it marked as negated (`_Negated`), not a negated copy.
-    """
-    kept = {}
-
-    def odd_solve(eps):
-        partner = tuple(-e for e in eps)
-        if partner in kept:
-            return _Negated(kept.pop(partner))
-        kept[eps] = u = solve(eps)
-        return u
-    return odd_solve
-
-
 class FullPathResult:
     """PDE-route interaction integral next to its quadrature prediction.
 
@@ -665,14 +625,12 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     its data-side pairing with the surgery test function is the PDE-route
     value of I, returned next to the quadrature of the same four packets.
     The source-to-solution map is odd in the family parameters, so only
-    four corners per stencil are marched and the other four are their
-    exact negatives (`_odd`).
+    four corners per stencil are marched (`cross_derivative`).
 
     Memory is kept at desk scale by confining the surgery and the pairing
     to short time windows around the two anchor slabs, storing the sources
     and the family on their support boxes (`solver.SourceTerm`), and
-    streaming the forward marches through an observer instead of storing
-    full solutions.
+    keeping of each forward march only the pairing window.
     The surgery cuts the closed-form packets of the quadrature itself; the
     upper window grid carries its time origin, so packets, cutoffs and V
     are evaluated at physical times.
@@ -731,17 +689,11 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     # the window sources are marched on `grid` and read as zero outside
     # their windows
     def solve(eps):
-        buf = np.zeros((mt + 1,) + grid.shape, dtype=complex)
+        return solver.solve_forward(metric, grid, V, fam(eps), nonlinear=True,
+                                    window=tgrid).data
 
-        def obs(mi, t, sl):
-            if m0 <= mi <= m0 + mt:
-                buf[mi - m0] = sl
-        solver.solve_forward(metric, grid, V, fam(eps), nonlinear=True,
-                             store="none", observers=(obs,))
-        return buf
-
-    stencil = cross_derivative(_odd(solve), _H_EPS, check=check)
-    vfield = solver.GridField(tgrid, np.asarray(stencil.vtau))
+    vtau = -cross_derivative(solve, _H_EPS, check=check) / 6.0
+    vfield = solver.GridField(tgrid, vtau)
     I_full = pairing_integral(tgrid, vfield, fplus)
     I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta)
 

@@ -178,17 +178,6 @@ class GridField:
     def sup_norm(self):
         return float(np.max(np.abs(self.data)))
 
-    def __add__(self, other):
-        return GridField(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        return GridField(self.grid, self.data - other.data)
-
-    def __mul__(self, c):
-        return GridField(self.grid, self.data * c)
-
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
 # spatial operators
@@ -433,21 +422,30 @@ def _as_potential_slices(V, grid):
     return get
 
 
+def _window_offset(window, grid, what):
+    """Steps from the march grid's first slice to that of `window`, which
+    must be a time window of it: same spatial layout and dt, origin a whole
+    number of steps from the grid's."""
+    offset = (window.t0 - grid.t0) / grid.dt
+    k = int(round(offset))
+    if not (window.n == grid.n and window.shape == grid.shape
+            and np.allclose(window.lo, grid.lo)
+            and abs(window.h - grid.h) < 1e-14
+            and abs(window.dt - grid.dt) < 1e-14 and abs(offset - k) < 1e-9):
+        raise SolverError(f"{what} is not a time window of the march grid")
+    return k
+
+
 def _source_slices(f, grid):
     """Slice reader m -> f at the time of the march grid's slice m.
 
-    The source may live on a time window of the march grid (same spatial
-    layout and dt, origin a whole number of steps from the grid's): it is
-    read at the slice with the same time, and is None (zero) outside the
-    window, so the march skips the add.  A slice holds the source's box.
+    The source may live on a time window of the march grid
+    (`_window_offset`): it is read at the slice with the same time, and is
+    None (zero) outside the window, so the march skips the add.  A slice
+    holds the source's box.
     """
     fg = f.grid
-    offset = (fg.t0 - grid.t0) / grid.dt
-    k = int(round(offset))
-    if not (fg.n == grid.n and fg.shape == grid.shape
-            and np.allclose(fg.lo, grid.lo) and abs(fg.h - grid.h) < 1e-14
-            and abs(fg.dt - grid.dt) < 1e-14 and abs(offset - k) < 1e-9):
-        raise SolverError("source grid is not a time window of the march grid")
+    k = _window_offset(fg, grid, "source grid")
     if not (len(f.box) == grid.n
             and all(0 <= s.start <= s.stop <= size and s.step is None
                     for s, size in zip(f.box, grid.shape))
@@ -460,26 +458,27 @@ def _source_slices(f, grid):
     return read
 
 
+# a march whose max |u| exceeds this factor times max |f| has left the
+# smallness regime
+BLOWUP_FACTOR = 1e6
+
+
 def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
-                  store="all", observers=(), blowup_factor=1e6):
+                  window=None):
     """March box u + V u (+ u^3) = f forward from zero data at the first slice.
 
     The source `f` may live on a time window of `grid` and is zero outside
-    it (`_source_slices`).
-
-    `store`: "all" keeps every slice; "none" keeps only the last three.
-    `observers`: callables (m, t, slice) invoked at every accepted slice;
-    the slice is a view that later steps overwrite, so copy what you keep.
-    Returns a GridField ("none" -> field of zeros except final slices).
+    it (`_source_slices`).  Returns the solution on `window`, a time window
+    of `grid` inside it (default: `grid`); the march keeps no other slice.
     """
-    return _march(metric, grid, V, f, nonlinear, store, observers,
-                  blowup_factor, backward=False)
+    return _march(metric, grid, V, f, nonlinear, backward=False,
+                  window=window)
 
 
 def solve_backward(metric, grid, V, f: SourceTerm):
     """Solve the linear backward problem with zero data at the last slice,
     keeping every slice."""
-    return _march(metric, grid, V, f, False, "all", (), 1e6, backward=True)
+    return _march(metric, grid, V, f, False, backward=True)
 
 
 class _Leapfrog:
@@ -560,17 +559,20 @@ def _require_flat(metric):
         raise SolverError("the wave solver needs a flat background")
 
 
-def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
-           backward):
+def _march(metric, grid, V, f, nonlinear, backward, window=None):
     _require_flat(metric)
     grid.check_cfl()
 
     Vs = _as_potential_slices(V, grid)
     source = _source_slices(f, grid)
+    window = grid if window is None else window
+    k = _window_offset(window, grid, "window")
+    if k < 0 or k + window.nt > grid.nt:
+        raise SolverError("time window leaves the march grid")
     dt, nt = grid.dt, grid.nt
     dtype = complex if np.iscomplexobj(f.field) else float
 
-    bound = blowup_factor * max(f.scale(), 1e-300)
+    bound = BLOWUP_FACTOR * max(f.scale(), 1e-300)
     shape = grid.shape
 
     def time_index(m):
@@ -579,17 +581,15 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
     def src(m):
         return source(time_index(m))
 
-    out = np.zeros((nt,) + shape, dtype=dtype) if store == "all" else None
+    out = np.zeros((window.nt,) + shape, dtype=dtype)
 
     def emit(m, sl):
-        ti = time_index(m)
-        if out is not None:
-            out[ti] = sl
-        for obs in observers:
-            obs(ti, grid.time(ti), sl)
+        j = time_index(m) - k
+        if 0 <= j < window.nt:
+            out[j] = sl
 
-    # u[m] in marching order; physical slice index = time_index(m)
-    emit(0, np.zeros(shape, dtype=dtype))
+    # u[m] in marching order, physical slice index time_index(m); u[0] is
+    # zero, as `out` already is
     # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0), and on the
     # zero slice the equation gives u_tt = f
     f0 = src(0)
@@ -609,9 +609,7 @@ def _march(metric, grid, V, f, nonlinear, store, observers, blowup_factor,
         _check_smallness(u_next, parts, bound, absbuf)
         emit(m + 1, u_next)
 
-    if out is None:
-        return None
-    return GridField(grid, out, name=f.name or "solution")
+    return GridField(window, out, name=f.name or "solution")
 
 
 def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):

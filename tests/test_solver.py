@@ -265,24 +265,35 @@ def test_discrete_adjoint_identity():
     assert lhs == pytest.approx(rhs, rel=1e-3)
 
 
-def test_blowup_detector():
+def test_blowup_detector(monkeypatch):
     g = slv.Grid.for_ball(1, 0.4, 2.0, 0.1, 0.04)
     m = geo.minkowski(1)
     f = slv.SourceTerm.from_closure(
         g, lambda t, pts: 50.0 * np.exp(-np.sum(pts[..., 1:] ** 2, axis=-1) / 0.01))
+    slv.solve_forward(m, g, None, f, nonlinear=True)
+    monkeypatch.setattr(slv, "BLOWUP_FACTOR", 1e-3)
     with pytest.raises(slv.SolverError, match="smallness"):
-        slv.solve_forward(m, g, None, f, nonlinear=True, blowup_factor=1e-3)
+        slv.solve_forward(m, g, None, f, nonlinear=True)
 
 
-def test_observers_and_store_none():
-    g = small_grid(n=1)
-    m = geo.minkowski(1)
-    f = bump_source(g, rad=0.3)
-    seen = []
-    ret = slv.solve_forward(m, g, None, f, store="none",
-                            observers=[lambda mm, t, sl: seen.append(mm)])
-    assert ret is None
-    assert seen == list(range(g.nt))
+@pytest.mark.parametrize("k, nw", [(0, 1), (0, None), (6, 9), (12, None)])
+def test_window_march_keeps_the_whole_march_slices(k, nw):
+    # a march returns the slices of its time window, bit for bit those of
+    # the whole-grid march; here nonlinear, with a boxed window source
+    g = small_grid()
+    m = geo.minkowski(2)
+    dense = bump_source(g, rad=0.3).field * (30.0 + 15.0j)
+    box = slv.support_box(dense)
+    sw = slv.Grid(2, g.lo, g.shape, g.h, g.dt, 20 * g.dt, t0=g.time(2))
+    f = slv.SourceTerm(sw, dense[2:23][(slice(None),) + box], box=box)
+    nw = g.nt - k if nw is None else nw
+    win = slv.Grid(2, g.lo, g.shape, g.h, g.dt, (nw - 1) * g.dt,
+                   t0=g.time(k))
+    whole = slv.solve_forward(m, g, 0.3, f, nonlinear=True)
+    u = slv.solve_forward(m, g, 0.3, f, nonlinear=True, window=win)
+    assert u.grid is win
+    assert np.array_equal(u.data, whole.data[k:k + nw])
+    assert whole.grid is g and np.any(whole.data[6:15] != 0)
 
 
 def test_grid_time_origin():
@@ -297,10 +308,9 @@ def test_grid_time_origin():
     # a closure is sampled once per slice, at the slice's physical time
     assert np.array_equal(seen, times)
     assert np.array_equal(f.field[:, 0], times)
-    marched = []
-    slv.solve_forward(geo.minkowski(1), g, None, f, store="none",
-                      observers=[lambda mm, t, sl: marched.append(t)])
-    assert np.array_equal(marched, times)
+    # a march on it returns its slices on it, at the same times
+    u = slv.solve_forward(geo.minkowski(1), g, None, f)
+    assert u.grid is g and np.array_equal(u.grid.times(), times)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -481,3 +491,13 @@ def test_window_source_must_share_the_march_layout():
         f = slv.SourceTerm(wg, field=np.zeros((wg.nt,) + wg.shape))
         with pytest.raises(slv.SolverError, match="time window"):
             slv.solve_forward(geo.minkowski(1), g, None, f)
+    # the same holds for the window a march returns, which must also lie
+    # inside the march grid
+    f = slv.SourceTerm.zero(g)
+    for wg in (slv.Grid(1, g.lo, g.shape, g.h, 2 * g.dt, 2 * T),
+               slv.Grid(1, g.lo, g.shape, g.h, g.dt, T, t0=0.5 * g.dt),
+               slv.Grid(1, g.lo + g.h, g.shape, g.h, g.dt, T),
+               slv.Grid(1, g.lo, g.shape, g.h, g.dt, T, t0=-g.dt),
+               slv.Grid(1, g.lo, g.shape, g.h, g.dt, T, t0=g.T - T + g.dt)):
+        with pytest.raises(slv.SolverError, match="time window"):
+            slv.solve_forward(geo.minkowski(1), g, None, f, window=wg)
