@@ -2,7 +2,7 @@
 
 Modules:
     geometry  -- Lorentzian metrics, null geodesics, causal structure
-    exprs     -- small expression grammar for metric/potential fields
+    exprs     -- small expression grammar for potential fields
     fermi     -- parallel frames and Fermi charts along null geodesics
     go        -- geometric-optics packets (flat background)
     beam      -- Gaussian beams (curved background)

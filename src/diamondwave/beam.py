@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, chart_metric
 from .geometry import _rk4_span, _rk4_stages
-from .go import cumint, loglog_fit
+from .go import cumint, loglog_fit, smoothstep7
 
 
 class BeamError(RuntimeError):
@@ -467,8 +467,6 @@ class PhaseJet:
 
     def _splines(self):
         self._sp = {
-            "Y": CubicSpline(self.s, self.Y, axis=0),
-            "Z": CubicSpline(self.s, self.Z, axis=0),
             "H": CubicSpline(self.s, self.H, axis=0),
             "phi": CubicSpline(self.s, self.phi_c.c, axis=0),
             "dsphi": CubicSpline(self.s, self.dsphi_c.c, axis=0),
@@ -596,7 +594,7 @@ def _fill_dsphi(G, phi, dsphi, order):
     return B
 
 
-def solve_phase_higher(chart: FermiChart, jet: PhaseJet, order: int):
+def solve_phase_higher(jet: PhaseJet, order: int):
     """Extend the phase jet with |alpha| = 3..order coefficients.
 
     The degree-m coefficients satisfy linear ODEs in s; they are integrated
@@ -861,8 +859,7 @@ class AmplitudeJet:
         return out
 
 
-def solve_amplitudes(chart: FermiChart, jet: PhaseJet, V,
-                     N: int) -> AmplitudeJet:
+def solve_amplitudes(jet: PhaseJet, V, N: int) -> AmplitudeJet:
     return AmplitudeJet(jet, V, N)
 
 
@@ -872,9 +869,7 @@ def solve_amplitudes(chart: FermiChart, jet: PhaseJet, V,
 
 def chi_plateau(u):
     """C^3 cutoff: 1 for |u| <= 1/4, 0 for |u| >= 1/2, smoothstep between."""
-    u = np.abs(np.asarray(u, dtype=float))
-    t = np.clip((0.5 - u) * 4.0, 0.0, 1.0)
-    return t**4 * (35 - 84 * t + 70 * t**2 - 20 * t**3)
+    return smoothstep7((0.5 - np.abs(np.asarray(u, dtype=float))) * 4.0)
 
 
 class GaussianBeam:
@@ -944,8 +939,8 @@ def make_beam(chart: FermiChart, V=None, N=4, s0=None, conjugate=False):
         lo, hi = chart.geodesic.s_range
         s0 = 0.5 * (lo + hi)
     jet = solve_riccati(chart, s0)
-    jet = solve_phase_higher(chart, jet, N + 2)
-    amp = solve_amplitudes(chart, jet, V, N)
+    jet = solve_phase_higher(jet, N + 2)
+    amp = solve_amplitudes(jet, V, N)
     return GaussianBeam(chart, jet, amp, conjugate=conjugate)
 
 

@@ -1,58 +1,82 @@
 """Small arithmetic expression grammar for the potential of a config file.
 
-Expressions use +, -, *, /, ^, sin, cos, exp, sqrt and the variables
-t, x1..xn.  They are parsed with sympy in a restricted namespace and
-evaluated as numpy functions.
+Expressions use numbers, +, -, *, /, ^ (or **), the one-argument functions
+sin, cos, exp, sqrt and the variables t, x1..xn.  Python's parser reads the
+text, each node of the syntax tree is checked against this grammar, and the
+checked tree is compiled once and evaluated with numpy and no builtins.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import sympy as sp
+import ast
 
-_ALLOWED_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt}
+import numpy as np
+
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+_NAMESPACE = {"__builtins__": {}, **_FUNCS}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_UNARYOPS = (ast.UAdd, ast.USub)
 
 
 class ExpressionError(ValueError):
     pass
 
 
-def coordinate_symbols(n: int):
-    return sp.symbols(" ".join(["t"] + [f"x{i}" for i in range(1, n + 1)]))
+def coordinate_names(n: int):
+    return ["t"] + [f"x{i}" for i in range(1, n + 1)]
 
 
-def parse_expression(text: str, n: int) -> sp.Expr:
-    """Parse one scalar expression in the variables t, x1..xn."""
-    syms = coordinate_symbols(n)
-    if isinstance(syms, sp.Symbol):
-        syms = (syms,)
-    ns = {s.name: s for s in syms}
-    ns.update(_ALLOWED_FUNCS)
+def _check(tree, names, source):
+    """Raise ExpressionError at the first piece outside the grammar."""
+    stack = [tree.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            stack += [node.left, node.right]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
+            stack.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCS and len(node.args) == 1
+              and not node.keywords):
+            stack += node.args
+        elif not (isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Constant)
+                  and type(node.value) in (int, float)):
+            raise ExpressionError(f"{ast.get_source_segment(source, node)!r} "
+                                  f"is outside the grammar of {source!r}")
+
+
+def parse_expression(text: str, n: int):
+    """Check one scalar expression in t, x1..xn and return it compiled."""
+    names = coordinate_names(n)
+    source = text.replace("^", "**")
     try:
-        expr = sp.sympify(text.replace("^", "**"), locals=ns, rational=False)
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
-    bad = [str(s) for s in expr.free_symbols if s not in syms]
-    if bad:
-        raise ExpressionError(f"unknown variables {bad} in expression {text!r}")
-    return expr
+    # one trial evaluation: on numpy-float variables only constant arithmetic
+    # such as 1/0 can raise, and it would raise at every point
+    try:
+        _check(tree, names, source)
+        code = compile(tree, "<expression>", "eval")
+        with np.errstate(all="ignore"):
+            eval(code, _NAMESPACE, dict.fromkeys(names, np.float64(0.0)))
+    except (ArithmeticError, RecursionError) as exc:
+        raise ExpressionError(f"cannot evaluate expression {text!r}: {exc}") from None
+    return code
 
 
 class ScalarField:
-    """Callable scalar field of (t, x') parsed from an expression.
+    """Callable scalar field of (t, x') from a compiled expression.
 
     Accepts points of shape (1+n,) or batched (..., 1+n).  `time_dependent`
     tells whether t occurs in the expression.
     """
 
-    def __init__(self, expr: sp.Expr, n: int):
-        self.n = n
-        self.expr = expr
-        syms = coordinate_symbols(n)
-        if isinstance(syms, sp.Symbol):
-            syms = (syms,)
-        self._f = sp.lambdify(syms, expr, modules="numpy")
-        self.time_dependent = syms[0] in expr.free_symbols
+    def __init__(self, expr, n: int):
+        self._code = expr
+        self._names = coordinate_names(n)
+        self.time_dependent = "t" in expr.co_names
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "ScalarField":
@@ -60,5 +84,6 @@ class ScalarField:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._f(*(x[..., i] for i in range(self.n + 1)))
+        cols = {name: x[..., i] for i, name in enumerate(self._names)}
+        out = eval(self._code, _NAMESPACE, cols)
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1]).copy()

@@ -38,15 +38,19 @@ def chi_bump(u):
     return out
 
 
+def smoothstep7(t):
+    """C^3 ramp: 0 for t <= 0, 1 for t >= 1 (degree-7 polynomial between)."""
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    return t**4 * (35 - 84 * t + 70 * t**2 - 20 * t**3)
+
+
 def chi_indicator(m):
     """Mollified-indicator family: C^3 smoothstep shoulder of width ~1/m.
 
     chi^(m) -> 1_(-1,1) pointwise as m -> infinity; chi^(m)(0)=1 for m >= 1.
     """
     def chi(u):
-        u = np.asarray(u, dtype=float)
-        x = np.clip((1.0 - np.abs(u)) * m + 0.5, 0.0, 1.0)
-        return x**4 * (35 - 84 * x + 70 * x**2 - 20 * x**3)
+        return smoothstep7((1.0 - np.abs(np.asarray(u, dtype=float))) * m + 0.5)
     return chi
 
 

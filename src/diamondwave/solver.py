@@ -396,30 +396,20 @@ def support_box(data):
 
 
 def _as_potential_slices(V, grid):
-    """Normalize V input (None | scalar | closure | GridField) to slice lookup."""
+    """Normalize V input (None | scalar | closure) to slice lookup."""
     if V is None:
         return lambda m: 0.0
     if np.isscalar(V):
         v = float(V)
         return lambda m: v
-    if isinstance(V, GridField):
-        return lambda m: V.data[m]
     if isinstance(V, ScalarField) and not V.time_dependent:
         # a static expression takes the same values on every slice
         v = np.asarray(V(grid.spacetime_slice(0)))
         v.flags.writeable = False
         return lambda m: v
-    # closure on space-time points; potentials are static in most experiments
-    # but time dependence is allowed
-    cache = {}
-
-    def get(m):
-        if m not in cache:
-            cache[m] = np.asarray(V(grid.spacetime_slice(m)))
-            if len(cache) > 4:
-                cache.pop(next(iter(cache)))
-        return cache[m]
-    return get
+    # closure on space-time points, which may depend on t: each reader of
+    # the slices (a march, the wave operator) reads each slice once
+    return lambda m: np.asarray(V(grid.spacetime_slice(m)))
 
 
 def _window_offset(window, grid, what):

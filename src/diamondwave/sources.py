@@ -15,6 +15,7 @@ a target point with endpoints on the measurement cylinder.
 import numpy as np
 
 from . import geometry as geo
+from .go import smoothstep7
 from .solver import (CropGrid, GridField, SourceTerm, apply_wave_operator,
                      support_box)
 
@@ -26,12 +27,6 @@ class SourceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # time cutoffs
 # ---------------------------------------------------------------------------
-
-def smoothstep7(t):
-    """C^3 ramp: 0 for t <= 0, 1 for t >= 1 (degree-7 polynomial between)."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t**4 * (35 - 84 * t + 70 * t**2 - 20 * t**3)
-
 
 class CutoffPair:
     """Monotone time profiles around t0 with ramp width rho.
@@ -151,25 +146,15 @@ class CovectorQuad:
     kappa = (sigma~^2, k1, k2, k3) satisfies sum_j kappa_j sharp_j = 0.
     """
 
-    def __init__(self, p, sharp, xi, kappa, sigma, frame):
+    def __init__(self, p, sharp, xi, kappa, sigma):
         self.p = np.asarray(p, dtype=float)
         self.sharp = np.asarray(sharp)
         self.xi = np.asarray(xi)
         self.kappa = np.asarray(kappa, dtype=float)
         self.sigma = float(sigma)
-        self.frame = frame
 
     def residual(self):
         return float(np.linalg.norm(self.kappa @ self.sharp))
-
-    def manifest(self):
-        lines = [f"covector quad at p = {self.p.tolist()}",
-                 f"sigma~ = {self.sigma}",
-                 f"dependence residual = {self.residual():.3e}"]
-        for j in range(4):
-            lines.append(f"  kappa_{j} = {self.kappa[j]:+.12f}   "
-                         f"xi^sharp = {np.round(self.sharp[j], 12).tolist()}")
-        return "\n".join(lines)
 
 
 def _normal_frame(metric, p):
@@ -235,7 +220,7 @@ def perturb_covectors(metric, p, xi0_sharp, xi1_sharp, sigma_tilde):
     sharp = sharp_w @ E.T
     kappa = np.concatenate([[st**2], k])
     xi = np.stack([geo.flat(metric, p, v) for v in sharp])
-    return CovectorQuad(p, sharp, xi, kappa, st, E)
+    return CovectorQuad(p, sharp, xi, kappa, st)
 
 
 # ---------------------------------------------------------------------------

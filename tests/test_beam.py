@@ -55,14 +55,14 @@ def gaussian_V(center=(0.75, 0.75, 0.0), amp=1.0, width=0.5):
 def flat_phase():
     ch = flat_chart()
     jet = beam.solve_riccati(ch, 1.0)
-    return ch, beam.solve_phase_higher(ch, jet, 6)
+    return ch, beam.solve_phase_higher(jet, 6)
 
 
 @pytest.fixture(scope="module")
 def flat_beam(flat_phase):
     ch, jet = flat_phase
     V = gaussian_V(center=(1.0, 1.0, 0.0))
-    amp = beam.solve_amplitudes(ch, jet, V, 4)
+    amp = beam.solve_amplitudes(jet, V, 4)
     return beam.GaussianBeam(ch, jet, amp), V
 
 
@@ -138,9 +138,9 @@ def test_H0_validation():
 
 
 def test_phase_order_capped_by_jet_degree(flat_phase):
-    ch, jet = flat_phase
+    _, jet = flat_phase
     with pytest.raises(beam.BeamError, match="degree"):
-        beam.solve_phase_higher(ch, jet, 7)
+        beam.solve_phase_higher(jet, 7)
 
 
 def test_eikonal_defects_small(flat_phase, pert_beam):
@@ -190,23 +190,23 @@ def test_amp_anchor_value(flat_beam):
 
 
 def test_c10_zero_without_potential(flat_phase):
-    ch, jet = flat_phase
-    amp = beam.solve_amplitudes(ch, jet, None, 1)
+    _, jet = flat_phase
+    amp = beam.solve_amplitudes(jet, None, 1)
     assert np.max(np.abs(amp.c10)) < 1e-12
 
 
 def test_c10_constant_potential(flat_phase):
-    ch, jet = flat_phase
+    _, jet = flat_phase
     amp = beam.solve_amplitudes(
-        ch, jet, lambda x: np.ones(np.asarray(x).shape[:-1]), 1)
+        jet, lambda x: np.ones(np.asarray(x).shape[:-1]), 1)
     ds = amp.s - jet.s0
     ref = -0.5j * ds / np.sqrt(1 + 2j * ds)
     assert np.max(np.abs(amp.c10 - ref)) < 1e-10
 
 
 def test_b10_independent_of_potential(flat_phase, flat_beam):
-    ch, jet = flat_phase
-    amp0 = beam.solve_amplitudes(ch, jet, None, 4)
+    _, jet = flat_phase
+    amp0 = beam.solve_amplitudes(jet, None, 4)
     b, _ = flat_beam
     # the two runs differ only by RK4-vs-Simpson discretization in the split
     assert np.max(np.abs(b.amp.b10 - amp0.b10)) < 1e-6
@@ -221,7 +221,7 @@ def test_amplitudes_require_phase_order():
     ch = flat_chart()
     jet = beam.solve_riccati(ch, 1.0)   # order 2 only
     with pytest.raises(beam.BeamError, match="order"):
-        beam.solve_amplitudes(ch, jet, None, 4)
+        beam.solve_amplitudes(jet, None, 4)
 
 
 # -- curvature-term cross-check ---------------------------------------------

@@ -235,6 +235,17 @@ def test_recover_rejects_split_metric(tmp_path, capsys):
     assert "minkowski" in capsys.readouterr().err
 
 
+def test_recover_rejects_code_in_potential(tmp_path, capsys):
+    # the grammar is checked on the syntax tree before anything runs
+    target = tmp_path / "created"
+    cfgp = write_cfg(tmp_path, RECOVER_CFG.replace(
+        "V = ", f"V = __import__('pathlib').Path('{target}').touch() or "))
+    assert cli.main(["recover", cfgp, "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_IO
+    assert not target.exists()
+    assert "__import__" in capsys.readouterr().err
+
+
 def test_recover_sigma0_out_of_range_is_config_error(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, RECOVER_CFG + "sigma0 = 0\n")
     assert cli.main(["recover", cfgp, "--out", str(tmp_path / "out")]) \

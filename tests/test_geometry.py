@@ -1,10 +1,15 @@
 """Tests for metrics, index gymnastics, null geodesics and the wave operator."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import diamondwave
 from diamondwave import fermi
 from diamondwave import geometry as geo
 from diamondwave.exprs import ScalarField, parse_expression, ExpressionError
@@ -474,3 +479,48 @@ def test_scalar_field_value():
     x = np.array([0.5, 2.0, 3.0])
     assert f(x) == pytest.approx(np.sin(0.5) * 2 + 9.0)
     assert f.time_dependent
+
+
+@pytest.mark.parametrize("text", [
+    "__import__('os').getcwd()", "x1.real", "x1[0]", "(lambda: 7)()",
+    "log(x1)", "pi*x1", "E", "Abs(x1)", "gamma(x1)", "x1!", "sin(x=x1)",
+    "sin(x1, x2)", "sin(x1)(x2)", "sin(*x1)", "sin", "'a'", "1j", "True",
+    "x1 // 2", "x1 % 2", "x1 @ x2", "x1 < x2", "x1 if t else x2", "x3",
+    "not x1", "[x1]", "x1 +", "",
+    # constant arithmetic fails at every evaluation, so it fails here
+    "1/0 + x1", "10.0^400",
+    pytest.param("x1 + " + "9" * 400, id="huge-int"),
+    # nesting deeper than the compiler or the parser allows
+    pytest.param("x1" + " + x1" * 2000, id="long-sum"),
+    pytest.param("-" * 100000 + "x1", id="long-minus"),
+    pytest.param("(" * 300 + "x1" + ")" * 300, id="deep-parentheses"),
+])
+def test_parse_expression_rejects_outside_grammar(text):
+    with pytest.raises(ExpressionError):
+        parse_expression(text, 2)
+
+
+@pytest.mark.parametrize("text, ref", [
+    ("x1^2 + x2**3 - t^-1", lambda t, x1, x2: x1**2 + x2**3 - t**-1),
+    ("-x1^2 + +x2 - -t", lambda t, x1, x2: -x1**2 + +x2 - -t),
+    ("2.5e-1*exp(-((x1-1.1)^2 + x2^2)/0.16)",
+     lambda t, x1, x2: 2.5e-1 * np.exp(-((x1 - 1.1)**2 + x2**2) / 0.16)),
+    ("sqrt(1 + cos(sin(x1*t))^2) / 1.5E+2",
+     lambda t, x1, x2: np.sqrt(1 + np.cos(np.sin(x1 * t))**2) / 1.5E+2),
+    ("7", lambda t, x1, x2: np.full(np.shape(t), 7.0)),
+])
+def test_scalar_field_evaluates_as_written(text, ref):
+    f = ScalarField.from_text(text, 2)
+    x = np.random.default_rng(1).uniform(0.5, 2.0, (4, 5, 3))
+    assert np.array_equal(f(x), ref(*np.moveaxis(x, -1, 0)))
+    assert np.array_equal(f(x[1, 2]), ref(*x[1, 2]))
+    assert f.time_dependent == ("t" in text)
+
+
+def test_import_loads_no_sympy():
+    src = str(Path(diamondwave.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import diamondwave; "
+            "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
