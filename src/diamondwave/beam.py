@@ -279,13 +279,6 @@ class ChartJets:
 
     # -- fitting ------------------------------------------------------------
 
-    def _cloud(self):
-        npts = self.deg + 3
-        axis = np.linspace(-self.r_fit, self.r_fit, npts)
-        pts = np.stack(np.meshgrid(*([axis] * self.n), indexing="ij"),
-                       axis=-1).reshape(-1, self.n)
-        return pts
-
     def _vandermonde(self, pts):
         alphas = multi_indices(self.n, self.deg)
         M = np.empty((len(pts), len(alphas)))
@@ -301,7 +294,7 @@ class ChartJets:
 
     def _fit(self, V):
         n, dim = self.n, self.n + 1
-        cloud = self._cloud()
+        cloud = _tensor_grid([self.r_fit] * n, self.deg + 3)[0]
         self._pinv = pinv = np.linalg.pinv(self._vandermonde(cloud))
         ns, nc = len(self.s), len(cloud)
         S = np.repeat(self.s, nc)

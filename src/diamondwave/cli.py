@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -102,50 +103,37 @@ class ExperimentConfig:
     def __init__(self, sections):
         self.sections = sections
         met = self._sec("metric")
-        self.n = _number(met.get("n", "2"), "metric.n", int)
+        self.n = self._num("metric", "n", "2", int)
         if self.n not in (2, 3):
             # the covector quads of both routes need n >= 2; the geometry
             # supports n <= 3
             raise ConfigError(f"metric.n must be 2 or 3, got {self.n}")
         self.metric = self._build_metric(met)
-        self.r = self._flt("aperture", "r")
-        self.T = self._flt("aperture", "T")
-        if self.r <= 0 or self.T <= 0:
-            raise ConfigError("aperture r and T must be positive")
+        self.r = self._positive("aperture", "r")
+        self.T = self._positive("aperture", "T")
         pot = self.sections.get("potential", {})
         self.V = (exprs.ScalarField.from_text(pot["V"], self.n)
                   if "V" in pot else None)
-        pk = self.sections.get("packets", {})
-        self.delta = _number(pk.get("delta", "0.1"), "packets.delta")
-        if self.delta <= 0:
-            raise ConfigError(
-                f"packets.delta must be positive, got {self.delta:g}")
+        self.delta = self._positive("packets", "delta", "0.1")
         pipe = self.sections.get("pipeline", {})
         self.mode = pipe.get("mode", "fast")
         if self.mode not in ("fast", "full"):
             raise ConfigError(f"pipeline.mode must be fast|full, got {self.mode!r}")
-        self.sigma0 = _number(pipe.get("sigma0", "0.1"), "pipeline.sigma0")
+        self.sigma0 = self._num("pipeline", "sigma0", "0.1")
         if not 0 < self.sigma0 < 1:
             raise ConfigError(
                 f"pipeline.sigma0 must lie in (0, 1), got {self.sigma0:g}")
-        self.ds0 = _number(pipe.get("ds0", "0.05"), "pipeline.ds0")
-        if self.ds0 <= 0:
-            raise ConfigError(f"pipeline.ds0 must be positive, got {self.ds0:g}")
+        self.ds0 = self._positive("pipeline", "ds0", "0.05")
         self.points = self._parse_points(pipe.get("points", ""))
         for p in self.points:
             if not geo.in_mho(self.r + self.T, 2 * self.T, p):
                 raise ConfigError(
                     f"point {p.tolist()} outside the measurement region")
-        gr = self.sections.get("grid", None)
         self.grid_params = None
-        if gr is not None:
-            h = self._flt("grid", "h")
-            dt = self._flt("grid", "dt")
-            pad = _number(gr.get("pad", "0.25"), "grid.pad")
-            if h <= 0:
-                raise ConfigError(f"grid.h must be positive, got {h:g}")
-            if dt <= 0:
-                raise ConfigError(f"grid.dt must be positive, got {dt:g}")
+        if "grid" in self.sections:
+            h = self._positive("grid", "h")
+            dt = self._positive("grid", "dt")
+            pad = self._num("grid", "pad", "0.25")
             if pad < 0:
                 raise ConfigError(
                     f"grid.pad must be non-negative, got {pad:g}")
@@ -154,25 +142,32 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"grid dt={dt:g} violates the CFL bound {limit:g}")
             self.grid_params = {"h": h, "dt": dt, "pad": pad}
-        self.tau = _number(self.sections.get("full", {}).get("tau", "40"),
-                           "full.tau")
-        if self.tau <= 0:
-            raise ConfigError(f"full.tau must be positive, got {self.tau:g}")
-        out = self.sections.get("output", {})
-        self.outdir = out.get("dir", None)
+        self.tau = self._positive("full", "tau", "40")
 
     def _sec(self, name):
         if name not in self.sections:
             raise ConfigError(f"missing required [{name}] section")
         return self.sections[name]
 
-    def _flt(self, section, key):
-        """The required number `key` of [section], named section.key in
-        errors."""
-        sec = self._sec(section)
-        if key not in sec:
-            raise ConfigError(f"missing key {section}.{key}")
-        return _number(sec[key], f"{section}.{key}")
+    def _num(self, section, key, default=None, kind=float):
+        """The number `key` of [section] as `kind`, named section.key in
+        errors; without a `default` the section and the key are required."""
+        if default is None:
+            sec = self._sec(section)
+            if key not in sec:
+                raise ConfigError(f"missing key {section}.{key}")
+            text = sec[key]
+        else:
+            text = self.sections.get(section, {}).get(key, default)
+        return _number(text, f"{section}.{key}", kind)
+
+    def _positive(self, section, key, default=None):
+        """`_num` of a float that must be positive."""
+        value = self._num(section, key, default)
+        if value <= 0:
+            raise ConfigError(
+                f"{section}.{key} must be positive, got {value:g}")
+        return value
 
     def _build_metric(self, met):
         # both recovery routes and the wave solver need a flat background
@@ -508,11 +503,11 @@ def _suite_solver(rng):
         return leak < 1e-10, f"cone leak {leak:.2e}"
 
     def snapshot_roundtrip():
-        tmpname = "__verify_snap.bin"
         fld = solver.GridField(grid, rng.normal(size=(grid.nt,) + grid.shape))
-        solver.write_snapshot(tmpname, fld)
-        back = solver.read_snapshot(tmpname)
-        os.remove(tmpname)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.bin")
+            solver.write_snapshot(path, fld)
+            back = solver.read_snapshot(path)
         ok = np.array_equal(back.data, fld.data)
         return ok, "bit-identical" if ok else "payload mismatch"
 
@@ -558,7 +553,8 @@ def _suite_recovery(rng):
                                 / 0.3)
 
         quad = recovery.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1, V=V)
-        _, _, csum = recovery.interaction_series(quad.packets, p, 0.3)
+        _, _, csum = recovery.interaction_series(
+            quad.packets, recovery.tensor_quadrature(p, 0.3, recovery.BOX_NQ))
         oracle = np.sum(quad.c_values(V))
         err = abs(csum - oracle) / abs(oracle)
         return err < 0.01, f"rel dev {err:.2e}"
@@ -613,8 +609,7 @@ def cmd_verify(args):
 
 def cmd_recover(args):
     cfg = ExperimentConfig(parse_config(args.config))
-    outdir = args.out if args.out != "out" or cfg.outdir is None else cfg.outdir
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     report = RunReport()
     mode = cfg.mode
     if args.fast_only:
@@ -629,7 +624,7 @@ def cmd_recover(args):
                                   V_true=cfg.V, sigma0=cfg.sigma0,
                                   delta=cfg.delta, ds0=cfg.ds0)
     report.stage("fast recovery", time.perf_counter() - t0)
-    rec.to_csv(os.path.join(outdir, "report.csv"))
+    rec.to_csv(os.path.join(args.out, "report.csv"))
     prof = []
     for row in rec.point_rows():
         flags = row["flags"]
@@ -644,7 +639,7 @@ def cmd_recover(args):
                          row["V_recovered"], row["V_true"], row["rel_err"]))
         else:
             report.flag(str(flags))
-    _write_csv(os.path.join(outdir, "recovered_profile.csv"),
+    _write_csv(os.path.join(args.out, "recovered_profile.csv"),
                ["p_t", "p_x1", "p_x2", "V_recovered", "V_true", "rel_err"],
                prof)
 
@@ -663,7 +658,7 @@ def cmd_recover(args):
                          f"{type(exc).__name__}: {exc}")
         report.stage("full-route interaction", time.perf_counter() - t0)
         if res is not None:
-            _write_csv(os.path.join(outdir, "full_path.csv"),
+            _write_csv(os.path.join(args.out, "full_path.csv"),
                        ["tau", "I_full", "I_fast", "rel_diff"],
                        [(tau, res.I_full, res.I_fast, res.rel_diff)])
             report.check("full vs fast interaction", res.rel_diff < 0.15,
@@ -675,8 +670,8 @@ def cmd_recover(args):
             report.diagnostic("stencil group velocity at kappa_top tau h",
                               f"{res.group_velocity:.3g}")
 
-    report.write(os.path.join(outdir, "run_report.txt"))
-    print(os.path.join(outdir, "report.csv"))
+    report.write(os.path.join(args.out, "run_report.txt"))
+    print(os.path.join(args.out, "report.csv"))
     return EXIT_OK if report.all_pass() else EXIT_NUMERICAL
 
 
@@ -688,11 +683,7 @@ def _dump_beam(ident, outdir):
     if ident == "flat":
         ch = _flat_chart(span=(0.0, 1.5))
     elif ident == "perturbed":
-        ms = _split_test_metric(amp=0.03)
-        v = np.array([1.0, 1.0, 0.0])
-        g = geo.integrate_null_geodesic(ms, np.zeros(3), v, (0.0, 1.2),
-                                        steps_per_unit=400)
-        ch = fermi.FermiChart(g)
+        ch = _split_chart(amp=0.03)
     else:
         raise UsageError(f"unknown beam id {ident!r} (flat|perturbed)")
     b = beam.make_beam(ch, V=None, N=2, s0=0.5)

@@ -27,21 +27,29 @@ def coordinate_names(n: int):
 
 
 def _check(tree, names, source):
-    """Raise ExpressionError at the first piece outside the grammar."""
-    stack = [tree.body]
+    """Raise ExpressionError at the first piece outside the grammar.  Int
+    literals become floats (OverflowError if too large), so no constant
+    builds a huge exact integer, except literal exponents (the right operand
+    of ** or its negation): x^2 keeps numpy's integer power."""
+    stack = [(tree.body, False)]
     while stack:
-        node = stack.pop()
+        node, exponent = stack.pop()
         if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-            stack += [node.left, node.right]
+            stack += [(node.left, False),
+                      (node.right, isinstance(node.op, ast.Pow))]
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
-            stack.append(node.operand)
+            stack.append((node.operand,
+                          exponent and isinstance(node.op, ast.USub)))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in _FUNCS and len(node.args) == 1
               and not node.keywords):
-            stack += node.args
+            stack += [(arg, False) for arg in node.args]
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            if not exponent:
+                node.value = float(node.value)
         elif not (isinstance(node, ast.Name) and node.id in names
                   or isinstance(node, ast.Constant)
-                  and type(node.value) in (int, float)):
+                  and type(node.value) is float):
             raise ExpressionError(f"{ast.get_source_segment(source, node)!r} "
                                   f"is outside the grammar of {source!r}")
 
@@ -55,14 +63,18 @@ def parse_expression(text: str, n: int):
     except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
     # one trial evaluation: on numpy-float variables only constant arithmetic
-    # such as 1/0 can raise, and it would raise at every point
+    # such as 1/0 can raise or give a complex value, and it would do so at
+    # every point
     try:
         _check(tree, names, source)
         code = compile(tree, "<expression>", "eval")
         with np.errstate(all="ignore"):
-            eval(code, _NAMESPACE, dict.fromkeys(names, np.float64(0.0)))
+            trial = eval(code, _NAMESPACE,
+                         dict.fromkeys(names, np.float64(0.0)))
     except (ArithmeticError, RecursionError) as exc:
         raise ExpressionError(f"cannot evaluate expression {text!r}: {exc}") from None
+    if np.iscomplexobj(trial):
+        raise ExpressionError(f"expression {text!r} has a complex value")
     return code
 
 

@@ -307,10 +307,6 @@ class FermiChart:
         """Chart-coordinate metric gbar_chart = J^T G(F) J, batched."""
         return chart_metric(self.metric, *self.jacobian(s, zprime))
 
-    def axis_metric_target(self):
-        # g(d_s, d_z1) = <E0, E1> = 2 on the axis; spatial block identity
-        return frame_pairing_target(self.n)
-
     def axis_defects(self, nsamp=9):
         """(metric defect, first-derivative defect) on the axis.
 
@@ -329,6 +325,7 @@ class FermiChart:
         for k in range(n):
             z[:, 3 + 2 * k, k], z[:, 4 + 2 * k, k] = h, -h
         g = self.pullback_metric(s, z)
-        mdef = float(np.max(np.abs(g[:, 0] - self.axis_metric_target())))
+        # g(d_s, d_z1) = <E0, E1> = 2 on the axis; spatial block identity
+        mdef = float(np.max(np.abs(g[:, 0] - frame_pairing_target(n))))
         ddef = float(np.max(np.abs(g[:, 1::2] - g[:, 2::2]))) / (2 * h)
         return mdef, ddef

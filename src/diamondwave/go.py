@@ -94,6 +94,29 @@ def _deriv(u, h, axis, order):
 # packet
 
 
+def flow_frame(xi):
+    """Rows L = (s, w0, w_1..w_{n-1}) of the flow coordinates (x - q) @ L.T
+    of a light-like covector xi; the w rows are orthonormal and orthogonal
+    to xi' (Gram-Schmidt against the unit axes)."""
+    xi = np.asarray(xi, dtype=float)
+    xi0, xip = xi[0], xi[1:]
+    n = len(xip)
+    basis = [xip / np.linalg.norm(xip)]
+    for cand in np.eye(n):
+        w = cand - sum((cand @ b) * b for b in basis)
+        nrm = np.linalg.norm(w)
+        if nrm > 1e-8:
+            basis.append(w / nrm)
+        if len(basis) == n:
+            break
+    L = np.zeros((n + 1, n + 1))
+    L[0] = np.concatenate([[-xi0], xip]) / (2 * xi0 * xi0)
+    L[1] = xi / abs(xi0)
+    for j, om in enumerate(basis[1:]):
+        L[2 + j, 1:] = om
+    return L
+
+
 class GOPacket:
     """Hypercube-supported geometric-optics packet of depth N."""
 
@@ -117,36 +140,16 @@ class GOPacket:
     # -- coordinates ------------------------------------------------------
 
     def _build_frames(self):
-        n, xi = self.n, self.xi
-        xi0 = xi[0]
-        xip = xi[1:]
-        # orthonormal transverse directions omega'_j perp xi'
-        basis = [xip / np.linalg.norm(xip)]
-        for cand in np.eye(n):
-            w = cand - sum((cand @ b) * b for b in basis)
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-8:
-                basis.append(w / nrm)
-            if len(basis) == n:
-                break
-        self.omegas = basis[1:]
-
-        dim = n + 1
-        L = np.zeros((dim, dim))
-        L[0] = np.concatenate([[-xi0], xip]) / (2 * xi0 * xi0)      # s row
-        L[1] = xi / abs(xi0)                                        # w0 row
-        for j, om in enumerate(self.omegas):
-            L[2 + j] = np.concatenate([[0.0], om])
-        self.L = L
+        self.L = L = flow_frame(self.xi)
         self.Linv = np.linalg.inv(L)
         # wave operator in flow coordinates: M = L eta^{-1} L^T
-        eta_inv = np.diag([-1.0] + [1.0] * n)
+        eta_inv = np.diag([-1.0] + [1.0] * self.n)
         M = L @ eta_inv @ L.T
         self.c_mixed = M[0, 1]          # = 1/|xi0|
         # sanity: the flow-coordinate operator must be 2c d_s d_w0 + Lap_w
         check = M.copy()
         check[0, 1] = check[1, 0] = 0.0
-        check[2:, 2:] -= np.eye(dim - 2)
+        check[2:, 2:] -= np.eye(self.n - 1)
         if np.max(np.abs(check)) > 1e-10:
             raise GOError("flow-coordinate reduction failed (non-null covector?)")
 

@@ -179,8 +179,7 @@ class LinePacket:
     def __init__(self, q, xi, delta, V=None):
         self.q = np.asarray(q, dtype=float)
         self.xi = np.asarray(xi, dtype=float)
-        n = len(self.q) - 1
-        self.n = n
+        self.n = len(self.q) - 1
         xi0, xip = self.xi[0], self.xi[1:]
         if abs(xi0**2 - xip @ xip) > 1e-10 * max(self.xi @ self.xi, 1e-30):
             raise RecoveryError("covector is not light-like")
@@ -188,18 +187,8 @@ class LinePacket:
         self.V = V
         self.xi_sharp = np.concatenate([[-xi0], xip])
         # flow coordinates: s along gamma, w0 phase direction, w transverse
-        self._s_row = self.xi_sharp / (2.0 * xi0 * xi0)
-        self._w0_row = self.xi / abs(xi0)
-        basis = [xip / np.linalg.norm(xip)]
-        for cand in np.eye(n):
-            w = cand - sum((cand @ b) * b for b in basis)
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-8:
-                basis.append(w / nrm)
-            if len(basis) == n:
-                break
-        self._omegas = np.array([np.concatenate([[0.0], om])
-                                 for om in basis[1:]])
+        L = go.flow_frame(self.xi)
+        self._s_row, self._w0_row, self._omegas = L[0], L[1], L[2:]
 
     def coords(self, x):
         """(s, w0, transverse array) of spacetime points x (..., 1+n)."""
@@ -361,18 +350,31 @@ class PacketQuad:
 # largest integrand on the box boundary, relative to its peak, that still
 # counts as localized
 _LOC_TOL = 1e-3
+# trapezoid nodes per axis of the routes' interaction boxes
+BOX_NQ = 41
 
 
-def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=_LOC_TOL):
-    """Quadrature of the product of the given waves on a box around center.
+def _require_localized(values, boundary, tol):
+    """Raise unless max |values| on the box boundary is at most `tol` times
+    its peak (a vanishing integrand passes)."""
+    peak = float(np.max(np.abs(values), initial=0.0))
+    if peak > 0:
+        leak = float(np.max(np.abs(values[boundary]), initial=0.0)) / peak
+        if leak > tol:
+            raise RecoveryError(
+                f"tube intersection not localized (boundary level {leak:.1e})")
 
-    When every wave exposes a linear phase (GO packets), the total covector
-    is assembled once so an exact linear dependence cancels the phase
-    grid-exactly; otherwise the full complex evaluations are multiplied.
-    A localization check requires the integrand to be negligible on the box
-    boundary.
+
+def asymptotic_I(waves, tau, nodes, loc_tol=_LOC_TOL):
+    """Quadrature of the product of the given waves on the box `nodes`.
+
+    `nodes` is a `tensor_quadrature` result.  When every wave exposes a
+    linear phase (GO packets), the total covector is assembled once so an
+    exact linear dependence cancels the phase grid-exactly; otherwise the
+    full complex evaluations are multiplied.  A localization check requires
+    the integrand to be negligible on the box boundary.
     """
-    pts, w, boundary = tensor_quadrature(center, half_widths, nq)
+    pts, w, boundary = nodes
     go_like = all(hasattr(wv, "xi") and hasattr(wv, "amplitude_sum")
                   for wv in waves)
     if go_like:
@@ -386,20 +388,16 @@ def asymptotic_I(waves, tau, center, half_widths, nq=41, loc_tol=_LOC_TOL):
         integrand = np.ones(len(pts), dtype=complex)
         for wv in waves:
             integrand = integrand * wv.eval(tau, pts)
-    peak = float(np.max(np.abs(integrand)))
-    if peak > 0:
-        leak = float(np.max(np.abs(integrand[boundary]))) / peak
-        if leak > loc_tol:
-            raise RecoveryError(
-                f"tube intersection not localized (boundary level {leak:.1e})")
+    _require_localized(integrand, boundary, loc_tol)
     return complex(np.sum(w * integrand))
 
 
-def interaction_series(packets, center, half_widths, nq=41):
+def interaction_series(packets, nodes):
     """Exact leading coefficients (I0, Im1, csum) of I(tau) for line packets.
 
-    With covectors summing to zero the quadrature of I(tau) carries no
-    phase, so it is a polynomial in 1/tau with
+    With covectors summing to zero the quadrature of I(tau) on the box
+    `nodes` (a `tensor_quadrature` result) carries no phase, so it is a
+    polynomial in 1/tau with
         I0 = sum w prod_j a0_j,   Im1 = sum w sum_j a1_j prod_{k != j} a0_k.
     The potential enters a1_j only as a0_j c_j, so the V-dependent part of
     Im1 over I0 is the weighted c-sum
@@ -414,7 +412,7 @@ def interaction_series(packets, center, half_widths, nq=41):
     if np.any(sum(pk.xi for pk in packets)):
         raise RecoveryError("interaction coefficients need covectors "
                             "summing to zero")
-    pts, w, boundary = tensor_quadrature(center, half_widths, nq)
+    pts, w, boundary = nodes
     joint = np.flatnonzero(packets[0].support(pts))
     for pk in packets[1:]:
         joint = joint[pk.support(pts[joint])]
@@ -422,12 +420,7 @@ def interaction_series(packets, center, half_widths, nq=41):
     w, boundary = w[joint], boundary[joint]
     a0s = [a0 for a0, _, _ in levels]
     a0_prod = np.prod(a0s, axis=0)
-    peak = float(np.max(np.abs(a0_prod), initial=0.0))
-    if peak > 0:
-        leak = float(np.max(np.abs(a0_prod[boundary]), initial=0.0)) / peak
-        if leak > _LOC_TOL:
-            raise RecoveryError(
-                f"tube intersection not localized (boundary level {leak:.1e})")
+    _require_localized(a0_prod, boundary, _LOC_TOL)
     I0 = complex(np.sum(w * a0_prod))
     if abs(I0) < 1e-300:
         raise RecoveryError("vanishing interaction weight I0")
@@ -551,11 +544,13 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
     for s0 in s0_grid:
         # the upper anchor stays fixed; p slides down its null geodesic
         pp = np.concatenate([[q_plus[0] - s0], q_plus[1:] + s0 * direction])
+        # one box per s0 serves its three sigmas
+        nodes = tensor_quadrature(pp, 3.0 * delta, BOX_NQ)
         sig_vals = []
         sigmas = [sigma0, sigma0 / 2, sigma0 / 4]
         for sig in sigmas:
             quad = PacketQuad(pp, s0, direction, sig, V=V, delta=delta)
-            I0, Im1, csum = interaction_series(quad.packets, pp, 3.0 * delta)
+            I0, Im1, csum = interaction_series(quad.packets, nodes)
             # the reversal packet integrates from its anchor backwards along
             # the flow (its parameter at p is negative), so the rescaled
             # c-sum carries a minus sign relative to the down-segment
@@ -572,6 +567,8 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
         if abs(L.imag) > 0.05 * max(abs(L.real), 1e-6):
             all_flags.append("line integral not real")
         Ls.append(L.real)
+        # drop this box before the next one is built
+        del nodes
     v_rec = differentiate_line_integral(s0_grid, Ls)
     row = dict(p_t=p[0], p_x1=p[1], p_x2=p[2] if len(p) > 2 else "",
                sigma=0.0, s0=s0c, line_integral=Ls[1], V_recovered=v_rec,
@@ -695,7 +692,8 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     vtau = -cross_derivative(solve, _H_EPS, check=check) / 6.0
     vfield = solver.GridField(tgrid, vtau)
     I_full = pairing_integral(tgrid, vfield, fplus)
-    I_fast = asymptotic_I(quad.packets, tau, p, 3.0 * delta)
+    I_fast = asymptotic_I(quad.packets, tau,
+                          tensor_quadrature(p, 3.0 * delta, BOX_NQ))
 
     I_check = None
     if consistency:

@@ -278,7 +278,8 @@ def test_interaction_integral_stationary_phase():
     vals = []
     for tau in taus:
         hw = min(2.5 / np.sqrt(mhat * tau), 0.135)
-        vals.append(abs(recovery.asymptotic_I(waves, tau, p, hw, nq=31,
+        nodes = recovery.tensor_quadrature(p, hw, 31)
+        vals.append(abs(recovery.asymptotic_I(waves, tau, nodes,
                                               loc_tol=0.05)))
     slope, _ = loglog_slope(taus, vals)
     assert slope == pytest.approx(-1.5, abs=0.1)   # -(n+1)/2 for n = 2

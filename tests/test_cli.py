@@ -1,7 +1,11 @@
 """Command-line runner tests: config parsing, exit codes, artifacts."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,60 @@ def test_dump_packet_csv(tmp_path, capsys):
     assert len(lines) == 252
 
 
+@pytest.mark.parametrize("what, ident, name", [
+    ("beam", "perturbed", "beam_perturbed.txt"),
+    ("packet", "potential", "packet_potential.csv"),
+    ("source", "surgery", "source_surgery.snap"),
+    ("solution", "forced", "solution_forced.snap")])
+def test_dump_writes_each_object(tmp_path, capsys, what, ident, name):
+    assert cli.main(["dump", what, ident, "--out", str(tmp_path)]) == 0
+    path = tmp_path / name
+    assert capsys.readouterr().out.strip() == str(path)
+    if name.endswith(".snap"):
+        assert solver.read_snapshot(str(path)).sup_norm() > 0
+    elif what == "beam":
+        assert "measured C constant" in path.read_text()
+    else:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "s,t,x1,re_u,im_u" and len(lines) == 252
+
+
+@pytest.mark.parametrize("suite", ["geometry", "go", "beam", "solver",
+                                   "sources"])
+def test_verify_suite_passes_and_writes_only_under_out(tmp_path, suite):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "diamondwave.cli", "verify", suite,
+         "--out", "out"], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=120)
+    assert run.returncode == cli.EXIT_OK, run.stderr
+    rows = (tmp_path / "out" / f"verify_{suite}.csv").read_text() \
+        .splitlines()[1:]
+    assert rows and all(r.split(",")[1] == "pass" for r in rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == \
+        [f"verify_{suite}.csv"]
+
+
+def test_verify_solver_snapshot_is_not_written_to_cwd(tmp_path, monkeypatch,
+                                                     capsys):
+    written = []
+    write = solver.write_snapshot
+
+    def recording(path, field):
+        written.append(os.path.abspath(path))
+        return write(path, field)
+    monkeypatch.setattr(solver, "write_snapshot", recording)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli.main(["verify", "solver", "--out",
+                     str(tmp_path / "out")]) == cli.EXIT_OK
+    assert written
+    assert all(not p.startswith(str(cwd)) for p in written)
+
+
 # -- recover -----------------------------------------------------------------
 
 RECOVER_CFG = """\
@@ -363,6 +421,26 @@ def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
     assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("r", "0"), ("T", "-1")])
+def test_recover_aperture_must_be_positive(tmp_path, capsys, key, value):
+    cfgp = write_cfg(tmp_path, set_entry(RECOVER_CFG, "aperture", key, value))
+    out = tmp_path / "out"
+    assert cli.main(["recover", cfgp, "--out", str(out)]) == cli.EXIT_IO
+    assert f"aperture.{key} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_writes_only_to_out(tmp_path, monkeypatch, capsys):
+    # `--out` is the only output directory, also when it is given as its
+    # default; an [output] dir entry is not read
+    other = tmp_path / "other"
+    cfgp = write_cfg(tmp_path, RECOVER_CFG + f"[output]\ndir = {other}\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["recover", cfgp, "--out", "out"]) == cli.EXIT_OK
+    assert (tmp_path / "out" / "report.csv").exists()
+    assert not other.exists()
 
 
 @pytest.mark.parametrize("n", ["1", "4"])

@@ -508,6 +508,11 @@ def test_parse_expression_rejects_outside_grammar(text):
     ("sqrt(1 + cos(sin(x1*t))^2) / 1.5E+2",
      lambda t, x1, x2: np.sqrt(1 + np.cos(np.sin(x1 * t))**2) / 1.5E+2),
     ("7", lambda t, x1, x2: np.full(np.shape(t), 7.0)),
+    # the benchmark's potential and the README's
+    ("exp(-((x1-1.1)^2 + x2^2)/0.16)",
+     lambda t, x1, x2: np.exp(-((x1 - 1.1)**2 + x2**2) / 0.16)),
+    ("exp(-((x1-1.0)^2 + x2^2) / 0.16)",
+     lambda t, x1, x2: np.exp(-((x1 - 1.0)**2 + x2**2) / 0.16)),
 ])
 def test_scalar_field_evaluates_as_written(text, ref):
     f = ScalarField.from_text(text, 2)
@@ -515,6 +520,28 @@ def test_scalar_field_evaluates_as_written(text, ref):
     assert np.array_equal(f(x), ref(*np.moveaxis(x, -1, 0)))
     assert np.array_equal(f(x[1, 2]), ref(*x[1, 2]))
     assert f.time_dependent == ("t" in text)
+
+
+def test_parse_expression_rejects_a_complex_constant():
+    # (-8)^(1/3) is complex in Python; its real part is not the potential
+    with pytest.raises(ExpressionError, match="complex"):
+        ScalarField.from_text("x1 * (-8)^(1/3)", 2)
+
+
+def test_parse_expression_power_tower_fails_fast():
+    # 9^9^9 must overflow in floating point, not build 9**387420489
+    # exactly; a subprocess with a timeout turns a hang into a failure
+    src = str(Path(diamondwave.__file__).resolve().parents[1])
+    code = (f"import sys, time; sys.path.insert(0, {src!r})\n"
+            "from diamondwave.exprs import parse_expression, ExpressionError\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    parse_expression('9^9^9', 2)\n"
+            "except ExpressionError:\n"
+            "    print(time.perf_counter() - t0)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert float(out.stdout) < 1.0
 
 
 def test_import_loads_no_sympy():

@@ -203,6 +203,24 @@ def test_line_packet_axis_oracles():
     assert c[0] == pytest.approx(iv / 2j, rel=1e-9)
 
 
+def test_line_and_grid_packets_share_the_flow_frame():
+    q = np.array([0.1, -0.1, 0.0, 0.2])
+    xi = np.array([-1.3, 0.6 * 1.3, 0.0, 0.8 * 1.3])
+    lp = rc.LinePacket(q, xi, delta=0.2)
+    gp = go.GOPacket(3, q, xi, delta=0.2, N=0, ns=11, nw=5)
+    frame = go.flow_frame(xi)
+    assert np.array_equal(gp.L, frame)
+    assert np.array_equal(lp._s_row, frame[0])
+    assert np.array_equal(lp._w0_row, frame[1])
+    assert np.array_equal(lp._omegas, frame[2:])
+    # rows s and w0 pair to 1/|xi0| under eta^{-1}, the w rows are
+    # orthonormal and orthogonal to both
+    M = frame @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ frame.T
+    assert M[0, 1] == pytest.approx(1 / 1.3, rel=1e-14)
+    assert np.allclose(M[2:, 2:], np.eye(2), atol=1e-14)
+    assert np.allclose(M[:2, 2:], 0.0, atol=1e-14)
+
+
 def test_line_packet_rejects_non_null():
     with pytest.raises(rc.RecoveryError, match="light-like"):
         rc.LinePacket(np.zeros(3), np.array([-1.0, 0.5, 0.0]), 0.1)
@@ -283,11 +301,13 @@ def go_quad():
 
 def test_phase_cancellation_real_integrand(go_quad):
     p, V, quad, cal = go_quad
-    val = rc.asymptotic_I(cal.packets, 500.0, p, 0.3, nq=33)
+    val = rc.asymptotic_I(cal.packets, 500.0,
+                          rc.tensor_quadrature(p, 0.3, 33))
     # V = 0 amplitudes are a0 + (s lap a0)/(2i tau): the quartic product's
     # imaginary part integrates to the odd-order terms only
     assert abs(val) > 0
-    valc = rc.asymptotic_I(cal.packets, -500.0, p, 0.3, nq=33)
+    valc = rc.asymptotic_I(cal.packets, -500.0,
+                           rc.tensor_quadrature(p, 0.3, 33))
     assert valc == pytest.approx(np.conj(val), rel=1e-12)
 
 
@@ -295,24 +315,28 @@ def test_localization_gate():
     p = np.array([1.1, 0.9, 0.0])
     cal = rc.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1, delta=0.1)
     with pytest.raises(rc.RecoveryError, match="not localized"):
-        rc.asymptotic_I(cal.packets, 100.0, p, 0.04, nq=21)
+        rc.asymptotic_I(cal.packets, 100.0,
+                        rc.tensor_quadrature(p, 0.04, 21))
     with pytest.raises(rc.RecoveryError, match="not localized"):
-        rc.interaction_series(cal.packets, p, 0.04, nq=21)
+        rc.interaction_series(cal.packets,
+                              rc.tensor_quadrature(p, 0.04, 21))
 
 
 def test_interaction_series_needs_dependence(go_quad):
     p, V, quad, cal = go_quad
     with pytest.raises(rc.RecoveryError, match="summing to zero"):
-        rc.interaction_series(quad.packets[:3] + quad.packets[:1], p, 0.3)
+        rc.interaction_series(quad.packets[:3] + quad.packets[:1],
+                              rc.tensor_quadrature(p, 0.3, 41))
 
 
 def test_interaction_series_matches_asymptotic_I(go_quad):
     # I(tau) is a polynomial in 1/tau: past the two exact coefficients the
     # remainder shrinks like tau^-2
     p, V, quad, cal = go_quad
-    I0, Im1, _ = rc.interaction_series(quad.packets, p, 0.3, nq=25)
+    nodes = rc.tensor_quadrature(p, 0.3, 25)
+    I0, Im1, _ = rc.interaction_series(quad.packets, nodes)
     taus = np.array([400.0, 800.0, 1600.0, 3200.0])
-    rest = [abs(rc.asymptotic_I(quad.packets, t, p, 0.3, nq=25)
+    rest = [abs(rc.asymptotic_I(quad.packets, t, nodes)
                 - I0 - Im1 / t) for t in taus]
     slope = np.polyfit(np.log(taus), np.log(rest), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.1)
@@ -324,7 +348,8 @@ def test_interaction_series_evaluates_the_joint_support_in_box_order(
     # the progressive support filter hands every packet exactly the box
     # nodes where all four supports hold, in box order
     p, V, quad, cal = go_quad
-    pts, _, _ = rc.tensor_quadrature(p, 0.3, 33)
+    nodes = rc.tensor_quadrature(p, 0.3, 33)
+    pts = nodes[0]
     joint = np.logical_and.reduce([pk.support(pts) for pk in quad.packets])
     seen = []
     amplitudes = rc.LinePacket.amplitudes
@@ -333,7 +358,7 @@ def test_interaction_series_evaluates_the_joint_support_in_box_order(
         seen.append(np.array(x))
         return amplitudes(self, x)
     monkeypatch.setattr(rc.LinePacket, "amplitudes", recording)
-    rc.interaction_series(quad.packets, p, 0.3, nq=33)
+    rc.interaction_series(quad.packets, nodes)
     assert len(seen) == 4
     for x in seen:
         assert np.array_equal(x, pts[joint])
@@ -343,14 +368,16 @@ def test_interaction_series_evaluates_the_joint_support_in_box_order(
 
 def test_extraction_matches_c_oracle(go_quad):
     p, V, quad, cal = go_quad
-    _, _, csum = rc.interaction_series(quad.packets, p, 0.3, nq=41)
+    _, _, csum = rc.interaction_series(quad.packets,
+                                       rc.tensor_quadrature(p, 0.3, 41))
     oracle = np.sum(quad.c_values(V))
     assert abs(csum - oracle) < 0.01 * abs(oracle)
 
 
 def test_extraction_zero_potential_is_exact(go_quad):
     p, V, quad, cal = go_quad
-    _, _, csum = rc.interaction_series(cal.packets, p, 0.3, nq=33)
+    _, _, csum = rc.interaction_series(cal.packets,
+                                       rc.tensor_quadrature(p, 0.3, 33))
     assert csum == 0.0
 
 
@@ -363,7 +390,8 @@ def test_extraction_shift_by_constant(go_quad):
     quadc = rc.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1,
                           V=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
                           delta=0.1)
-    c_v, c_v1, c_one = (rc.interaction_series(q.packets, p, 0.3, nq=33)[2]
+    nodes = rc.tensor_quadrature(p, 0.3, 33)
+    c_v, c_v1, c_one = (rc.interaction_series(q.packets, nodes)[2]
                         for q in (quad, quad1, quadc))
     assert abs((c_v1 - c_v) - c_one) < 1e-3 * abs(c_one)
 
@@ -425,6 +453,21 @@ def test_flat_route_shoots_no_geodesic(monkeypatch):
     assert ret.q_minus[0] == pytest.approx(0.7)
     v, _, _ = rc.recover_point(m, None, p, r=1.0, T=5.0)
     assert abs(v) < 5e-3
+
+
+def test_recover_point_builds_one_box_per_segment_length(monkeypatch):
+    # the three sigmas of one s0 share its quadrature box
+    calls = []
+    build = rc.tensor_quadrature
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(rc, "tensor_quadrature", counting)
+    rc.recover_point(geo.minkowski(2), None, np.array([1.8, 1.1, 0.0]),
+                     r=1.0, T=5.0)
+    assert len(calls) == 3
+    assert len({args[0].tobytes() for args in calls}) == 3
 
 
 def test_recover_point_gaussian_bump():
