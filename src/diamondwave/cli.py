@@ -100,6 +100,17 @@ def _number(text, what, kind=float):
 class ExperimentConfig:
     """Validated recovery-run description built from a parsed config."""
 
+    # the keys each section may hold; any other section or key is an error
+    KNOWN_KEYS = {
+        "metric": {"kind", "n"},
+        "aperture": {"r", "T"},
+        "potential": {"V"},
+        "packets": {"delta"},
+        "pipeline": {"mode", "sigma0", "ds0", "points"},
+        "grid": {"h", "dt", "pad"},
+        "full": {"tau"},
+    }
+
     def __init__(self, sections):
         self.sections = sections
         met = self._sec("metric")
@@ -143,6 +154,15 @@ class ExperimentConfig:
                     f"grid dt={dt:g} violates the CFL bound {limit:g}")
             self.grid_params = {"h": h, "dt": dt, "pad": pad}
         self.tau = self._positive("full", "tau", "40")
+        self._reject_unknown()
+
+    def _reject_unknown(self):
+        for name, sec in self.sections.items():
+            if name not in self.KNOWN_KEYS:
+                raise ConfigError(f"unknown section [{name}]")
+            for key in sec:
+                if key not in self.KNOWN_KEYS[name]:
+                    raise ConfigError(f"unknown key {name}.{key}")
 
     def _sec(self, name):
         if name not in self.sections:
@@ -651,7 +671,7 @@ def cmd_recover(args):
         try:
             res = recovery.full_path_interaction(
                 cfg.metric, cfg.V, cfg.points[0], cfg.r, cfg.T, tau,
-                delta=cfg.delta, **gp)
+                delta=cfg.delta, consistency=True, **gp)
         except _STAGE_ERRORS as exc:
             res = None
             report.check("full vs fast interaction", False,
@@ -659,8 +679,10 @@ def cmd_recover(args):
         report.stage("full-route interaction", time.perf_counter() - t0)
         if res is not None:
             _write_csv(os.path.join(args.out, "full_path.csv"),
-                       ["tau", "I_full", "I_fast", "rel_diff"],
-                       [(tau, res.I_full, res.I_fast, res.rel_diff)])
+                       ["tau", "I_full", "I_fast", "rel_diff", "I_check",
+                        "eps_truncation"],
+                       [(tau, res.I_full, res.I_fast, res.rel_diff,
+                         res.I_check, res.eps_truncation)])
             report.check("full vs fast interaction", res.rel_diff < 0.15,
                          f"rel diff {res.rel_diff:.3g}")
             report.diagnostic(
@@ -669,6 +691,10 @@ def cmd_recover(args):
             report.diagnostic("kappa_top tau h", f"{res.kh:.3g}")
             report.diagnostic("stencil group velocity at kappa_top tau h",
                               f"{res.group_velocity:.3g}")
+            report.diagnostic("I_check (eps -> 0 coefficient march)",
+                              f"{res.I_check:.6g}")
+            report.diagnostic("eps truncation |I_full - I_check|/|I_check|",
+                              f"{res.eps_truncation:.3g}")
 
     report.write(os.path.join(args.out, "run_report.txt"))
     print(os.path.join(args.out, "report.csv"))

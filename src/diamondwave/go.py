@@ -230,12 +230,29 @@ class GOPacket:
         return out[0] if x.ndim == 1 else out
 
     def amplitude_sum(self, tau, x):
+        """sum_k a_k / tau^k at spacetime points x (..., 1+n).
+
+        The interpolators run only on the points whose flow coordinates lie
+        in the amplitude grid's box (`_axes`, bounds included, as the
+        interpolators test them); outside it they return their fill value,
+        so the sum there is 0j, which the output already holds.
+        """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self.amplitude_sum(tau, x[None])[0]
         y = self.to_flow(x)
-        total = 0.0
-        for k, interp in enumerate(self._interps):
-            total = total + interp(y) * tau ** (-k)
-        return total[0] if x.ndim == 1 else total
+        outside = np.zeros(y.shape[:-1], dtype=bool)
+        for i, ax in enumerate(self._axes):
+            outside |= (y[..., i] < ax[0]) | (y[..., i] > ax[-1])
+        inside = ~outside
+        out = np.zeros(y.shape[:-1], dtype=complex)
+        if np.any(inside):
+            y = y[inside]
+            total = 0.0
+            for k, interp in enumerate(self._interps):
+                total = total + interp(y) * tau ** (-k)
+            out[inside] = total
+        return out
 
     def phase(self, x):
         x = np.asarray(x, dtype=float)

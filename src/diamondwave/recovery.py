@@ -593,6 +593,11 @@ class FullPathResult:
     p, small only where the geometric-optics expansion holds; `kh` is the
     top carrier's wavenumber times h, and `group_velocity` the stencil's
     group velocity there (1 for a resolved carrier).
+
+    `I_check`, when computed, is the eps -> 0 limit of `I_full` on the same
+    grid (the coefficient march), and `eps_truncation` = |I_full - I_check|
+    / |I_check| the measured truncation of the eps-stencil; both are None
+    otherwise.
     """
 
     def __init__(self, I_full, I_fast, quad, grid, go_ratios, kh,
@@ -603,7 +608,9 @@ class FullPathResult:
             max(abs(self.I_fast), 1e-300)
         self.quad = quad
         self.grid = grid
-        self.I_check = I_check
+        self.I_check = None if I_check is None else complex(I_check)
+        self.eps_truncation = None if I_check is None else \
+            abs(self.I_full - self.I_check) / max(abs(self.I_check), 1e-300)
         self.go_ratios = go_ratios
         self.kh = kh
         self.group_velocity = float(solver.stencil_group_velocity(kh))
@@ -632,11 +639,14 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     upper window grid carries its time origin, so packets, cutoffs and V
     are evaluated at physical times.
 
-    With `consistency`, the same I is recomputed without the cross
-    derivative as the space-time integral of the four solved fields (three
-    linear forward solves and one backward solve) and stored as `I_check`;
-    this holds four full solution histories and is only meant for coarse
-    grids.
+    With `consistency`, `I_check` pairs the exact eps1 eps2 eps3
+    coefficient of the same family's solution
+    (`solver.solve_cross_coefficient`, one march of four fields) with the
+    same test function on the same window.  So `I_full` and `I_check`
+    differ only in how the coefficient is taken: by the eps-stencil at
+    step _H_EPS, or in the limit eps -> 0; the result's `eps_truncation`
+    is their relative gap.  The march holds four fields of three time
+    levels each, not four solution histories.
     """
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
@@ -697,13 +707,9 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
     I_check = None
     if consistency:
-        Us = []
-        for j in range(3):
-            eps = tuple(1.0 if k == j else 0.0 for k in range(3))
-            Us.append(solver.solve_forward(metric, grid, V, fam(eps)))
-        U0 = solver.solve_backward(metric, grid, V, fplus)
-        I_check = solver.spacetime_integral(
-            grid, U0.data, Us[0].data, Us[1].data, Us[2].data)
+        wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
+                                                window=tgrid)
+        I_check = pairing_integral(tgrid, wfield, fplus)
     return FullPathResult(I_full, I_fast, quad, grid, go_ratios, k_top * h,
                           I_check=I_check)
 

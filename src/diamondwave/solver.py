@@ -549,20 +549,67 @@ def _require_flat(metric):
         raise SolverError("the wave solver needs a flat background")
 
 
-def _march(metric, grid, V, f, nonlinear, backward, window=None):
+def _checked_window(metric, grid, window):
+    """The checks every march makes first; returns (window, the steps from
+    the grid's first slice to the window's)."""
     _require_flat(metric)
     grid.check_cfl()
-
-    Vs = _as_potential_slices(V, grid)
-    source = _source_slices(f, grid)
     window = grid if window is None else window
     k = _window_offset(window, grid, "window")
     if k < 0 or k + window.nt > grid.nt:
         raise SolverError("time window leaves the march grid")
+    return window, k
+
+
+def _first_level(f, f0, dt, shape, dtype):
+    """The first marched slice of a march from zero data: u(0)=0, u_t(0)=0
+    => u(+-dt) = dt^2/2 * u_tt(0), and on the zero slice the equation gives
+    u_tt = f, here the slice f0 on f's box (None for zero)."""
+    u = np.zeros(shape, dtype=dtype)
+    if f0 is not None:
+        u[f.box] = 0.5 * dt * dt * f0.astype(dtype)
+    return u
+
+
+def _window_store(window, k, dtype, time_index):
+    """(out, emit): zeros for the slices of `window`, k steps into the
+    march grid, and emit(m, sl), which stores the slice sl of marching
+    step m (physical slice time_index(m)) when the window holds it."""
+    out = np.zeros((window.nt,) + window.shape, dtype=dtype)
+
+    def emit(m, sl):
+        j = time_index(m) - k
+        if 0 <= j < window.nt:
+            out[j] = sl
+    return out, emit
+
+
+def _smallness_bound(f):
+    """BLOWUP_FACTOR max|f|, the largest max|u| a march of f may reach.
+    Taken before a march allocates, so its temporary |f| does not add to
+    the march's peak memory."""
+    return BLOWUP_FACTOR * max(f.scale(), 1e-300)
+
+
+def _level_guard(leapfrog, bound):
+    """new level -> `_check_smallness` of it against `bound`."""
+    cplx = np.iscomplexobj(leapfrog.levels[0])
+    absbuf = np.empty(leapfrog.inner[0].shape)
+
+    def check(u_next):
+        # the new level's band: its ghost cells are zero
+        parts = leapfrog.bands[1].view(float) if cplx else None
+        _check_smallness(u_next, parts, bound, absbuf)
+    return check
+
+
+def _march(metric, grid, V, f, nonlinear, backward, window=None):
+    window, k = _checked_window(metric, grid, window)
+    Vs = _as_potential_slices(V, grid)
+    source = _source_slices(f, grid)
     dt, nt = grid.dt, grid.nt
     dtype = complex if np.iscomplexobj(f.field) else float
-
-    bound = BLOWUP_FACTOR * max(f.scale(), 1e-300)
+    bound = _smallness_bound(f)
     shape = grid.shape
 
     def time_index(m):
@@ -571,35 +618,68 @@ def _march(metric, grid, V, f, nonlinear, backward, window=None):
     def src(m):
         return source(time_index(m))
 
-    out = np.zeros((window.nt,) + shape, dtype=dtype)
-
-    def emit(m, sl):
-        j = time_index(m) - k
-        if 0 <= j < window.nt:
-            out[j] = sl
+    out, emit = _window_store(window, k, dtype, time_index)
 
     # u[m] in marching order, physical slice index time_index(m); u[0] is
     # zero, as `out` already is
-    # first step: u(0)=0, u_t(0)=0 => u(+-dt) = dt^2/2 * u_tt(0), and on the
-    # zero slice the equation gives u_tt = f
-    f0 = src(0)
-    u_curr = np.zeros(shape, dtype=dtype)
-    if f0 is not None:
-        u_curr[f.box] = 0.5 * dt * dt * f0.astype(dtype)
+    u_curr = _first_level(f, src(0), dt, shape, dtype)
     emit(1, u_curr)
 
     leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear, f.box)
-    cplx = dtype is complex
-    absbuf = np.empty(shape)
+    guard = _level_guard(leapfrog, bound)
     for m in range(1, nt - 1):
         u_next = leapfrog.step(None if V is None else Vs(time_index(m)),
                                src(m))
-        # the new level's band: its ghost cells are zero
-        parts = leapfrog.bands[1].view(float) if cplx else None
-        _check_smallness(u_next, parts, bound, absbuf)
+        guard(u_next)
         emit(m + 1, u_next)
 
     return GridField(window, out, name=f.name or "solution")
+
+
+def solve_cross_coefficient(metric, grid, V, fs, window=None):
+    """-1/6 times the eps1 eps2 eps3 coefficient c of the solution of
+    box u + V u + u^3 = eps1 f1 + eps2 f2 + eps3 f3, on `window`.
+
+    With zero data the leapfrog's solution is a polynomial in eps.  Its
+    eps_j coefficient u_j is the linear march of f_j, and c obeys the same
+    linear march with the source -6 u1 u2 u3 (the eps1 eps2 eps3 part of
+    u^3) and zero first two slices.  So w = -c/6 is marched here, with the
+    source u1 u2 u3 of each slice, next to the three u_j: the eps -> 0
+    limit of the third cross derivative on the same grid, with no eps step.
+
+    `fs` holds the three sources, each on its box and possibly on a time
+    window of `grid` (`_source_slices`).  Each u_j keeps the guard of its
+    linear solve (`_check_smallness` against BLOWUP_FACTOR max|f_j|), and
+    the returned w must be finite.  The march stops at the window's last
+    slice.
+    """
+    window, k = _checked_window(metric, grid, window)
+    Vs = _as_potential_slices(V, grid)
+    sources = [_source_slices(f, grid) for f in fs]
+    dt, shape = grid.dt, grid.shape
+    dtype = complex if any(np.iscomplexobj(f.field) for f in fs) else float
+    bounds = [_smallness_bound(f) for f in fs]
+
+    marches, guards = [], []
+    for f, source, bound in zip(fs, sources, bounds):
+        first = _first_level(f, source(0), dt, shape, dtype)
+        marches.append(_Leapfrog(grid, dtype, first, False, f.box))
+        guards.append(_level_guard(marches[-1], bound))
+    # w is zero on the first two slices, as `out` already is
+    w = _Leapfrog(grid, dtype, np.zeros(shape, dtype), False)
+    out, emit = _window_store(window, k, dtype, lambda m: m)
+    product = np.empty(shape, dtype=dtype)
+    for m in range(1, k + window.nt - 1):
+        v = None if V is None else Vs(m)
+        u1, u2, u3 = (lf.inner[1] for lf in marches)
+        np.multiply(u1, u2, out=product)
+        np.multiply(product, u3, out=product)
+        emit(m + 1, w.step(v, product))
+        for lf, source, guard in zip(marches, sources, guards):
+            guard(lf.step(v, source(m)))
+    if not np.all(np.isfinite(out)):
+        raise SolverError("eps1 eps2 eps3 coefficient is not finite")
+    return GridField(window, out, name="cross coefficient")
 
 
 def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):

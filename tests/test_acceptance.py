@@ -336,8 +336,9 @@ FULL_ROUTE_ARGS = dict(p=(1.0, 0.9, 0.0), r=0.8, T=2.0, sigma=0.6,
 
 @pytest.mark.extended
 def test_full_route_internal_consistency():
-    # the cross-derivative pairing must agree with the direct space-time
-    # integral of the four solved fields computed without any linearization
+    # the eps-stencil's pairing must agree with the pairing of the exact
+    # eps1 eps2 eps3 coefficient (the coefficient march): the same sources,
+    # window and test function, so the gap is the stencil's truncation
     m = geo.minkowski(2)
     res = recovery.full_path_interaction(m, None, tau=40.0, check=False,
                                          consistency=True, **FULL_ROUTE_ARGS)

@@ -347,7 +347,7 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     def fake(*args, **kwargs):
         return recovery.FullPathResult(
             4.1e-6 + 0j, 0.2, None, None,
-            np.array([6.25, 0.694, 1.25, 1.25]), 1.56)
+            np.array([6.25, 0.694, 1.25, 1.25]), 1.56, I_check=4e-6 + 0j)
     monkeypatch.setattr(recovery, "full_path_interaction", fake)
     cfgp = write_cfg(tmp_path, RECOVER_CFG.replace("mode = fast",
                                                    "mode = full"))
@@ -360,6 +360,8 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     assert "kappa_top tau h: 1.56" in rr
     assert "stencil group velocity at kappa_top tau h: 0.876" in rr
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
+    assert "I_check (eps -> 0 coefficient march): 4e-06+0j" in rr
+    assert "eps truncation |I_full - I_check|/|I_check|: 0.025" in rr
 
 
 def test_recover_full_without_grid_section_uses_library_defaults(
@@ -434,13 +436,78 @@ def test_recover_aperture_must_be_positive(tmp_path, capsys, key, value):
 
 def test_recover_writes_only_to_out(tmp_path, monkeypatch, capsys):
     # `--out` is the only output directory, also when it is given as its
-    # default; an [output] dir entry is not read
-    other = tmp_path / "other"
-    cfgp = write_cfg(tmp_path, RECOVER_CFG + f"[output]\ndir = {other}\n")
+    # default
+    cfgp = write_cfg(tmp_path, RECOVER_CFG)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["recover", cfgp, "--out", "out"]) == cli.EXIT_OK
     assert (tmp_path / "out" / "report.csv").exists()
-    assert not other.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out"]
+
+
+@pytest.mark.parametrize("extra, name", [
+    ("sigma_0 = 0.5\n", "unknown key pipeline.sigma_0"),
+    ("[pipline]\nsigma0 = 0.5\n", "unknown section [pipline]"),
+    ("[output]\ndir = elsewhere\n", "unknown section [output]"),
+    ("[grid]\nh = 0.04\ndt = 0.004\nstep = 2\n", "unknown key grid.step")])
+def test_recover_unknown_entry_is_config_error(tmp_path, monkeypatch, capsys,
+                                               extra, name):
+    # an entry that no reader takes would otherwise run with the defaults
+    cfgp = write_cfg(tmp_path, RECOVER_CFG + extra)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["recover", cfgp, "--out", "out"]) == cli.EXIT_IO
+    assert name in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+FULL_CFG = """\
+[metric]
+n = 2
+[potential]
+V = 0.5*exp(-((x1-0.9)^2 + x2^2)/0.16)
+[aperture]
+r = 0.8
+T = 2.0
+[pipeline]
+points = 1.0 0.9 0.0
+[grid]
+h = 0.04
+dt = 0.004
+[full]
+tau = 10
+"""
+
+
+def test_recover_full_end_to_end_is_deterministic(tmp_path, capsys):
+    # a real coarse `recover --full`, run twice: its CSVs are bit-identical
+    # and its report differs only in the stage timings.  The full vs fast
+    # gate fails at this coarse configuration (exit 3).
+    cfgp = write_cfg(tmp_path, FULL_CFG)
+    for run in ("a", "b"):
+        assert cli.main(["recover", cfgp, "--full",
+                         "--out", str(tmp_path / run)]) == cli.EXIT_NUMERICAL
+    for name in ("full_path.csv", "report.csv", "recovered_profile.csv"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+    reports = []
+    for run in ("a", "b"):
+        stages, rest = (tmp_path / run / "run_report.txt").read_text() \
+            .split("flags\n", 1)
+        assert [line.split(":")[0] for line in stages.splitlines()] == \
+            ["stage timings (s)", "  fast recovery",
+             "  full-route interaction"]
+        reports.append(rest)
+    assert reports[0] == reports[1]
+    rr = reports[0]
+    assert "GO ratio t_j/(kappa_j tau delta^2) per packet: " in rr
+    assert "I_check (eps -> 0 coefficient march): " in rr
+    trunc = re.search(r"eps truncation \|I_full - I_check\|/\|I_check\|: "
+                      r"(\S+)", rr)
+    assert 0 < float(trunc.group(1)) < 1e-3
+    assert "full vs fast interaction: FAIL (rel diff 1)" in rr
+    header, row = (tmp_path / "a" / "full_path.csv").read_text().splitlines()
+    assert header == "tau,I_full,I_fast,rel_diff,I_check,eps_truncation"
+    assert float(row.split(",")[-1]) == pytest.approx(float(trunc.group(1)),
+                                                      rel=1e-2)
 
 
 @pytest.mark.parametrize("n", ["1", "4"])

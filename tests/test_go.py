@@ -132,3 +132,23 @@ def test_n1_packet_transport():
     p = make_packet(N=1, n=1, V=lambda x: np.full(np.asarray(x).shape[:-1], c))
     a1 = p.amplitude(1, p.flow_point(np.array([0.6]))[0])
     assert a1 == pytest.approx(c * 0.6 / 2j, abs=1e-7)
+
+
+@pytest.mark.parametrize("n, tau", [(1, 8.0), (2, -3.0)])
+def test_amplitude_sum_on_box_points_equals_whole_sum(n, tau):
+    # only points inside the amplitude grid's box are interpolated; the sum
+    # over all points, the interpolators' fill value outside, is the
+    # reference, byte for byte (signs of zeros included)
+    p = make_packet(N=2, V=gaussian_V(center=np.zeros(n + 1), amp=0.3), n=n,
+                    delta=0.2)
+    x = np.random.default_rng(4).uniform(-1.4, 1.4, size=(30, 40, n + 1))
+    y = p.to_flow(x)
+    ref = 0.0
+    for k, interp in enumerate(p._interps):
+        ref = ref + interp(y) * tau ** (-k)
+    out = p.amplitude_sum(tau, x)
+    assert out.tobytes() == ref.tobytes()
+    assert np.any(out != 0) and np.any(out == 0)
+    whole = np.exp(1j * tau * p.phase(x)) * ref
+    assert p.eval(tau, x).tobytes() == whole.tobytes()
+    assert p.amplitude_sum(tau, x[3, 5]) == ref[3, 5]

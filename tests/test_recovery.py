@@ -541,8 +541,26 @@ def test_full_route_outputs_are_pinned():
     res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
                                    consistency=True, **COARSE_FULL_ROUTE)
     assert res.I_full == -5.605382053932677e-07 + 3.92595682316973e-07j
-    assert res.I_check == -5.605390942768627e-07 + 3.9261168625748393e-07j
+    assert res.I_check == -5.605390942768595e-07 + 3.9261168625747996e-07j
     assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
+
+
+def test_full_route_eps_stencil_converges_to_the_coefficient(monkeypatch):
+    # I_check is the eps -> 0 limit of I_full on the same grid: the
+    # stencil's gap to it falls by 4 each time its step h_eps halves
+    m = geo.minkowski(2)
+    res = rc.full_path_interaction(m, None, check=False, consistency=True,
+                                   **COARSE_FULL_ROUTE)
+    assert rc._H_EPS == 0.1
+    gaps = [res.eps_truncation]
+    for h_eps in (0.05, 0.025):
+        monkeypatch.setattr(rc, "_H_EPS", h_eps)
+        I_full = rc.full_path_interaction(m, None, check=False,
+                                          **COARSE_FULL_ROUTE).I_full
+        gaps.append(abs(I_full - res.I_check) / abs(res.I_check))
+    assert gaps[0] == pytest.approx(2.342e-5, rel=1e-3)
+    assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.05)
+    assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.05)
 
 
 def test_full_route_sources_live_on_small_boxes(monkeypatch):

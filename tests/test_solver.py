@@ -5,6 +5,7 @@ import pytest
 
 from diamondwave import exprs
 from diamondwave import geometry as geo
+from diamondwave import recovery
 from diamondwave import solver as slv
 
 
@@ -501,3 +502,66 @@ def test_window_source_must_share_the_march_layout():
                slv.Grid(1, g.lo, g.shape, g.h, g.dt, T, t0=g.T - T + g.dt)):
         with pytest.raises(slv.SolverError, match="time window"):
             slv.solve_forward(geo.minkowski(1), g, None, f, window=wg)
+
+
+def three_boxed_sources(g, scale=1.0):
+    """Three complex bumps at staggered times, each stored on its box."""
+    fs = []
+    for t0, phase in ((0.25, 1.0), (0.3, 1j), (0.35, -0.5 + 0.5j)):
+        dense = bump_source(g, t0=t0, rad=0.3).field * (scale * phase)
+        box = slv.support_box(dense)
+        fs.append(slv.SourceTerm(g, dense[(slice(None),) + box], box=box))
+    return fs
+
+
+@pytest.mark.parametrize("V", [None, 0.3])
+def test_cross_coefficient_is_the_march_of_the_triple_product(V):
+    # -c/6 is the linear march whose source is the product of the three
+    # linear marches, slice by slice
+    g = small_grid()
+    m = geo.minkowski(2)
+    fs = three_boxed_sources(g)
+    w = slv.solve_cross_coefficient(m, g, V, fs)
+    us = [slv.solve_forward(m, g, V, f).data for f in fs]
+    ref = slv.solve_forward(m, g, V, slv.SourceTerm(g, us[0] * us[1] * us[2]))
+    assert np.array_equal(w.data, ref.data)
+    assert np.any(w.data != 0)
+    assert not np.any(w.data[:2])
+    # on a time window it is the same field's slices
+    wg = slv.Grid(2, g.lo, g.shape, g.h, g.dt, 5 * g.dt, t0=g.time(20))
+    part = slv.solve_cross_coefficient(m, g, V, fs, window=wg)
+    assert part.grid is wg
+    assert np.array_equal(part.data, w.data[20:26])
+
+
+def test_cross_coefficient_is_the_eps_limit_of_the_cross_derivative():
+    # the eps-stencil of the nonlinear march converges to the coefficient
+    # as h_eps^2
+    g = small_grid()
+    m = geo.minkowski(2)
+    fs = three_boxed_sources(g, scale=30.0)
+    w = slv.solve_cross_coefficient(m, g, None, fs).data
+
+    def solve(eps):
+        f = fs[0] * eps[0] + fs[1] * eps[1] + fs[2] * eps[2]
+        return slv.solve_forward(m, g, None, f, nonlinear=True).data
+
+    gaps = [np.max(np.abs(-recovery.cross_derivative(solve, h, check=False)
+                          / 6 - w)) / np.max(np.abs(w)) for h in (0.2, 0.1)]
+    assert 1e-7 < gaps[1] < gaps[0] < 1e-3
+    assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.1)
+
+
+def test_cross_coefficient_guards(monkeypatch):
+    g = small_grid()
+    m = geo.minkowski(2)
+    # each linear field keeps the smallness guard of its own march
+    with monkeypatch.context() as mp:
+        mp.setattr(slv, "BLOWUP_FACTOR", 1e-3)
+        with pytest.raises(slv.SolverError, match="smallness"):
+            slv.solve_cross_coefficient(m, g, None, three_boxed_sources(g))
+    # a product that overflows leaves the coefficient infinite
+    huge = three_boxed_sources(g, scale=1e110)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(slv.SolverError, match="not finite"):
+            slv.solve_cross_coefficient(m, g, None, huge)
