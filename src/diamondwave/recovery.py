@@ -10,9 +10,11 @@ covector-perturbation parameter sigma and a derivative in the segment
 length s0 then yield V pointwise.
 
 Two routes are implemented.  The full route drives the PDE solver: four
-corner solves per epsilon stencil (`cross_derivative`; with zero data the
-source-to-solution map is odd, so the other four corners are exact
-negatives) and a data-side pairing (`pairing_integral`).  The fast route
+corner solves of the epsilon stencil (`cross_derivative`; with zero data
+the source-to-solution map is odd, so the other four corners are exact
+negatives), gated against the exact eps1 eps2 eps3 coefficient
+(`solver.solve_cross_coefficient`), and a data-side pairing
+(`pairing_integral`).  The fast route
 skips the solver entirely: `interaction_series` reads the exact 1/tau
 coefficients off the closed-form packets by quadrature, which is what
 `recover_region` uses, and `asymptotic_I` evaluates I(tau) at one tau for
@@ -42,21 +44,30 @@ class RecoveryError(RuntimeError):
 _CORNERS = [s for s in itertools.product((-1, 1), repeat=3) if s[0] < 0]
 
 
-def _marched_cross(solve, h, with_max):
-    """(cross, max |u| of the corners if `with_max`) from the four corners
-    with eps1 < 0.
+def cross_derivative(solve, h_eps, limit=None):
+    """Third mixed central difference of solve(eps) at eps = 0, an array.
 
-    An odd map's partner corner -s enters the eight-corner stencil as
-    (-s1 s2 s3)(-u_s) = s1 s2 s3 u_s, the same term again, so the stencil is
-    sum_s s1 s2 s3 u_s / (4 h^3) over the four corners.  Each is added or
-    subtracted in place into one accumulator as it is solved and then
-    dropped.
+    Precondition: `solve` is odd, solve(-eps) = -solve(eps), and returns
+    an array.  (With zero data the source-to-solution map of the cubic
+    equation is odd, in floating point too.)  Only the four corners with
+    eps1 < 0 are solved: an odd map's partner corner -s enters the
+    eight-corner stencil as (-s1 s2 s3)(-u_s) = s1 s2 s3 u_s, the same term
+    again, so the stencil is sum_s s1 s2 s3 u_s / (4 h^3) over the four
+    corners.  Each is added or subtracted in place into one accumulator as
+    it is solved and then dropped.
+
+    With `limit`, the epsilon gate runs: limit() is called once the
+    corners are dropped and returns the stencil's h_eps -> 0 value (the
+    eps1 eps2 eps3 coefficient) as an array the gate may overwrite, and
+    max |stencil - limit| must be at most 5% of max |limit|.  A limit at
+    rounding level against the corners passes.
     """
+    h = float(h_eps)
     total, umax = None, 0.0
     for s in _CORNERS:
         sign = s[0] * s[1] * s[2]
         u = solve(tuple(h * si for si in s))
-        if with_max:
+        if limit is not None:
             umax = max(umax, float(np.max(np.abs(u))))
         if total is None:
             total = np.empty(u.shape, np.result_type(u, 1.0))
@@ -66,33 +77,20 @@ def _marched_cross(solve, h, with_max):
         else:
             np.subtract(total, u, out=total)
         del u
-    return np.divide(total, 4.0 * h**3, out=total), umax
-
-
-def cross_derivative(solve, h_eps, check=True):
-    """Third mixed central difference of solve(eps) at eps = 0, an array.
-
-    Precondition: `solve` is odd, solve(-eps) = -solve(eps), and returns
-    an array.  (With zero data the source-to-solution map of the cubic
-    equation is odd, in floating point too.)  Only the four corners with
-    eps1 < 0 are solved.  With `check`, the stencil is recomputed at
-    h_eps/2 and the two must agree to 5%.
-    """
-    h = float(h_eps)
-    cross, umax = _marched_cross(solve, h, check)
-    if check:
-        # a stencil at pure rounding level has nothing to disagree about
+    cross = np.divide(total, 4.0 * h**3, out=total)
+    if limit is not None:
+        # a limit at pure rounding level has nothing to disagree about
         corner_scale = umax / (8.0 * h**3)
-        fine, _ = _marched_cross(solve, h / 2, False)
-        scale = float(np.max(np.abs(fine)))
+        exact = limit()
+        scale = float(np.max(np.abs(exact)))
         if scale > 1e-9 * corner_scale:
-            # |fine - cross|, formed in place: fine is not read again
-            np.subtract(fine, cross, out=fine)
-            disagree = float(np.max(np.abs(fine))) / scale
+            # |exact - cross|, formed in place: exact is not read again
+            np.subtract(exact, cross, out=exact)
+            disagree = float(np.max(np.abs(exact))) / scale
             if disagree > 0.05:
                 raise RecoveryError(
                     f"epsilon-step outside asymptotic window "
-                    f"(Richardson disagreement {disagree:.1%})")
+                    f"(stencil off its limit by {disagree:.1%})")
     return cross
 
 
@@ -321,9 +319,6 @@ class PacketQuad:
             qj = p - self.s_at_p[j] * sharp
             self.anchors.append(qj)
             self.packets.append(LinePacket(qj, xi[j], delta, V=V))
-
-    def xi_total(self):
-        return self.xi[0] + self.xi[1] + self.xi[2] + self.xi[3]
 
     def c_values(self, V):
         """Quadrature oracle for the segment weights: 2i c^{(j)} = int V."""
@@ -594,10 +589,10 @@ class FullPathResult:
     top carrier's wavenumber times h, and `group_velocity` the stencil's
     group velocity there (1 for a resolved carrier).
 
-    `I_check`, when computed, is the eps -> 0 limit of `I_full` on the same
-    grid (the coefficient march), and `eps_truncation` = |I_full - I_check|
-    / |I_check| the measured truncation of the eps-stencil; both are None
-    otherwise.
+    `I_check`, computed whenever the epsilon gate runs (`check`), is the
+    eps -> 0 limit of `I_full` on the same grid (the coefficient march),
+    and `eps_truncation` = |I_full - I_check| / |I_check| the measured
+    truncation of the eps-stencil; both are None without the gate.
     """
 
     def __init__(self, I_full, I_fast, quad, grid, go_ratios, kh,
@@ -620,16 +615,14 @@ _H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
 
 
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
-                          h=0.012, dt=None, pad=0.25, rho=0.06, check=True,
-                          consistency=False):
+                          h=0.012, dt=None, pad=0.25, rho=0.06, check=True):
     """Interaction integral I(tau) through the nonlinear solver.
 
-    The eight corners of the three-parameter source family (plus eight at
-    half step for the Richardson gate) yield the third cross derivative;
-    its data-side pairing with the surgery test function is the PDE-route
-    value of I, returned next to the quadrature of the same four packets.
-    The source-to-solution map is odd in the family parameters, so only
-    four corners per stencil are marched (`cross_derivative`).
+    The eight corners of the three-parameter source family yield the third
+    cross derivative; its data-side pairing with the surgery test function
+    is the PDE-route value of I, returned next to the quadrature of the
+    same four packets.  The source-to-solution map is odd in the family
+    parameters, so only four corners are marched (`cross_derivative`).
 
     Memory is kept at desk scale by confining the surgery and the pairing
     to short time windows around the two anchor slabs, storing the sources
@@ -639,14 +632,14 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     upper window grid carries its time origin, so packets, cutoffs and V
     are evaluated at physical times.
 
-    With `consistency`, `I_check` pairs the exact eps1 eps2 eps3
-    coefficient of the same family's solution
-    (`solver.solve_cross_coefficient`, one march of four fields) with the
-    same test function on the same window.  So `I_full` and `I_check`
-    differ only in how the coefficient is taken: by the eps-stencil at
-    step _H_EPS, or in the limit eps -> 0; the result's `eps_truncation`
-    is their relative gap.  The march holds four fields of three time
-    levels each, not four solution histories.
+    With `check`, the exact eps1 eps2 eps3 coefficient of the same
+    family's solution (`solver.solve_cross_coefficient`, one linear march
+    of four fields, after the corners) is the stencil's epsilon gate: the
+    stencil must agree with it to 5% on the pairing window, or
+    RecoveryError is raised.  Its pairing with the same test function is
+    `I_check`, so `I_full` and `I_check` differ only in how the
+    coefficient is taken: by the eps-stencil at step _H_EPS, or in the
+    limit eps -> 0; the result's `eps_truncation` is their relative gap.
     """
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
@@ -699,17 +692,22 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         return solver.solve_forward(metric, grid, V, fam(eps), nonlinear=True,
                                     window=tgrid).data
 
-    vtau = -cross_derivative(solve, _H_EPS, check=check) / 6.0
+    I_check = None
+
+    def coefficient():
+        # marched after the corners, so its fields never sit beside them
+        nonlocal I_check
+        wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
+                                                window=tgrid)
+        I_check = pairing_integral(tgrid, wfield, fplus)
+        return np.multiply(wfield.data, -6.0, out=wfield.data)
+
+    vtau = -cross_derivative(solve, _H_EPS,
+                             limit=coefficient if check else None) / 6.0
     vfield = solver.GridField(tgrid, vtau)
     I_full = pairing_integral(tgrid, vfield, fplus)
     I_fast = asymptotic_I(quad.packets, tau,
                           tensor_quadrature(p, 3.0 * delta, BOX_NQ))
-
-    I_check = None
-    if consistency:
-        wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
-                                                window=tgrid)
-        I_check = pairing_integral(tgrid, wfield, fplus)
     return FullPathResult(I_full, I_fast, quad, grid, go_ratios, k_top * h,
                           I_check=I_check)
 

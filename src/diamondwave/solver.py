@@ -333,10 +333,6 @@ class SourceTerm:
         return _embed(self.field, self.grid.shape, self.box)
 
     @classmethod
-    def from_field(cls, gridfield: GridField):
-        return cls(gridfield.grid, gridfield.data)
-
-    @classmethod
     def from_closure(cls, grid, func, name=""):
         """Sample f(t, points) once per slice, points of shape (*shape, 1+n);
         a scalar value fills the slice."""
@@ -459,7 +455,8 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
 
     The source `f` may live on a time window of `grid` and is zero outside
     it (`_source_slices`).  Returns the solution on `window`, a time window
-    of `grid` inside it (default: `grid`); the march keeps no other slice.
+    of `grid` inside it (default: `grid`); the march keeps no other slice
+    and stops at the window's last one.
     """
     return _march(metric, grid, V, f, nonlinear, backward=False,
                   window=window)
@@ -627,7 +624,9 @@ def _march(metric, grid, V, f, nonlinear, backward, window=None):
 
     leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear, f.box)
     guard = _level_guard(leapfrog, bound)
-    for m in range(1, nt - 1):
+    # the march stops at the window's last slice (a backward march returns
+    # the whole grid)
+    for m in range(1, k + window.nt - 1):
         u_next = leapfrog.step(None if V is None else Vs(time_index(m)),
                                src(m))
         guard(u_next)

@@ -340,8 +340,8 @@ def test_full_route_internal_consistency():
     # eps1 eps2 eps3 coefficient (the coefficient march): the same sources,
     # window and test function, so the gap is the stencil's truncation
     m = geo.minkowski(2)
-    res = recovery.full_path_interaction(m, None, tau=40.0, check=False,
-                                         consistency=True, **FULL_ROUTE_ARGS)
+    res = recovery.full_path_interaction(m, None, tau=40.0, check=True,
+                                         **FULL_ROUTE_ARGS)
     rel = abs(res.I_full - res.I_check) / abs(res.I_check)
     assert rel < 0.02
 

@@ -34,7 +34,8 @@ def test_cross_derivative_cubic_monomial():
 def test_cross_derivative_exact_on_cubics(coef, h_eps):
     # the stencil takes odd maps only; every odd monomial of degree <= 3
     # other than e1 e2 e3 is even in some eps_k, so the cross difference
-    # reads the e1 e2 e3 coefficient exactly
+    # reads the e1 e2 e3 coefficient exactly, and the epsilon gate against
+    # that coefficient passes
     monos = [m for m in np.ndindex(4, 4, 4) if sum(m) in (1, 3)]
     assert len(monos) == len(coef)
     g = np.array([1.0, -2.0, 0.5])
@@ -43,7 +44,7 @@ def test_cross_derivative_exact_on_cubics(coef, h_eps):
         return sum(c * e[0] ** a * e[1] ** b * e[2] ** k
                    for c, (a, b, k) in zip(coef, monos)) * g
     c123 = coef[monos.index((1, 1, 1))]
-    cross = rc.cross_derivative(solve, h_eps)
+    cross = rc.cross_derivative(solve, h_eps, limit=lambda: c123 * g)
     tol = 1e-12 * sum(abs(c) for c in coef) / h_eps**3 + 1e-12
     assert np.allclose(cross, c123 * g, rtol=0, atol=tol)
 
@@ -64,13 +65,13 @@ def test_cross_derivative_is_the_eight_corner_stencil_of_an_odd_map(seed):
     h = 0.1
     ref = sum(s[0] * s[1] * s[2] * solve(tuple(h * x for x in s))
               for s in itertools.product((-1, 1), repeat=3)) / (8 * h**3)
-    cross = rc.cross_derivative(solve, h, check=False)
+    cross = rc.cross_derivative(solve, h)
     assert np.max(np.abs(cross - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_cross_derivative_holds_few_window_arrays():
-    # corners are added as they arrive and dropped: with the Richardson
-    # check the stencil holds at most four window arrays at once
+    # corners are added as they arrive and dropped: with the epsilon gate
+    # the stencil holds at most three window arrays at once
     g = np.exp(1j * np.linspace(0.0, 3.0, 200_000))
 
     def solve(e):
@@ -78,22 +79,43 @@ def test_cross_derivative_holds_few_window_arrays():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cross = rc.cross_derivative(solve, 0.1, check=True)
+        cross = rc.cross_derivative(solve, 0.1, limit=g.copy)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert np.allclose(cross, g, rtol=0, atol=1e-10)
-    assert peak <= 4 * g.nbytes
+    assert peak <= 3 * g.nbytes
 
 
-def test_cross_derivative_richardson_gate():
-    # a strong epsilon^5 contamination trips the h vs h/2 comparison
+def test_cross_derivative_epsilon_gate():
+    # a strong epsilon^5 contamination puts the stencil off its limit, the
+    # e1 e2 e3 coefficient; the limit is asked for once, after the corners
     def u(e):
         return np.array([e[0] * e[1] * e[2] + 100.0 * e[0] ** 3 * e[1] * e[2]])
+    asked = []
+
+    def limit():
+        asked.append(True)
+        return np.array([1.0])
     with pytest.raises(rc.RecoveryError, match="asymptotic window"):
-        rc.cross_derivative(u, h_eps=0.05)
-    cross = rc.cross_derivative(u, h_eps=0.002)
+        rc.cross_derivative(u, h_eps=0.05, limit=limit)
+    cross = rc.cross_derivative(u, h_eps=0.002, limit=limit)
     assert cross[0] == pytest.approx(1.0, abs=1e-3)
+    assert asked == [True, True]
+
+
+def test_cross_derivative_gate_passes_a_limit_at_rounding_level():
+    # a zero coefficient next to a stencil at rounding level of the corners
+    # has nothing to disagree about
+    g = np.array([1.0, -2.0, 0.5])
+
+    def u(e):
+        return (e[0] + e[1] + e[2]) * g
+    cross = rc.cross_derivative(u, 0.1, limit=lambda: np.zeros(3))
+    assert 0 < np.max(np.abs(cross)) < 1e-13
+    # a stencil at that level against a limit above it is gated
+    with pytest.raises(rc.RecoveryError, match="asymptotic window"):
+        rc.cross_derivative(u, 0.1, limit=lambda: 1e-6 * g)
 
 
 # -- pairing -----------------------------------------------------------------
@@ -130,8 +152,8 @@ def test_discrete_adjoint_identity(pair_setup):
 def test_pairing_routes_agree(pair_setup):
     m, grid, Vfun, bump = pair_setup
     # backward solve against a compact test source, paired with a bump field
-    fplus = solver.SourceTerm.from_field(
-        solver.GridField.from_closure(grid, lambda p: bump(p, 0.5, 0.2)))
+    fplus = solver.SourceTerm(grid, solver.GridField.from_closure(
+        grid, lambda p: bump(p, 0.5, 0.2)).data)
     U = solver.solve_backward(m, grid, Vfun, fplus)
     v = solver.GridField.from_closure(grid, lambda p: bump(p, 0.45, -0.1))
     data_side = rc.pairing_integral(grid, v, fplus)
@@ -230,7 +252,7 @@ def test_packet_quad_geometry():
     p = np.array([1.1, 0.9, 0.0])
     quad = rc.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.3)
     # the linear dependence holds bitwise
-    assert np.all(quad.xi_total() == 0.0)
+    assert np.all(sum(quad.xi) == 0.0)
     for xi in quad.xi:
         assert abs(xi[0] ** 2 - xi[1:] @ xi[1:]) < 1e-12
     k1, k2 = sources.kappa_closed_form(0.3)
@@ -249,7 +271,7 @@ def test_packet_quad_dependence_bitwise(direction, sigma):
     # the exact 1/tau coefficients need a phase-free quadrature
     p = np.concatenate([[2.0], np.full(len(direction), 0.1)])
     quad = rc.PacketQuad(p, 0.9, direction, sigma)
-    assert np.all(quad.xi_total() == 0.0)
+    assert np.all(sum(quad.xi) == 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -520,26 +542,54 @@ COARSE_FULL_ROUTE = dict(p=(1.0, 0.9, 0.0), r=0.8, T=2.0, tau=10.0,
                          sigma=0.6, delta=0.1, h=0.04, rho=0.06)
 
 
-@pytest.mark.parametrize("check, marches", [(False, 4), (True, 8)])
+@pytest.mark.parametrize("check, marches", [(False, 4), (True, 4)])
 def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
                                                       marches):
+    # the epsilon gate adds one coefficient march after the corners
     m = geo.minkowski(2)
     calls = []
     forward = solver.solve_forward
+    coefficient = solver.solve_cross_coefficient
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("nonlinear"))
         return forward(*args, **kwargs)
+
+    def counting_coefficient(*args, **kwargs):
+        calls.append("coefficient")
+        return coefficient(*args, **kwargs)
     monkeypatch.setattr(solver, "solve_forward", counting)
-    rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
-    assert calls == [True] * marches
+    monkeypatch.setattr(solver, "solve_cross_coefficient",
+                        counting_coefficient)
+    res = rc.full_path_interaction(m, None, check=check, **COARSE_FULL_ROUTE)
+    assert calls == [True] * marches + ["coefficient"] * check
+    assert (res.I_check is not None) == check
+
+
+@pytest.mark.parametrize("factor, fails", [(1.1, True), (1.01, False)])
+def test_full_route_epsilon_gate(monkeypatch, factor, fails):
+    # the stencil must lie within 5% of the coefficient march's field
+    coefficient = solver.solve_cross_coefficient
+
+    def off(*args, **kwargs):
+        w = coefficient(*args, **kwargs)
+        return solver.GridField(w.grid, w.data * factor)
+    monkeypatch.setattr(solver, "solve_cross_coefficient", off)
+    m = geo.minkowski(2)
+    if fails:
+        with pytest.raises(rc.RecoveryError, match="asymptotic window"):
+            rc.full_path_interaction(m, None, check=True, **COARSE_FULL_ROUTE)
+    else:
+        res = rc.full_path_interaction(m, None, check=True,
+                                       **COARSE_FULL_ROUTE)
+        assert res.I_check is not None
 
 
 def test_full_route_outputs_are_pinned():
     # the coarse route's outputs to the last digit: a solver or stencil
     # change that moves them has to state by how much
     res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
-                                   consistency=True, **COARSE_FULL_ROUTE)
+                                   **COARSE_FULL_ROUTE)
     assert res.I_full == -5.605382053932677e-07 + 3.92595682316973e-07j
     assert res.I_check == -5.605390942768595e-07 + 3.9261168625747996e-07j
     assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
@@ -549,8 +599,7 @@ def test_full_route_eps_stencil_converges_to_the_coefficient(monkeypatch):
     # I_check is the eps -> 0 limit of I_full on the same grid: the
     # stencil's gap to it falls by 4 each time its step h_eps halves
     m = geo.minkowski(2)
-    res = rc.full_path_interaction(m, None, check=False, consistency=True,
-                                   **COARSE_FULL_ROUTE)
+    res = rc.full_path_interaction(m, None, check=True, **COARSE_FULL_ROUTE)
     assert rc._H_EPS == 0.1
     gaps = [res.eps_truncation]
     for h_eps in (0.05, 0.025):
