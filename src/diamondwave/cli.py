@@ -693,6 +693,10 @@ def cmd_recover(args):
             report.diagnostic("kappa_top tau h", f"{res.kh:.3g}")
             report.diagnostic("stencil group velocity at kappa_top tau h",
                               f"{res.group_velocity:.3g}")
+            report.diagnostic("envelope resolution delta/h",
+                              f"{res.delta_over_h:.3g}")
+            report.diagnostic("stencil error on the bump at delta/h",
+                              f"{res.envelope_error:.3g}")
             report.diagnostic("I_check (eps -> 0 coefficient march)",
                               f"{res.I_check:.6g}")
             report.diagnostic("eps truncation |I_full - I_check|/|I_check|",

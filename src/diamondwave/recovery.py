@@ -159,6 +159,22 @@ def _chi_bump_d2(u):
     return np.where(inside, go.chi_bump(us) * (g1 * g1 + g2), 0.0)
 
 
+def bump_d2_error(delta_over_h):
+    """How well a grid of step h resolves a packet envelope of width delta:
+    the relative L2 error of the 4th-order second difference of the bump
+    `go.chi_bump` sampled at spacing 1/delta_over_h, against its closed
+    form `_chi_bump_d2`, pooled over eight equispaced grid offsets so that
+    it does not hinge on where the nodes fall."""
+    hu = 1.0 / delta_over_h
+    m = int(np.ceil(delta_over_h)) + 2
+    # one row per offset, each ending in two zeros past the support (the
+    # stencil's reach), so the rows difference apart in one line
+    u = hu * (np.arange(-m, m + 1) + np.arange(8)[:, None] / 8).ravel()
+    exact = _chi_bump_d2(u)
+    d2 = solver.laplacian_4th(go.chi_bump(u), hu, 1)
+    return float(np.linalg.norm(d2 - exact) / np.linalg.norm(exact))
+
+
 class LinePacket:
     """Geometric-optics packet in closed form (flat background).
 
@@ -587,7 +603,10 @@ class FullPathResult:
     |a1 / (tau a0)| at the bump centre after packet j's travel time t_j to
     p, small only where the geometric-optics expansion holds; `kh` is the
     top carrier's wavenumber times h, and `group_velocity` the stencil's
-    group velocity there (1 for a resolved carrier).
+    group velocity there (1 for a resolved carrier).  `delta_over_h` is
+    the envelope's resolution, the packet width delta over h, and
+    `envelope_error` the stencil's error on the bump at that resolution
+    (`bump_d2_error`; small for a resolved envelope).
 
     `I_check`, computed whenever the epsilon gate runs (`check`), is the
     eps -> 0 limit of `I_full` on the same grid (the coefficient march),
@@ -596,7 +615,7 @@ class FullPathResult:
     """
 
     def __init__(self, I_full, I_fast, quad, grid, go_ratios, kh,
-                 I_check=None):
+                 delta_over_h, I_check=None):
         self.I_full = complex(I_full)
         self.I_fast = complex(I_fast)
         self.rel_diff = abs(self.I_full - self.I_fast) / \
@@ -609,6 +628,8 @@ class FullPathResult:
         self.go_ratios = go_ratios
         self.kh = kh
         self.group_velocity = float(solver.stencil_group_velocity(kh))
+        self.delta_over_h = float(delta_over_h)
+        self.envelope_error = bump_d2_error(self.delta_over_h)
 
 
 _H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
@@ -709,7 +730,7 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     I_fast = asymptotic_I(quad.packets, tau,
                           tensor_quadrature(p, 3.0 * delta, BOX_NQ))
     return FullPathResult(I_full, I_fast, quad, grid, go_ratios, k_top * h,
-                          I_check=I_check)
+                          delta / h, I_check=I_check)
 
 
 def recover_region(metric, V, points, r, T, V_true=None, sigma0=0.1,

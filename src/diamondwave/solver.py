@@ -1,13 +1,17 @@
 """Finite-difference solver for box u + V u + u^3 = f on Minkowski space.
 
-Leapfrog in time (second order) with a 4th-order spatial Laplacian.  Only
-flat backgrounds are supported: a curved metric is rejected with SolverError
-(curved backgrounds are handled by Gaussian beams, without a PDE march).  The
-discrete wave operator is exposed separately (`apply_wave_operator`) using the
-*same* stencils, so that applying it to a computed solution returns the source
-to rounding error.  Boundaries are handled by padding the domain so that the
-light cone of the source never reaches the edge (free space up to machine
-precision inside the causal diamond).
+Leapfrog in time (second order) with a 4th-order spatial Laplacian.  A step
+is one fused update (`_Leapfrog`): dt^2 is folded into the stencil weights
+and the like-weighted neighbours are summed from the level itself, so it
+differs from the plain step (2u - u-) + dt^2 (lap u - V u + f - u^3) by
+rounding only.  Only flat backgrounds are supported: a curved metric is
+rejected with SolverError (curved backgrounds are handled by Gaussian beams,
+without a PDE march).  The discrete wave operator is exposed separately
+(`apply_wave_operator`) using the *same* stencils, so that applying it to a
+computed solution returns the source to rounding error.  Boundaries are
+handled by padding the domain so that the light cone of the source never
+reaches the edge (free space up to machine precision inside the causal
+diamond).
 """
 
 from __future__ import annotations
@@ -469,15 +473,24 @@ def solve_backward(metric, grid, V, f: SourceTerm):
 
 
 class _Leapfrog:
-    """Minkowski leapfrog step u+ = (2u - u-) + dt^2 (lap u - V u + f - u^3),
-    with the cube formed as u (u u).
+    """Minkowski leapfrog step with the 4th-order Laplacian, fused:
 
-    The three time levels live in rotating zero-ghosted buffers and every
-    intermediate goes to a preallocated one, so a step allocates nothing.
-    Terms that do not involve V or f run over the contiguous band, and f is
-    added on the source's box (slices; () is the whole grid).  The
-    expression order is that of the plain array formula, so the result
-    equals it bit for bit (up to the sign of zeros).
+        u+ = ((a_c u - u-) + a_1 N) + a_2 F - dt^2 (v u) + dt^2 f
+             - dt^2 u (u u)
+
+    N and F sum the 2n near (offset +-1 per axis) and far (+-2) neighbours,
+    and the weights fold dt^2 into the stencil: a_c = 2 + dt^2 n c_0,
+    a_1 = dt^2 c_1 and a_2 = dt^2 c_2 for the stencil weights c_k of offset
+    k.  This is the plain step (2u - u-) + dt^2 (lap u - V u + f - u^3)
+    with the floating-point terms grouped differently.
+
+    The three time levels live in rotating zero-ghosted buffers, each with
+    its 4n shifted band views, so N and F are read from the level itself
+    and every intermediate goes to a preallocated buffer: a step allocates
+    no array.  Terms that do not involve V or f run over the contiguous
+    band, and f is added on the source's box (slices; () is the whole
+    grid).  The result equals its array formula above bit for bit (up to
+    the sign of zeros).
     """
 
     def __init__(self, grid, dtype, u1, nonlinear, box=()):
@@ -486,13 +499,20 @@ class _Leapfrog:
         self.levels = [lay.zeros(dtype) for _ in range(3)]     # u-, u, u+
         self.inner = [lay.interior(P) for P in self.levels]
         self.bands = [lay.band(P) for P in self.levels]
+        self.boxes = [P[box] for P in self.inner]
+        # per level: the near bands, then the far bands, axis by axis and
+        # offset - before +
+        self.shifted = [[[lay.band(P, sign * k * st) for st in lay.strides
+                          for sign in (-1, 1)] for k in (1, 2)]
+                        for P in self.levels]
         self.inner[1][...] = u1
-        self.lap = _Laplacian4(lay, dtype, grid.h, grid.n)
         tmp = lay.zeros(dtype)
         self.tmp_inner, self.tmp_band = lay.interior(tmp), lay.band(tmp)
-        self.rhs_inner = lay.interior(self.lap.out)
-        self.rhs_box = self.rhs_inner[box]
+        self.f_dt2 = np.empty(self.boxes[0].shape, dtype=dtype)
         self.dt2 = grid.dt * grid.dt
+        c = _LAP4[2::-1] / (12.0 * grid.h * grid.h)     # c_0, c_1, c_2
+        self.a_c = 2 + self.dt2 * grid.n * c[0]
+        self.a_1, self.a_2 = self.dt2 * c[1], self.dt2 * c[2]
         self.nonlinear = nonlinear
 
     def step(self, v, f):
@@ -501,24 +521,31 @@ class _Leapfrog:
         the new slice as a view of a buffer that the step after next
         overwrites."""
         u_prev, u, u_next = self.bands
-        rhs, tmp = self.lap.out_band, self.tmp_band
-        self.lap(self.levels[1])
+        tmp, dt2 = self.tmp_band, self.dt2
+        np.multiply(self.a_c, u, out=u_next)
+        np.subtract(u_next, u_prev, out=u_next)
+        for bands, a in zip(self.shifted[1], (self.a_1, self.a_2)):
+            np.add(bands[0], bands[1], out=tmp)
+            for band in bands[2:]:
+                np.add(tmp, band, out=tmp)
+            np.multiply(a, tmp, out=tmp)
+            np.add(u_next, tmp, out=u_next)
         if v is not None:
             np.multiply(v, self.inner[1], out=self.tmp_inner)
-            np.subtract(self.rhs_inner, self.tmp_inner, out=self.rhs_inner)
+            np.multiply(dt2, self.tmp_inner, out=self.tmp_inner)
+            np.subtract(self.inner[2], self.tmp_inner, out=self.inner[2])
         if f is not None:
-            np.add(self.rhs_box, f, out=self.rhs_box)
+            np.multiply(dt2, f, out=self.f_dt2)
+            np.add(self.boxes[2], self.f_dt2, out=self.boxes[2])
         if self.nonlinear:
             np.multiply(u, u, out=tmp)
             np.multiply(u, tmp, out=tmp)
-            np.subtract(rhs, tmp, out=rhs)
-        np.multiply(2, u, out=u_next)
-        np.subtract(u_next, u_prev, out=u_next)
-        np.multiply(self.dt2, rhs, out=rhs)
-        np.add(u_next, rhs, out=u_next)
+            np.multiply(dt2, tmp, out=tmp)
+            np.subtract(u_next, tmp, out=u_next)
         self.layout.clear_ghosts(self.levels[2])
         new = self.inner[2]
-        for lst in (self.levels, self.inner, self.bands):
+        for lst in (self.levels, self.inner, self.bands, self.boxes,
+                    self.shifted):
             lst.append(lst.pop(0))
         return new
 

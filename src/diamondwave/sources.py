@@ -16,8 +16,8 @@ import numpy as np
 
 from . import geometry as geo
 from .go import smoothstep7
-from .solver import (CropGrid, GridField, SourceTerm, apply_wave_operator,
-                     support_box)
+from .solver import (_GHOST, CropGrid, GridField, SourceTerm,
+                     apply_wave_operator, support_box)
 
 
 class SourceError(RuntimeError):
@@ -81,22 +81,58 @@ def default_rho(obj, grid, r, t0):
     return float(rho)
 
 
+def _tube_box(obj, grid):
+    """The grid box holding the packet's support tube over the grid's
+    times, widened by one cell plus the stencil reach and clipped to the
+    grid (empty where the tube misses it)."""
+    center, rad = _tube_center_radius(obj)
+    c = center(grid.times())
+    box = []
+    for a, b, size in zip((c.min(axis=0) - rad - grid.lo) / grid.h,
+                          (c.max(axis=0) + rad - grid.lo) / grid.h,
+                          grid.shape):
+        start = min(max(int(np.floor(a)) - 1 - _GHOST, 0), size)
+        box.append(slice(start, max(min(int(np.ceil(b)) + 2 + _GHOST, size),
+                                    start)))
+    return tuple(box)
+
+
+def _packet_on_support(obj, grid, tau):
+    """(values, box): the packet sampled on `grid`, kept on its support box
+    (`support_box`).
+
+    It is sampled on its tube's box (`_tube_box`) only.  The support box
+    found there is the whole grid's when it stays off every edge of the
+    tube box that is not an edge of the grid; otherwise the tube bound did
+    not hold, and the packet is sampled on the whole grid instead.
+    """
+    for tube in (_tube_box(obj, grid),
+                 tuple(slice(0, size) for size in grid.shape)):
+        u = GridField.from_closure(CropGrid(grid, tube),
+                                   lambda pts: obj.eval(tau, pts),
+                                   dtype=complex, name="packet").data
+        box = support_box(u)
+        if all((b.start > 0 or t.start == 0)
+               and (b.stop < t.stop - t.start or t.stop == size)
+               for b, t, size in zip(box, tube, grid.shape)):
+            break
+    return u[(slice(None),) + box], tuple(
+        slice(t.start + b.start, t.start + b.stop) for b, t in zip(box, tube))
+
+
 def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     if t0 is None:
         t0 = float(obj.q[0])
     if rho is None:
         rho = default_rho(obj, grid, r, t0)
     cut = CutoffPair(t0, rho)
-    u = GridField.from_closure(grid, lambda pts: obj.eval(tau, pts),
-                               dtype=complex, name="packet").data
     # outside the box the packet is zero, and so is the wave operator of its
     # cut: the stencils reach _GHOST cells
-    box = support_box(u)
+    u, box = _packet_on_support(obj, grid, tau)
     crop = CropGrid(grid, box)
     times = grid.times()
     inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)
-    zu = GridField(crop, u[(slice(None),) + box]
-                   * inner(times).reshape(-1, *([1] * grid.n)),
+    zu = GridField(crop, u * inner(times).reshape(-1, *([1] * grid.n)),
                    name="cut packet")
     del u
     Pzu = apply_wave_operator(metric, crop, V, zu)

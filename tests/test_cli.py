@@ -347,7 +347,8 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     def fake(*args, **kwargs):
         return recovery.FullPathResult(
             4.1e-6 + 0j, 0.2, None, None,
-            np.array([6.25, 0.694, 1.25, 1.25]), 1.56, I_check=4e-6 + 0j)
+            np.array([6.25, 0.694, 1.25, 1.25]), 1.56, 0.1 / 0.012,
+            I_check=4e-6 + 0j)
     monkeypatch.setattr(recovery, "full_path_interaction", fake)
     cfgp = write_cfg(tmp_path, RECOVER_CFG.replace("mode = fast",
                                                    "mode = full"))
@@ -359,6 +360,8 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
         "6.25 0.694 1.25 1.25" in rr
     assert "kappa_top tau h: 1.56" in rr
     assert "stencil group velocity at kappa_top tau h: 0.876" in rr
+    assert "envelope resolution delta/h: 8.33" in rr
+    assert "stencil error on the bump at delta/h: 0.277" in rr
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
     assert "I_check (eps -> 0 coefficient march): 4e-06+0j" in rr
     assert "eps truncation |I_full - I_check|/|I_check|: 0.025" in rr
@@ -499,6 +502,9 @@ def test_recover_full_end_to_end_is_deterministic(tmp_path, capsys):
     assert reports[0] == reports[1]
     rr = reports[0]
     assert "GO ratio t_j/(kappa_j tau delta^2) per packet: " in rr
+    # delta = 0.1 on h = 0.04
+    assert "envelope resolution delta/h: 2.5\n" in rr
+    assert "stencil error on the bump at delta/h: 0.735\n" in rr
     assert "I_check (eps -> 0 coefficient march): " in rr
     trunc = re.search(r"eps truncation \|I_full - I_check\|/\|I_check\|: "
                       r"(\S+)", rr)

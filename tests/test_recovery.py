@@ -590,8 +590,8 @@ def test_full_route_outputs_are_pinned():
     # change that moves them has to state by how much
     res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
                                    **COARSE_FULL_ROUTE)
-    assert res.I_full == -5.605382053932677e-07 + 3.92595682316973e-07j
-    assert res.I_check == -5.605390942768595e-07 + 3.9261168625747996e-07j
+    assert res.I_full == -5.605382049278151e-07 + 3.9259568277524104e-07j
+    assert res.I_check == -5.60539094276904e-07 + 3.926116862574251e-07j
     assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
 
 
@@ -637,6 +637,57 @@ def test_full_route_sources_live_on_small_boxes(monkeypatch):
     assert max(share(f) for f in marched) < 0.3
 
 
+def _coarse_route_surgeries(monkeypatch):
+    """The four surgery sources of the coarse route, and the shapes of the
+    grids their packets were sampled on."""
+    made, sampled = [], []
+    for name in ("make_source", "make_test_function"):
+        def keep(*args, _surgery=getattr(sources, name), **kwargs):
+            made.append(_surgery(*args, **kwargs)[0])
+            return made[-1], None
+        monkeypatch.setattr(sources, name, keep)
+    from_closure = solver.GridField.from_closure.__func__
+
+    def sampling(cls, grid, *args, **kwargs):
+        sampled.append(grid.shape)
+        return from_closure(cls, grid, *args, **kwargs)
+    monkeypatch.setattr(solver.GridField, "from_closure",
+                        classmethod(sampling))
+    rc.full_path_interaction(geo.minkowski(2), None, check=False,
+                             **COARSE_FULL_ROUTE)
+    return made, sampled
+
+
+@pytest.mark.parametrize("tube", ["whole grid", "too thin"])
+def test_full_route_surgery_samples_the_tube_box(monkeypatch, tube):
+    # each packet is sampled on its tube's box only, and its source keeps
+    # the box and field of the whole-grid sampling bit for bit; a tube
+    # bound that does not hold falls back to the whole grid
+    with monkeypatch.context() as mp:
+        made, sampled = _coarse_route_surgeries(mp)
+    grid = made[0].grid.shape
+    assert len(sampled) == 4
+    assert all(np.prod(s) < 0.3 * np.prod(grid) for s in sampled)
+    if tube == "whole grid":
+        monkeypatch.setattr(sources, "_tube_box", lambda obj, g: tuple(
+            slice(0, size) for size in g.shape))
+    else:
+        center_radius = sources._tube_center_radius
+
+        def thin(obj):
+            center, rad = center_radius(obj)
+            return center, 0.1 * rad
+        monkeypatch.setattr(sources, "_tube_center_radius", thin)
+    ref, ref_sampled = _coarse_route_surgeries(monkeypatch)
+    if tube == "whole grid":
+        assert ref_sampled == 4 * [grid]
+    else:
+        assert len(ref_sampled) == 8 and ref_sampled[1::2] == 4 * [grid]
+    for f, g in zip(made, ref):
+        assert f.box == g.box
+        assert np.array_equal(f.field, g.field)
+
+
 def test_full_route_surgery_builds_no_grid_packet(monkeypatch):
     # the surgery cuts the closed-form packets of the quadrature
     def refuse(*args, **kwargs):
@@ -659,6 +710,28 @@ def test_full_route_regime_diagnostics():
     assert res.kh == pytest.approx(kappa[1] * tau * h, rel=1e-12)
     assert res.group_velocity == solver.stencil_group_velocity(res.kh)
     assert 0.9 < res.group_velocity < 1.0
+    assert res.delta_over_h == pytest.approx(delta / h, rel=1e-12)
+    assert res.envelope_error == rc.bump_d2_error(res.delta_over_h)
+
+
+def test_bump_d2_error_is_the_stencils_error_on_the_bump():
+    # the pooled error of the 4th-order stencil on the bump, against a
+    # direct per-offset sum: ~28 % at the full route's delta/h of 8.3,
+    # then falling as (h/delta)^4
+    def direct(r):
+        err = ref = 0.0
+        for k in range(8):
+            u = (np.arange(-60, 61) + k / 8) / r
+            exact = rc._chi_bump_d2(u)
+            d2 = solver.laplacian_4th(go.chi_bump(u), 1 / r, 1)
+            err += np.sum((d2 - exact) ** 2)
+            ref += np.sum(exact ** 2)
+        return np.sqrt(err / ref)
+    for r in (2.5, 0.1 / 0.012, 50.0):
+        assert rc.bump_d2_error(r) == pytest.approx(direct(r), rel=1e-12)
+    assert rc.bump_d2_error(0.1 / 0.012) == pytest.approx(0.2766, abs=1e-4)
+    assert rc.bump_d2_error(200.0) / rc.bump_d2_error(400.0) == \
+        pytest.approx(16.0, rel=0.05)
 
 
 def test_differentiate_line_integral_rejects_degenerate_samples():

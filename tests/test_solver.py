@@ -138,10 +138,18 @@ def test_laplacian_matches_shift_formula_bitwise(n, size, cplx):
     assert np.array_equal(lap, _laplacian_by_shifts(u, 0.07, n))
 
 
+def _neighbour_sums(u, n):
+    """(N, F): the sums of the 2n near (offset +-1) and far (+-2) zero-filled
+    neighbours, axis by axis and offset - before +."""
+    return [sum(slv._shift(u, sign * k, ax) for ax in range(n)
+                for sign in (-1, 1)) for k in (1, 2)]
+
+
 @pytest.mark.parametrize("potential", [False, True])
 @pytest.mark.parametrize("source", [False, True])
 def test_leapfrog_step_is_its_array_formula(potential, source):
-    # the allocation-free step on the band equals the plain array formula
+    # the allocation-free step on the band equals the fused array formula,
+    # dt^2 folded into the stencil weights
     g = slv.Grid.for_ball(2, 0.3, 0.5, 0.05, 0.0125)
     rng = np.random.default_rng(11)
 
@@ -153,13 +161,54 @@ def test_leapfrog_step_is_its_array_formula(potential, source):
     leapfrog = slv._Leapfrog(g, complex, u, nonlinear=True)
     leapfrog.inner[0][...] = u_prev
     new = leapfrog.step(v, f)
-    rhs = slv.laplacian_4th(u, g.h, g.n)
+    dt2 = g.dt * g.dt
+    c = np.array([-30.0, 16.0, -1.0]) / (12.0 * g.h * g.h)
+    near, far = _neighbour_sums(u, g.n)
+    ref = (((2 + dt2 * g.n * c[0]) * u - u_prev) + (dt2 * c[1]) * near) \
+        + (dt2 * c[2]) * far
     if v is not None:
-        rhs = rhs - v * u
+        ref = ref - dt2 * (v * u)
     if f is not None:
-        rhs = rhs + f
-    ref = (2 * u - u_prev) + (g.dt * g.dt) * (rhs - u * (u * u))
+        ref = ref + dt2 * f
+    ref = ref - dt2 * (u * (u * u))
     assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("n, size", [(1, 40), (2, 20), (3, 9)])
+@pytest.mark.parametrize("potential", [False, True])
+@pytest.mark.parametrize("source", [False, True])
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_fused_march_matches_the_plain_formula(n, size, potential, source,
+                                               nonlinear):
+    # 100 fused steps against a march of the plain step
+    # (2u - u-) + dt^2 (lap u - V u + f - u^3): they differ by rounding only
+    h, dt = 0.1, 0.05 / np.sqrt(n)
+    g = slv.Grid(n, np.zeros(n), (size,) * n, h, dt, 100 * dt)
+    rng = np.random.default_rng(n)
+
+    def cplx():
+        # small enough that the cube does not blow the march up
+        return 0.1 * (rng.standard_normal(g.shape)
+                      + 1j * rng.standard_normal(g.shape))
+    u_prev, u = cplx(), cplx()
+    v = rng.uniform(0.0, 2.0, g.shape) if potential else None
+    f = cplx() if source else None
+    leapfrog = slv._Leapfrog(g, complex, u, nonlinear=nonlinear)
+    leapfrog.inner[0][...] = u_prev
+    dt2 = g.dt * g.dt
+    for _ in range(100):
+        fused = leapfrog.step(v, f)
+        rhs = slv.laplacian_4th(u, h, n)
+        if v is not None:
+            rhs = rhs - v * u
+        if f is not None:
+            rhs = rhs + f
+        if nonlinear:
+            rhs = rhs - u * (u * u)
+        u_prev, u = u, (2 * u - u_prev) + dt2 * rhs
+    scale = np.max(np.abs(u))
+    assert 0 < scale < 10
+    assert np.max(np.abs(fused - u)) <= 1e-12 * scale
 
 
 def _smallness_raises(u, parts, bound):
