@@ -270,7 +270,9 @@ class SplitMetric(Metric):
         db, dg = self._derivatives(x)
         _check_finite(db, dg)
         hb, hg = self._second_derivatives(x, beta, g)
-        _check_finite(*(a for row in hb + hg for a in row))
+        # the (l, k) entries are the (k, l) ones: each is checked once
+        _check_finite(*(h[k][l] for h in (hb, hg) for k in range(dim)
+                        for l in range(k, dim)))
         vk = _components_first(v, 1)
         dbk = _components_first(db, 1)
         dgk = _components_first(dg, 3)

@@ -145,6 +145,8 @@ def tensor_quadrature(center, half_widths, nq):
 
 # Gauss-Legendre nodes and weights on [-1, 1] of the potential integral
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_FRACTIONS = (_GL_NODES + 1.0) / 2.0 - 1.0
+_GL_BLOCK = 32          # Gauss nodes per call of V in the potential integral
 _ORACLE_NODES = 4001    # Simpson nodes of the line-integral oracles
 
 
@@ -235,16 +237,32 @@ class LinePacket:
         return a0, np.where(a0 != 0, lap, 0.0)
 
     def _potential_integral(self, x, s):
-        """int_0^{s(x)} V along the characteristic through x."""
+        """int_0^{s(x)} V along the characteristic through x.
+
+        V is called once per block of `_GL_BLOCK` Gauss nodes.  The block's
+        points are stored component-first, (1+n, B, ...), and passed to V
+        as the (B, ..., 1+n) view, so each coordinate V reads is one
+        contiguous plane.  The nodes are summed one by one in
+        Gauss-Legendre order.
+        """
         if self.V is None:
             return np.zeros_like(s)
-        x = np.asarray(x, dtype=float)
+        xs = np.moveaxis(np.asarray(x, dtype=float), -1, 0)[:, None]
+        ks = self.xi_sharp.reshape((-1,) + (1,) * (s.ndim + 1))
         out = np.zeros(s.shape)
-        for ti, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            # node s~ = s (ti+1)/2 on [0, s], offset from x by (s~ - s) xi^#
-            off = s * ((ti + 1.0) / 2.0 - 1.0)
-            pts = x + off[..., None] * self.xi_sharp
-            out = out + wi * np.asarray(self.V(pts))
+        # one points buffer for all blocks: fresh ones per block cost more
+        # in the allocator than in the arithmetic
+        buf = np.empty((len(ks), _GL_BLOCK) + s.shape)
+        for b in range(0, len(_GL_NODES), _GL_BLOCK):
+            fr = _GL_FRACTIONS[b:b + _GL_BLOCK]
+            # node s~ = s (t+1)/2 on [0, s], offset from x by (s~ - s) xi^#
+            off = s * fr.reshape(fr.shape + (1,) * s.ndim)
+            pts = buf[:, :len(fr)]
+            np.multiply(ks, off, out=pts)
+            np.add(xs, pts, out=pts)
+            vals = np.broadcast_to(self.V(np.moveaxis(pts, 0, -1)), off.shape)
+            for wi, vi in zip(_GL_WEIGHTS[b:b + _GL_BLOCK], vals):
+                out += wi * vi
         return out * s / 2.0
 
     def flow_point(self, s):

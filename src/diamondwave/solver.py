@@ -486,9 +486,10 @@ class _Leapfrog:
 
     The three time levels live in rotating zero-ghosted buffers, each with
     its 4n shifted band views, so N and F are read from the level itself
-    and every intermediate goes to a preallocated buffer: a step allocates
-    no array.  Terms that do not involve V or f run over the contiguous
-    band, and f is added on the source's box (slices; () is the whole
+    and every intermediate goes to a buffer made once: a step allocates no
+    array.  Every term but f runs over the contiguous band, an array v
+    copied first into a zero-ghosted buffer (made on the first step with
+    one), and f is added on the source's box (slices; () is the whole
     grid).  The result equals its array formula above bit for bit (up to
     the sign of zeros).
     """
@@ -506,9 +507,9 @@ class _Leapfrog:
                           for sign in (-1, 1)] for k in (1, 2)]
                         for P in self.levels]
         self.inner[1][...] = u1
-        tmp = lay.zeros(dtype)
-        self.tmp_inner, self.tmp_band = lay.interior(tmp), lay.band(tmp)
+        self.tmp_band = lay.band(lay.zeros(dtype))
         self.f_dt2 = np.empty(self.boxes[0].shape, dtype=dtype)
+        self.v_pad = None       # zero-ghosted copy of an array v, on first use
         self.dt2 = grid.dt * grid.dt
         c = _LAP4[2::-1] / (12.0 * grid.h * grid.h)     # c_0, c_1, c_2
         self.a_c = 2 + self.dt2 * grid.n * c[0]
@@ -531,9 +532,17 @@ class _Leapfrog:
             np.multiply(a, tmp, out=tmp)
             np.add(u_next, tmp, out=u_next)
         if v is not None:
-            np.multiply(v, self.inner[1], out=self.tmp_inner)
-            np.multiply(dt2, self.tmp_inner, out=self.tmp_inner)
-            np.subtract(self.inner[2], self.tmp_inner, out=self.inner[2])
+            if np.ndim(v):
+                # v u on the band: its ghost cells, like those of u, are
+                # zero.  In the levels' dtype its imaginary part stays
+                # zero, as in the cast a real-by-complex product makes
+                if self.v_pad is None:
+                    self.v_pad = self.layout.zeros(u.dtype)
+                self.layout.interior(self.v_pad).real[...] = v
+                v = self.layout.band(self.v_pad)
+            np.multiply(v, u, out=tmp)
+            np.multiply(dt2, tmp, out=tmp)
+            np.subtract(u_next, tmp, out=u_next)
         if f is not None:
             np.multiply(dt2, f, out=self.f_dt2)
             np.add(self.boxes[2], self.f_dt2, out=self.boxes[2])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diamondwave import go, recovery as rc, solver, sources
+from diamondwave import exprs, go, recovery as rc, solver, sources
 from diamondwave import geometry as geo
 
 
@@ -297,6 +297,59 @@ def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed, tau):
     # so eval, which computes on that support only, is the plain formula
     plain = np.exp(1j * tau * (pts @ lp.xi)) * lp.amplitude_sum(tau, pts)
     assert np.array_equal(lp.eval(tau, pts), plain)
+
+
+def _per_node_potential_integral(lp, x, s):
+    # the potential integral with one call of V per Gauss node, the
+    # reference of the blocked one
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(s.shape)
+    for ti, wi in zip(rc._GL_NODES, rc._GL_WEIGHTS):
+        off = s * ((ti + 1.0) / 2.0 - 1.0)
+        pts = x + off[..., None] * lp.xi_sharp
+        out = out + wi * np.asarray(lp.V(pts))
+    return out * s / 2.0
+
+
+@pytest.mark.parametrize("V", [
+    exprs.ScalarField.from_text("0.8*exp(-((x1-1)^2 + x2^2)/0.3) + 0.1*t", 2),
+    gaussian_V([1.1, 0.9, 0.0]),
+    lambda x: 0.25])
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (0,), ()])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_potential_integral_in_blocks_is_the_per_node_sum(V, shape, j):
+    # packet 0 is the reversal, with s < 0 near p; q itself has s = 0
+    quad = rc.PacketQuad(np.array([1.1, 0.9, 0.0]), 0.9, [1.0, 0.0],
+                         sigma=0.3, delta=0.1)
+    pk = quad.packets[j]
+    lp = rc.LinePacket(pk.q, pk.xi, pk.delta, V=V)
+    rng = np.random.default_rng(j)
+    x = quad.p + 0.1 * rng.standard_normal(shape + (3,))
+    flat = x.reshape(-1, 3)         # a view of x
+    k = int(len(flat) > 1)          # batches of 2+ start at q, where s = 0
+    flat[:k] = lp.q
+    s = lp.coords(x)[0]
+    if j == 0:
+        assert np.all(np.reshape(s, -1)[k:] < 0)
+    got = lp._potential_integral(x, s)
+    assert got.shape == np.shape(s)
+    assert np.array_equal(got, _per_node_potential_integral(lp, x, s))
+    assert np.all(np.reshape(s, -1)[:k] == 0)
+    assert np.all(np.reshape(got, -1)[:k] == 0)
+
+
+def test_potential_integral_calls_V_once_per_block():
+    calls = []
+    V = gaussian_V([1.1, 0.9, 0.0])
+
+    def counting(pts):
+        calls.append(pts.shape)
+        return V(pts)
+    lp = rc.LinePacket(np.array([0.1, -0.1, 0.0]),
+                       np.array([-1.0, 0.6, 0.8]), 0.2, V=counting)
+    lp.amplitudes(np.random.default_rng(0).uniform(0, 1, (50, 3)))
+    assert len(calls) == -(-64 // rc._GL_BLOCK) < 64
+    assert sum(shape[0] for shape in calls) == 64
 
 
 def test_packet_quad_needs_transverse_direction():

@@ -1,5 +1,7 @@
 """Wave solver tests: exactness identities, convergence, causality, I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,27 @@ def test_leapfrog_step_is_its_array_formula(potential, source):
         ref = ref + dt2 * f
     ref = ref - dt2 * (u * (u * u))
     assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("potential", ["array", "scalar"])
+def test_leapfrog_step_with_a_potential_allocates_no_grid_buffer(potential):
+    # the V term runs on the contiguous band, so numpy needs no casting
+    # buffer for the real v against the complex level
+    g = slv.Grid.for_ball(2, 0.3, 0.5, 0.05, 0.0125)
+    rng = np.random.default_rng(2)
+    u = 1e-3 * (rng.standard_normal(g.shape)
+                + 1j * rng.standard_normal(g.shape))
+    v = rng.standard_normal(g.shape) if potential == "array" else 0.7
+    leapfrog = slv._Leapfrog(g, complex, u, nonlinear=True)
+    leapfrog.step(v, None)
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            leapfrog.step(v, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 < u.nbytes
 
 
 @pytest.mark.parametrize("n, size", [(1, 40), (2, 20), (3, 9)])
