@@ -75,25 +75,21 @@ class PseudoFrame:
 
     def pairing_defect(self):
         """Sup over samples of |<E_i,E_j> - target|."""
-        metric = self.geodesic.metric
-        P = frame_pairing_target(self.n)
-        worst = 0.0
-        for x, E in zip(self.geodesic.x, self.E):
-            G = metric.matrix(x)
-            M = E @ G @ E.T
-            worst = max(worst, float(np.max(np.abs(M - P))))
-        return worst
+        G = self.geodesic.metric.matrix(self.geodesic.x)
+        M = np.einsum("sia,sab,sjb->sij", self.E, G, self.E)
+        return float(np.max(np.abs(M - frame_pairing_target(self.n))))
 
 
 def build_frame(geodesic: NullGeodesic) -> PseudoFrame:
     """Initial frame by the lightlike-decomposition recipe, then parallel
     transport with RK4 along the sampled geodesic.
 
-    The curve, its velocity and the Christoffel symbols do not depend on the
-    frame, so each is evaluated in one batched call: at the stage parameters
-    of the RK4 span (`_rk4_stages`) for the transport, and at the geodesic
-    samples for Edot.  Each stage and sample contracts them as a single
-    point would.
+    With A[j, k] = Gamma^k(gammadot, e_j), the transport is
+    dE/ds = -E A.  The curve, its velocity and A do not depend on the frame,
+    so each is evaluated in one batched call: at the stage parameters of
+    the RK4 span (`_rk4_stages`) for the transport, and at the geodesic
+    samples for Edot.  Each stage and sample forms A as a single point
+    would.
     """
     metric = geodesic.metric
     n = metric.n
@@ -132,21 +128,17 @@ def build_frame(geodesic: NullGeodesic) -> PseudoFrame:
     frame.extend(spat)
     E0 = np.array(frame)
 
-    # parallel transport dE/ds = -Gamma(gammadot, E) along the curve, with
-    # the curve and Gamma evaluated once at every stage parameter
+    # the basis vectors e_j as fields on a leading axis of `christoffel`
+    basis = np.eye(n + 1)[:, None, :]
+
+    def transport_matrices(x, v):
+        return np.moveaxis(metric.christoffel(x, v, basis), 0, -2)
+
     stages = _rk4_stages(geodesic.s, 0)
-    x = geodesic.point(stages.params)
-    v = geodesic.velocity(stages.params)
-    gam = metric.christoffel(x)
-
-    def rhs(j, Ej):
-        return -np.einsum("kij,i,mj->mk", gam[j], v[j], Ej)
-
-    E = _rk4_span(rhs, stages, E0)
-    gam = metric.christoffel(geodesic.x)
-    Edot = np.empty_like(E)
-    for i in range(len(geodesic.s)):
-        Edot[i] = -np.einsum("kij,i,mj->mk", gam[i], geodesic.xdot[i], E[i])
+    A = transport_matrices(geodesic.point(stages.params),
+                           geodesic.velocity(stages.params))
+    E = _rk4_span(lambda j, Ej: -Ej @ A[j], stages, E0)
+    Edot = -E @ transport_matrices(geodesic.x, geodesic.xdot)
     return PseudoFrame(geodesic, E, Edot)
 
 

@@ -25,7 +25,11 @@ H_G2 = 1e-4  # step of their second differences (`linearized_spray`)
 
 
 class Metric:
-    """Base class: pseudo-Riemannian metric with signature (-,+,...,+)."""
+    """Base class: pseudo-Riemannian metric with signature (-,+,...,+).
+
+    Subclasses give `matrix`, `inverse`, the spray `geodesic_acceleration`
+    and the Christoffel bilinear form `christoffel(x, v, w)`.
+    """
 
     kind = "abstract"
 
@@ -38,40 +42,9 @@ class Metric:
     def matrix(self, x):
         raise NotImplementedError
 
-    def dmatrix(self, x):
-        """Partial derivatives d_k g_ij, shape (..., 1+n, 1+n, 1+n), index [k,i,j]."""
-        raise NotImplementedError
-
-    def inverse(self, x):
-        g = self.matrix(x)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            raise GeometryError("degenerate metric at point") from None
-
     def inner(self, x, v, w):
         g = self.matrix(x)
         return np.einsum("...ij,...i,...j->...", g, v, w)
-
-    def christoffel(self, x):
-        """Christoffel symbols of the second kind, shape (..., k, i, j)."""
-        ginv = self.inverse(x)
-        dg = self.dmatrix(x)
-        # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij); the
-        # first-kind term [l, i, j] is contracted as a (dim, dim^2) matrix
-        dim = self.dim
-        term = (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)) - dg
-        lead = term.shape[:-3]
-        gam = 0.5 * np.matmul(ginv, term.reshape(lead + (dim, dim * dim)))
-        gam = gam.reshape(lead + (dim,) * 3)
-        if not np.all(np.isfinite(gam)):
-            raise GeometryError("non-finite metric derivatives")
-        return gam
-
-    def geodesic_acceleration(self, x, v):
-        """-Gamma^k_ij v^i v^j, the right-hand side of the geodesic equation
-        x'' = acc(x, x'), batched over leading axes; shape (..., k)."""
-        return -np.einsum("...kij,...i,...j->...k", self.christoffel(x), v, v)
 
     def check_signature(self, x):
         w = np.linalg.eigvalsh(self.matrix(x))
@@ -95,12 +68,9 @@ class MinkowskiMetric(Metric):
     def inverse(self, x):
         return self.matrix(x)
 
-    def dmatrix(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.dim,) * 3)
-
-    def christoffel(self, x):
-        return self.dmatrix(x)
+    def christoffel(self, x, v, w):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v),
+                                            np.shape(w)))
 
     def geodesic_acceleration(self, x, v):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
@@ -113,10 +83,9 @@ class SplitMetric(Metric):
     Their derivatives are central finite differences with step `H_G`.
 
     The kernels use the block structure: the inverse is -1/beta (+) g^{-1}
-    with the n x n inverse by cofactors, and `christoffel` is the block
-    closed form, equal to the generic `Metric.christoffel` up to rounding.
-    `geodesic_acceleration` contracts the same blocks with the velocity
-    without building the Christoffel tensor.
+    with the n x n inverse by cofactors.  `geodesic_acceleration`,
+    `christoffel` and `linearized_spray` contract the blocks of the metric
+    derivatives with vectors and never build the Christoffel tensor.
     """
 
     kind = "split"
@@ -196,43 +165,6 @@ class SplitMetric(Metric):
         out[..., 1:, 1:] = ginv
         return out
 
-    def dmatrix(self, x):
-        x = np.asarray(x, dtype=float)
-        db, dg = self._derivatives(x)
-        out = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-        out[..., :, 0, 0] = -db
-        out[..., :, 1:, 1:] = dg
-        return out
-
-    def christoffel(self, x):
-        """Christoffel symbols in block closed form, shape (..., k, i, j).
-
-        With w = 1/(2 beta), spatial indices a, b, c and d_0 = d_t:
-        G^0_00 = w d_0 beta, G^0_0a = w d_a beta, G^0_ab = w d_0 g_ab,
-        G^a_00 = 1/2 g^{ac} d_c beta, G^a_0b = 1/2 g^{ac} d_0 g_cb, and
-        G^a_bc is the Christoffel symbol of g at frozen t.
-        """
-        x = np.asarray(x, dtype=float)
-        n, lead = self.n, x.shape[:-1]
-        binv, ginv = self._inverse_blocks(*self._values(x))
-        db, dg = self._derivatives(x)
-        w = (0.5 * binv)[..., None]
-        hg = 0.5 * ginv
-        gam = np.empty(lead + (self.dim,) * 3)
-        gam[..., 0, 0, :] = w * db
-        gam[..., 0, 1:, 0] = gam[..., 0, 0, 1:]
-        gam[..., 0, 1:, 1:] = w[..., None] * dg[..., 0, :, :]
-        gam[..., 1:, 0, 0] = np.matmul(hg, db[..., 1:, None])[..., 0]
-        gam[..., 1:, 0, 1:] = np.matmul(hg, dg[..., 0, :, :])
-        gam[..., 1:, 1:, 0] = gam[..., 1:, 0, 1:]
-        ds = dg[..., 1:, :, :]
-        term = (np.swapaxes(ds, -3, -2) + np.moveaxis(ds, -3, -1)) - ds
-        gam[..., 1:, 1:, 1:] = np.matmul(
-            hg, term.reshape(lead + (n, n * n))).reshape(lead + (n,) * 3)
-        if not np.all(np.isfinite(gam)):
-            raise GeometryError("non-finite metric derivatives")
-        return gam
-
     def geodesic_acceleration(self, x, v):
         """-Gamma^k_ij v^i v^j in block closed form, never building Gamma
         (`_spray_lowered`, `_raise`); batched over leading axes, or plain
@@ -246,6 +178,31 @@ class SplitMetric(Metric):
         gv = [_matvec(dgk, vk[1:]) for dgk in _components_first(dg, 3)]
         return _raise(binv, _components_first(ginv, 2),
                       *_spray_lowered(_components_first(db, 1), gv, vk))
+
+    def christoffel(self, x, v, w):
+        """Gamma^k_ij v^i w^j, the bilinear form of the spray: symmetric in
+        v and w, and -christoffel(x, v, v) is `geodesic_acceleration(x, v)`,
+        both bit for bit.
+
+        w may stack fields on a leading axis, (m, ..., 1+n), as in
+        `linearized_spray`.  The form is -1/2 the derivative of the spray
+        along w at fixed x (`_add_spray_lowered_dv`), from the spray's own
+        stencil of first differences.
+        """
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        w = np.asarray(w, dtype=float)
+        binv, ginv = self._inverse_blocks(*self._values(x))
+        db, dg = self._derivatives(x)
+        _check_finite(db, dg)
+        vk = _components_first(v, 1)
+        dgk = _components_first(dg, 3)
+        gv = [_matvec(dgk_k, vk[1:]) for dgk_k in dgk]
+        lead = np.broadcast_shapes(x.shape[:-1], v.shape[:-1], w.shape[:-1])
+        l0, r = np.zeros(lead), [np.zeros(lead) for _ in range(self.n)]
+        _add_spray_lowered_dv(l0, r, _components_first(db, 1), dgk, gv, vk,
+                              _components_first(w, 1))
+        return -0.5 * _raise(binv, _components_first(ginv, 2), l0, r)
 
     def linearized_spray(self, x, v, xi, eta):
         """(acc(x, v), d/de acc(x + e xi, v + e eta) at e = 0).
@@ -462,14 +419,13 @@ class NullGeodesic:
     interpolate the velocity smoothly as well.
     """
 
-    def __init__(self, metric, s, x, xdot, xddot, null_defect, truncated=False):
+    def __init__(self, metric, s, x, xdot, xddot, null_defect):
         self.metric = metric
         self.s = s
         self.x = x
         self.xdot = xdot
         self.xddot = xddot
         self.null_defect = null_defect
-        self.truncated = truncated
 
     @property
     def s_range(self):
@@ -628,7 +584,8 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200):
     """Integrate the null geodesic through (p, v) over s in [a, b].
 
     Classical RK4 with a fixed step; the step is halved (up to `_MAX_REFINE`
-    times) while the null defect sup |<gdot,gdot>| exceeds 1e-9.
+    times) while the null defect sup |<gdot,gdot>| exceeds 1e-9.  Raises
+    GeometryError on a non-finite sample.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -655,6 +612,8 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200):
         s = np.concatenate([s_b[::-1][:-1], s_f])
         x = np.concatenate([xs_b[::-1][:-1], xs_f])
         xdot = np.concatenate([-vs_b[::-1][:-1], vs_f])
+        if not (np.isfinite(x).all() and np.isfinite(xdot).all()):
+            raise GeometryError("non-finite geodesic sample")
         defect = np.abs(np.einsum("...ij,...i,...j->...",
                                   metric.matrix(x), xdot, xdot))
         defect = float(np.max(defect)) / max(float(np.max(np.abs(xdot))) ** 2, 1e-300)
@@ -662,16 +621,8 @@ def integrate_null_geodesic(metric, p, v, s_range, steps_per_unit=200):
             break
         nsteps *= 2
 
-    if not np.all(np.isfinite(x)):
-        good = np.all(np.isfinite(x), axis=-1) & np.all(np.isfinite(xdot), axis=-1)
-        last = np.argmin(good) if not np.all(good) else len(s)
-        s, x, xdot = s[:last], x[:last], xdot[:last]
-        truncated = True
-    else:
-        truncated = False
-
     xddot = metric.geodesic_acceleration(x, xdot)
-    return NullGeodesic(metric, s, x, xdot, xddot, defect, truncated=truncated)
+    return NullGeodesic(metric, s, x, xdot, xddot, defect)
 
 
 def geodesic_residual(geo: NullGeodesic):
@@ -682,8 +633,7 @@ def geodesic_residual(geo: NullGeodesic):
     xm = geo.point(mid)
     vm = (geo.point(mid + h) - geo.point(mid - h)) / (2 * h[:, None])
     am = (geo.point(mid + h) - 2 * xm + geo.point(mid - h)) / (h[:, None] ** 2)
-    gam = geo.metric.christoffel(xm)
-    res = am + np.einsum("...kij,...i,...j->...k", gam, vm, vm)
+    res = am - geo.metric.geodesic_acceleration(xm, vm)
     return float(np.max(np.abs(res)))
 
 

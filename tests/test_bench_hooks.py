@@ -87,3 +87,29 @@ def test_traced_march_reads_grid_and_source_by_position():
         tracer.restore()
     assert counts["solver.marches"] == 1
     assert counts["solver.steps"] == grid.nt - 1
+
+
+def test_traced_frame_books_christoffel_calls_and_points():
+    # build_frame evaluates the Christoffel form once over the RK4 stage
+    # parameters and once over the geodesic samples; the hook on the
+    # metric instance counts both calls and all their points
+    tracing = load_perfbench("tracing")
+    metric = geo.SplitMetric(
+        2, beta=lambda x: 1 + 0.05 * np.sin(np.asarray(x)[..., 1]),
+        gmat=lambda x: np.broadcast_to(np.eye(2),
+                                       np.shape(x)[:-1] + (2, 2)))
+    g = geo.integrate_null_geodesic(metric, np.zeros(3),
+                                    np.array([1.0, 1.0, 0.0]), (0.0, 0.5))
+    stages = geo._rk4_stages(g.s, 0)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, metric)
+        _, root = tracer.op(fermi.build_frame, g)
+        counts = tracer.summary(root)["counts"]
+    finally:
+        tracer.restore()
+    assert tracer.check_restored() == []
+    assert "christoffel" not in vars(metric)
+    assert counts["geometry.christoffel_calls"] == 2
+    assert counts["geometry.christoffel_points"] == (len(stages.params)
+                                                    + len(g.s))

@@ -65,16 +65,20 @@ def test_frame_pairings_conserved_split():
 
 
 def test_frame_equals_per_stage_transport():
-    # build_frame evaluates the curve and Gamma once over every RK4 stage
-    # parameter and once over the samples; its frame equals a transport
-    # that evaluates them at each stage, one point at a time, bit for bit
+    # build_frame evaluates the curve and the transport matrices
+    # A[j] = Gamma(v, e_j) once over every RK4 stage parameter and once over
+    # the samples; its frame equals a transport that evaluates them at each
+    # stage, one point at a time, bit for bit
     ch = perturbed_chart()
     geod, metric = ch.geodesic, ch.metric
+
+    def transport(x, v, E):
+        return -E @ metric.christoffel(x, v, np.eye(3))
 
     def rhs(s, E):
         x = geod.point(np.array([s]))[0]
         v = geod.velocity(np.array([s]))[0]
-        return -np.einsum("kij,i,mj->mk", metric.christoffel(x), v, E)
+        return transport(x, v, E)
 
     E = [ch.frame.E[0]]
     for s, sn in zip(geod.s[:-1], geod.s[1:]):
@@ -85,7 +89,7 @@ def test_frame_equals_per_stage_transport():
         k4 = rhs(s + h, y + h * k3)
         E.append(y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
     E = np.array(E)
-    Edot = np.array([-np.einsum("kij,i,mj->mk", metric.christoffel(x), v, e)
+    Edot = np.array([transport(x, v, e)
                      for x, v, e in zip(geod.x, geod.xdot, E)])
     assert np.array_equal(ch.frame.E, E)
     assert np.array_equal(ch.frame.Edot, Edot)

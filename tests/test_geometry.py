@@ -70,22 +70,36 @@ def test_flat_sharp_roundtrip(xi, p):
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols
+# Christoffel symbols: the bilinear form Gamma^k_ij v^i w^j
+
+
+def contract(gam, v, w):
+    """Gamma^k_ij v^i w^j of a tensor (..., k, i, j)."""
+    return np.einsum("...kij,...i,...j->...k", gam, v, w)
 
 
 def test_christoffel_minkowski_zero():
     m = geo.minkowski(2)
-    assert np.allclose(m.christoffel([0.4, -0.2, 1.0]), 0.0)
+    rng = np.random.default_rng(0)
+    v, w = rng.normal(size=(2, 5, 3))
+    out = m.christoffel(np.array([0.4, -0.2, 1.0]), v, w[:, None])
+    assert out.shape == (5, 5, 3)
+    assert np.array_equal(out, np.zeros((5, 5, 3)))
 
 
 def test_christoffel_linear_t_oracle():
-    # beta=1, g=(1+0.1t)I: Gamma^0_11 = 0.05, Gamma^1_01 = 0.05/(1+0.1t)
+    # beta=1, g=(1+0.1t)I: Gamma^0_11 = Gamma^0_22 = 0.05 and
+    # Gamma^a_0a = Gamma^a_a0 = 0.05/(1+0.1t), every other symbol zero
     m = split_linear_t()
+    rng = np.random.default_rng(5)
     for t in (0.0, 1.3):
-        gam = m.christoffel([t, 0.2, -0.1])
-        assert gam[0, 1, 1] == pytest.approx(0.05, abs=1e-8)
-        assert gam[1, 0, 1] == pytest.approx(0.05 / (1 + 0.1 * t), abs=1e-8)
-        assert gam[2, 0, 2] == pytest.approx(0.05 / (1 + 0.1 * t), abs=1e-8)
+        gam = np.zeros((3, 3, 3))
+        gam[0, 1, 1] = gam[0, 2, 2] = 0.05
+        for a in (1, 2):
+            gam[a, 0, a] = gam[a, a, 0] = 0.05 / (1 + 0.1 * t)
+        v, w = rng.normal(size=(2, 6, 3))
+        out = m.christoffel(np.array([t, 0.2, -0.1]), v, w)
+        assert np.allclose(out, contract(gam, v, w), rtol=0, atol=1e-8)
 
 
 def test_christoffel_symbolic_oracle():
@@ -113,7 +127,9 @@ def test_christoffel_symbolic_oracle():
         beta=lambda x: 1 + 0.1 * np.sin(np.asarray(x)[..., 0] + np.asarray(x)[..., 1]),
         gmat=lambda x: (1 + 0.05 * np.asarray(x)[..., 2] ** 2)[..., None, None] * np.eye(2),
     )
-    assert np.allclose(m.christoffel(np.array(p)), expected, atol=1e-7)
+    v, w = np.random.default_rng(6).normal(size=(2, 8, 3))
+    assert np.allclose(m.christoffel(np.array(p), v, w),
+                       contract(expected, v, w), atol=1e-7)
 
 
 def test_christoffel_symmetry_random():
@@ -125,8 +141,9 @@ def test_christoffel_symmetry_random():
     )
     for _ in range(5):
         p = rng.uniform(-1, 1, size=3)
-        gam = m.christoffel(p)
-        assert np.allclose(gam, np.swapaxes(gam, 1, 2), atol=1e-10)
+        v, w = rng.normal(size=(2, 4, 3))
+        assert np.allclose(m.christoffel(p, v, w), m.christoffel(p, w, v),
+                           rtol=0, atol=1e-10)
 
 
 def curvy_split(n):
@@ -149,9 +166,13 @@ def curvy_split(n):
 
 
 def first_kind_christoffel(m, x):
-    """The generic formula, with a LAPACK inverse of the full matrix."""
+    """The tensor (..., k, i, j) by the generic formula, from central
+    differences of `m.matrix` at step `H_G` and a LAPACK inverse of the full
+    matrix."""
     ginv = np.linalg.inv(m.matrix(x))
-    dg = m.dmatrix(x)
+    e = geo.H_G * np.eye(m.dim)
+    dg = np.stack([m.matrix(x + e[k]) - m.matrix(x - e[k])
+                   for k in range(m.dim)], axis=-3) / (2 * geo.H_G)
     term = (np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg)
             - dg)
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
@@ -166,12 +187,51 @@ def test_split_kernels_match_generic(n):
     m = curvy_split(n)
     x = np.random.default_rng(n).uniform(-1.5, 1.5, size=(40, n + 1))
     assert rel_dev(m.inverse(x), np.linalg.inv(m.matrix(x))) < 1e-13
-    gam = m.christoffel(x)
-    assert gam.shape == (40,) + (n + 1,) * 3
-    assert rel_dev(gam, first_kind_christoffel(m, x)) < 1e-13
-    assert rel_dev(gam, geo.Metric.christoffel(m, x)) < 1e-13
+    v, w = np.random.default_rng(40 + n).normal(size=(2, 40, n + 1))
+    form = m.christoffel(x, v, w)
+    assert form.shape == (40, n + 1)
+    assert rel_dev(form, contract(first_kind_christoffel(m, x), v, w)) < 1e-13
     # single points go through the same kernels
-    assert rel_dev(m.christoffel(x[3]), gam[3]) < 1e-13
+    assert rel_dev(m.christoffel(x[3], v[3], w[3]), form[3]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_christoffel_is_the_spray_bilinear_form(n):
+    # Gamma(v, w) is -1/2 the derivative of the spray along w at fixed x,
+    # and -Gamma(v, v) is the spray, both bit for bit; w stacks fields
+    m = curvy_split(n)
+    rng = np.random.default_rng(50 + n)
+    x = rng.uniform(-1.5, 1.5, size=(40, n + 1))
+    v = rng.normal(size=(40, n + 1))
+    w = rng.normal(size=(3, 40, n + 1))
+    form = m.christoffel(x, v, w)
+    assert form.shape == (3, 40, n + 1)
+    dacc = m.linearized_spray(x, v, np.zeros_like(w), w)[1]
+    assert np.array_equal(form, -0.5 * dacc)
+    assert np.array_equal(-m.christoffel(x, v, v),
+                          m.geodesic_acceleration(x, v))
+    # symmetric in (v, w): each product pairs with its swap in one sum
+    assert np.array_equal(m.christoffel(x, w, v), form)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_christoffel_evaluates_one_first_difference_stencil(n):
+    # beta and g once at x and once at each x +- H_G e_k, whatever the
+    # number of points and fields: no second differences
+    m = curvy_split(n)
+    calls = {"beta": 0, "gmat": 0}
+
+    def counted(name, f):
+        def wrapped(x):
+            calls[name] += 1
+            return f(x)
+        return wrapped
+    m.beta, m.gmat = counted("beta", m.beta), counted("gmat", m.gmat)
+    rng = np.random.default_rng(60 + n)
+    m.christoffel(rng.uniform(-1, 1, size=(7, n + 1)),
+                  rng.normal(size=(7, n + 1)), rng.normal(size=(2, 7, n + 1)))
+    stencil = 1 + 2 * (1 + n)
+    assert calls == {"beta": stencil, "gmat": stencil}
 
 
 def test_split_kernels_reject_degenerate_metric():
@@ -187,7 +247,8 @@ def test_split_kernels_reject_degenerate_metric():
         spray = lambda x: m.geodesic_acceleration(x, np.ones_like(x))
         linearized = lambda x: m.linearized_spray(x, np.ones_like(x),
                                                   x[None], x[None])
-        for kernel in (m.inverse, m.christoffel, spray, linearized):
+        form = lambda x: m.christoffel(x, np.ones_like(x), np.ones_like(x))
+        for kernel in (m.inverse, form, spray, linearized):
             with pytest.raises(geo.GeometryError, match="degenerate"):
                 kernel(np.zeros((4, 3)))
 
@@ -204,10 +265,7 @@ def test_split_spray_matches_generic(n):
     v = rng.normal(size=(40, n + 1))
     acc = m.geodesic_acceleration(x, v)
     assert acc.shape == (40, n + 1)
-    assert rel_dev(acc, geo.Metric.geodesic_acceleration(m, x, v)) < 1e-13
-    first_kind = -np.einsum("...kij,...i,...j->...k",
-                            first_kind_christoffel(m, x), v, v)
-    assert rel_dev(acc, first_kind) < 1e-13
+    assert rel_dev(acc, -contract(first_kind_christoffel(m, x), v, v)) < 1e-13
     # single points and extra leading axes go through the same kernel
     assert rel_dev(m.geodesic_acceleration(x[3], v[3]), acc[3]) < 1e-13
     lead = m.geodesic_acceleration(x.reshape(4, 10, n + 1),
@@ -254,7 +312,7 @@ def test_split_spray_rejects_non_finite_points_and_derivatives():
              (steep, np.zeros((4, 3)), "non-finite")]
     for m, x, match in cases:
         with pytest.raises(geo.GeometryError, match=match):
-            m.christoffel(x)
+            m.christoffel(x, np.ones_like(x), np.ones_like(x))
         with pytest.raises(geo.GeometryError, match=match):
             m.geodesic_acceleration(x, np.ones_like(x))
         with pytest.raises(geo.GeometryError, match=match):
@@ -337,7 +395,7 @@ def test_linearized_spray_symbolic_oracle(n):
 
 def test_split_exp_map_builds_no_christoffel_tensor(monkeypatch):
     # the exponential map runs on the spray alone; frame transport, which
-    # is built with the chart, is the only user of the tensor left
+    # is built with the chart, is the only user of the Christoffel form
     m = curvy_split(2)
     p = np.zeros(3)
     v = np.array([np.sqrt(float(m.gmat(p)[0, 0]) / float(m.beta(p))),
@@ -350,9 +408,9 @@ def test_split_exp_map_builds_no_christoffel_tensor(monkeypatch):
     calls = {"christoffel": 0, "spray": 0}
     spray = m.geodesic_acceleration
 
-    def refuse(x):
+    def refuse(*args):
         calls["christoffel"] += 1
-        raise AssertionError("the exponential map built the tensor")
+        raise AssertionError("the exponential map called christoffel")
 
     def counting(x, vel):
         calls["spray"] += 1
@@ -413,6 +471,17 @@ def test_null_geodesic_split_self_convergence():
     assert np.max(np.abs(g1.point(1.0) - g2.point(1.0))) < 1e-7
     assert g1.null_defect < 1e-8
     assert geo.geodesic_residual(g1) < 1e-6
+
+
+def test_null_geodesic_rejects_non_finite_sample(monkeypatch):
+    # a spray that overflows makes the samples on both sides of p infinite
+    m = split_linear_t()
+    monkeypatch.setattr(m, "geodesic_acceleration",
+                        lambda x, v: np.full(np.shape(v), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(geo.GeometryError, match="non-finite geodesic"):
+        geo.integrate_null_geodesic(m, np.zeros(3), np.array([1.0, 1.0, 0.0]),
+                                    (-0.5, 0.5))
 
 
 def test_null_geodesic_negative_range():
