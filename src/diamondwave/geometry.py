@@ -630,9 +630,9 @@ def geodesic_residual(geo: NullGeodesic):
     s = geo.s
     mid = 0.5 * (s[:-1] + s[1:])
     h = np.minimum(np.diff(s), 1e-3) * 0.5
-    xm = geo.point(mid)
-    vm = (geo.point(mid + h) - geo.point(mid - h)) / (2 * h[:, None])
-    am = (geo.point(mid + h) - 2 * xm + geo.point(mid - h)) / (h[:, None] ** 2)
+    xm, xp, xn = geo.point(mid), geo.point(mid + h), geo.point(mid - h)
+    vm = (xp - xn) / (2 * h[:, None])
+    am = (xp - 2 * xm + xn) / (h[:, None] ** 2)
     res = am - geo.metric.geodesic_acceleration(xm, vm)
     return float(np.max(np.abs(res)))
 

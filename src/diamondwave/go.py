@@ -191,11 +191,7 @@ class GOPacket:
         self.amps = [a0.astype(complex)]
 
         if self.N > 0:
-            if V is None:
-                Vgrid = 0.0
-            else:
-                pts = self._grid_points()
-                Vgrid = np.asarray(V(pts))
+            Vgrid = self._potential_grid(V)
             for k in range(1, self.N + 1):
                 self.amps.append(self._transport(self.amps[-1], Vgrid))
 
@@ -209,6 +205,10 @@ class GOPacket:
         mesh = np.meshgrid(*self._axes, indexing="ij")
         y = np.stack(mesh, axis=-1)
         return self.from_flow(y)
+
+    def _potential_grid(self, V):
+        """V on the amplitude grid's points; 0.0 for no potential."""
+        return 0.0 if V is None else np.asarray(V(self._grid_points()))
 
     def _transport(self, a_prev, Vgrid):
         """a_k from a_{k-1} per the integrated transport recursion."""
@@ -270,10 +270,10 @@ class GOPacket:
         d_0 = -2i d_s a_0 (zero in exact arithmetic).  Derivatives by the
         build stencils on the amplitude grid; used for honest residuals.
         """
-        if V is None:
-            Vgrid = 0.0
-        else:
-            Vgrid = np.asarray(V(self._grid_points()))
+        return self._defects(self._potential_grid(V))
+
+    def _defects(self, Vgrid):
+        """`transport_defect_grids` with V given on the amplitude grid."""
         defects = [-2j * _deriv(self.amps[0], self.hs, 0, order=1)]
         for k in range(1, self.N + 1):
             ds = _deriv(self.amps[k], self.hs, 0, order=1)
@@ -292,12 +292,9 @@ class GOPacket:
         """sup_grid |(box + V) u_tau| via the conjugation identity."""
         cached = getattr(self, "_res_cache", None)
         if cached is None or cached[0] is not V:
-            defects = self.transport_defect_grids(V)
-            if V is None:
-                VgridN = 0.0
-            else:
-                VgridN = np.asarray(V(self._grid_points()))
-            boxN = self._box_amp(self.amps[self.N]) + VgridN * self.amps[self.N]
+            Vgrid = self._potential_grid(V)
+            defects = self._defects(Vgrid)
+            boxN = self._box_amp(self.amps[self.N]) + Vgrid * self.amps[self.N]
             cached = (V, defects, boxN)
             self._res_cache = cached
         _, defects, boxN = cached

@@ -6,9 +6,10 @@ and the like-weighted neighbours are summed from the level itself, so it
 differs from the plain step (2u - u-) + dt^2 (lap u - V u + f - u^3) by
 rounding only.  Only flat backgrounds are supported: a curved metric is
 rejected with SolverError (curved backgrounds are handled by Gaussian beams,
-without a PDE march).  The discrete wave operator is exposed separately
-(`apply_wave_operator`) using the *same* stencils, so that applying it to a
-computed solution returns the source to rounding error.  Boundaries are
+without a PDE march).  The discrete wave operator (`apply_wave_operator`)
+uses `laplacian_4th`, the zero-extension formula of the same stencil, which
+the fused step equals up to rounding; so applying it to a computed solution
+returns the source to rounding error.  Boundaries are
 handled by padding the domain so that the light cone of the source never
 reaches the edge (free space up to machine precision inside the causal
 diamond).
@@ -230,61 +231,6 @@ class _PaddedLayout:
                 P[tuple(view)] = 0
 
 
-class _Laplacian4:
-    """4th-order Laplacian of a zero-ghosted array, into a preallocated one.
-
-    A stencil value k u[i+off] equals the product k P read at an offset, so
-    the three distinct products k P are formed once per call and the 5n
-    terms are summed from shifted bands of them, axis by axis and offset
-    -2..2 as in the zero-extension formula.  The interior of the result is
-    that formula bit for bit (up to the sign of zeros); the ghost cells of
-    `out` hold garbage.
-    """
-
-    def __init__(self, layout, dtype, h, n):
-        c = _LAP4 / (12.0 * h * h)
-        self.products = {}          # coefficient -> buffer for k * P
-        self.terms = []
-        for ax in range(n):
-            for k, off in zip(c, (-2, -1, 0, 1, 2)):
-                if k not in self.products:
-                    self.products[k] = layout.zeros(dtype)
-                self.terms.append(layout.band(self.products[k],
-                                              off * layout.strides[ax]))
-        self.out = layout.zeros(dtype)
-        self.out_band = layout.band(self.out)
-
-    def __call__(self, P):
-        for k, buf in self.products.items():
-            np.multiply(k, P, out=buf)
-        out = self.out_band
-        np.add(self.terms[0], self.terms[1], out=out)
-        for term in self.terms[2:]:
-            np.add(out, term, out=out)
-        return self.out
-
-
-def _laplacian_for(shape, dtype, h, n):
-    """u -> 4th-order Laplacian of u with zero extension, for arrays of one
-    shape and dtype.  The padded buffers are built once and reused, so the
-    returned view is overwritten by the next call."""
-    layout = _PaddedLayout(shape)
-    P = layout.zeros(dtype)
-    inner = layout.interior(P)
-    lap = _Laplacian4(layout, dtype, h, n)
-
-    def apply(u):
-        inner[...] = u
-        return layout.interior(lap(P))
-    return apply
-
-
-def laplacian_4th(u, h, n):
-    """4th-order Laplacian with zero extension outside the array."""
-    u = np.asarray(u)
-    return _laplacian_for(u.shape, u.dtype, h, n)(u)
-
-
 def stencil_group_velocity(kh):
     """Group velocity of the 4th-order Laplacian's semi-discrete waves.
 
@@ -311,6 +257,18 @@ def _shift(u, off, ax):
         src[ax] = slice(None, off)
         dst[ax] = slice(-off, None)
     out[tuple(dst)] = u[tuple(src)]
+    return out
+
+
+def laplacian_4th(u, h, n):
+    """4th-order Laplacian with zero extension outside the array: the 5n
+    stencil terms summed axis by axis, offset -2..2."""
+    u = np.asarray(u)
+    out = np.zeros_like(u)
+    c = _LAP4 / (12.0 * h * h)
+    for ax in range(n):
+        for k, off in zip(c, (-2, -1, 0, 1, 2)):
+            out += k * _shift(u, off, ax)
     return out
 
 
@@ -718,20 +676,20 @@ def solve_cross_coefficient(metric, grid, V, fs, window=None):
 
 
 def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
-    """(box + V)u (+u^3 if nonlinear) with the solver's own stencils.
+    """(box + V)u (+u^3 if nonlinear) with the solver's own stencils: per
+    interior slice, (u+ - 2u + u-)/dt^2 - laplacian_4th(u) + V u (+ u (u u)).
 
     Defined on interior time slices 1..nt-2; the first and last slices of the
     result are zero.
     """
     _require_flat(metric)
-    lap = _laplacian_for(grid.shape, u.data.dtype, grid.h, grid.n)
     Vs = _as_potential_slices(V, grid)
     dt = grid.dt
     out = np.zeros_like(u.data)
     for m in range(1, grid.nt - 1):
         um, up, un = u.data[m], u.data[m - 1], u.data[m + 1]
         dtt = (un - 2 * um + up) / (dt * dt)
-        val = dtt - lap(um) + Vs(m) * um
+        val = dtt - laplacian_4th(um, grid.h, grid.n) + Vs(m) * um
         if nonlinear:
             val = val + um * (um * um)
         out[m] = val

@@ -113,3 +113,31 @@ def test_traced_frame_books_christoffel_calls_and_points():
     assert counts["geometry.christoffel_calls"] == 2
     assert counts["geometry.christoffel_points"] == (len(stages.params)
                                                     + len(g.s))
+
+
+def test_traced_surgery_books_one_wave_operator_span():
+    # the wave operator is wrapped under the name surgery calls it by and
+    # under its home module's; one surgery books one span, and restore puts
+    # both names back
+    tracing = load_perfbench("tracing")
+    metric = geo.minkowski(1)
+    grid = solver.Grid.for_ball(1, 1.0, 1.0, h=0.01, dt=0.005, pad=0.3)
+    packet = recovery.LinePacket(np.array([0.5, 0.0]),
+                                 np.array([-1.0, 1.0]), 0.2)
+    originals = (sources.apply_wave_operator, solver.apply_wave_operator)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, metric)
+        assert sources.apply_wave_operator is not originals[0]
+        assert solver.apply_wave_operator is not originals[1]
+        _, root = tracer.op(sources.make_source, packet, metric, grid, 30.0,
+                            r=1.0)
+        names = [s.name for s in tracer.spans[root.sid + 1:]]
+        counts = tracer.summary(root)["counts"]
+    finally:
+        tracer.restore()
+    assert names.count("sources.wave_operator") == 1
+    assert counts["sources.surgery_calls"] == 1
+    assert tracer.check_restored() == []
+    assert (sources.apply_wave_operator, solver.apply_wave_operator) \
+        == originals

@@ -473,6 +473,25 @@ def test_null_geodesic_split_self_convergence():
     assert geo.geodesic_residual(g1) < 1e-6
 
 
+def test_geodesic_residual_samples_the_curve_three_times():
+    # the samples at mid +- h serve both the velocity and the acceleration:
+    # three point calls, and the value of the five-call formula bit for bit
+    g = geo.integrate_null_geodesic(split_linear_t(), [0.0, 0.0, 0.0],
+                                    [1.0, 1.0, 0.0], (0.0, 1.0))
+    s = g.s
+    mid = 0.5 * (s[:-1] + s[1:])
+    h = np.minimum(np.diff(s), 1e-3) * 0.5
+    xm = g.point(mid)
+    vm = (g.point(mid + h) - g.point(mid - h)) / (2 * h[:, None])
+    am = (g.point(mid + h) - 2 * xm + g.point(mid - h)) / (h[:, None] ** 2)
+    ref = float(np.max(np.abs(am - g.metric.geodesic_acceleration(xm, vm))))
+    calls = []
+    point = g.point
+    g.point = lambda sq: calls.append(1) or point(sq)
+    assert geo.geodesic_residual(g) == ref
+    assert len(calls) == 3
+
+
 def test_null_geodesic_rejects_non_finite_sample(monkeypatch):
     # a spray that overflows makes the samples on both sides of p infinite
     m = split_linear_t()

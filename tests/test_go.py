@@ -126,6 +126,33 @@ def test_residual_doubling_rate():
     assert r40 / r80 == pytest.approx(4.0, rel=0.3)
 
 
+def test_residual_sup_evaluates_V_once_per_cache_fill():
+    # one V grid serves the defects and the top-level box term; the sups
+    # equal those of the formula with V evaluated for each apart
+    V = gaussian_V()
+    p = make_packet(N=2, V=V)
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return V(x)
+    taus = (40.0, 80.0)
+    sups = [p.residual_sup(tau, counting) for tau in taus]
+    assert len(calls) == 1
+    defects = p.transport_defect_grids(V)
+    boxN = p._box_amp(p.amps[p.N]) + np.asarray(V(p._grid_points())) \
+        * p.amps[p.N]
+    for tau, sup in zip(taus, sups):
+        total = tau * defects[0]
+        for k in range(1, p.N + 1):
+            total = total + tau ** (1 - k) * defects[k]
+        total = total + tau ** (-p.N) * boxN
+        assert sup == float(np.max(np.abs(total[(slice(4, -4),) * 3])))
+    # another potential refills the cache with one more evaluation
+    p.residual_sup(40.0, lambda x: counting(x))
+    assert len(calls) == 2
+
+
 def test_n1_packet_transport():
     # one spatial dimension: no transverse Laplacian at all
     c = 0.5

@@ -140,6 +140,42 @@ def test_laplacian_matches_shift_formula_bitwise(n, size, cplx):
     assert np.array_equal(lap, _laplacian_by_shifts(u, 0.07, n))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("potential", ["none", "scalar", "static", "closure"])
+@pytest.mark.parametrize("nonlinear", [False, True])
+@pytest.mark.parametrize("crop", [False, True])
+def test_wave_operator_is_its_slice_formula(n, cplx, potential, nonlinear,
+                                            crop):
+    # per interior slice ((u+ - 2u + u-)/dt^2 - lap u) + V u (+ u (u u)),
+    # with lap the zero-extension formula and V read at the slice's time;
+    # the first and last slices are zero
+    g = slv.Grid(n, -0.6 * np.ones(n), (13,) * n, 0.1, 0.04, 0.4, t0=0.7)
+    if crop:
+        g = slv.CropGrid(g, (slice(2, 11), slice(3, 10))[:n])
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((g.nt,) + g.shape)
+    if cplx:
+        u = u + 1j * rng.standard_normal(u.shape)
+    V = {"none": None, "scalar": 0.3,
+         "static": exprs.ScalarField.from_text("0.5*exp(-x1^2)", n),
+         "closure": lambda pts: 0.5 + pts[..., 0] * np.cos(pts[..., 1]),
+         }[potential]
+    out = slv.apply_wave_operator(geo.minkowski(n), g, V,
+                                  slv.GridField(g, u), nonlinear=nonlinear)
+    ref = np.zeros_like(u)
+    for m in range(1, g.nt - 1):
+        v = (0.0 if V is None else V if np.isscalar(V)
+             else np.asarray(V(g.spacetime_slice(m))))
+        val = (u[m + 1] - 2 * u[m] + u[m - 1]) / (g.dt * g.dt) \
+            - _laplacian_by_shifts(u[m], g.h, n) + v * u[m]
+        if nonlinear:
+            val = val + u[m] * (u[m] * u[m])
+        ref[m] = val
+    assert out.grid is g
+    assert np.array_equal(out.data, ref)
+
+
 def _neighbour_sums(u, n):
     """(N, F): the sums of the 2n near (offset +-1) and far (+-2) zero-filled
     neighbours, axis by axis and offset - before +."""
