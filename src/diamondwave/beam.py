@@ -236,10 +236,6 @@ class BeamChart:
         self.scale[0] = 0.5           # z^1 = y^1 / 2
         self.metric = chart.metric
 
-    def forward(self, s, y):
-        y = np.asarray(y, dtype=float)
-        return self.chart.forward(s, y * self.scale)
-
     def to_beam(self, zprime):
         return np.asarray(zprime) / self.scale
 
@@ -264,18 +260,19 @@ class ChartJets:
     """Polynomial jets of the inverse chart metric (and friends) in s.
 
     Components fitted per s-node over a transverse cloud and accessed through
-    cubic splines: ginv^{kl}, the density rho = |det g|^{1/2}, its reciprocal,
-    the first-order wave-operator coefficients w^l, the Riccati matrix D and
-    optionally a potential V pulled back to the chart.
+    cubic splines: ginv^{kl}, the density rho = |det g|^{1/2}, the
+    first-order wave-operator coefficients w^l and the Riccati matrix D.  A
+    potential is fitted on the same lattice by the caller (`potential_at`);
+    the jets are never changed after the fit.
     """
 
-    def __init__(self, bchart: BeamChart, s_grid, deg=6, r_fit=0.12, V=None):
+    def __init__(self, bchart: BeamChart, s_grid, deg=6, r_fit=0.12):
         self.bchart = bchart
         self.n = bchart.n
         self.deg = deg
         self.s = np.asarray(s_grid, dtype=float)
         self.r_fit = r_fit
-        self._fit(V)
+        self._fit()
 
     # -- fitting ------------------------------------------------------------
 
@@ -292,14 +289,14 @@ class ChartJets:
                               dtype=float)
         return cube.set_graded(0, self.deg, coefvecs).c
 
-    def _fit(self, V):
+    def _fit(self):
         n, dim = self.n, self.n + 1
         cloud = _tensor_grid([self.r_fit] * n, self.deg + 3)[0]
         self._pinv = pinv = np.linalg.pinv(self._vandermonde(cloud))
         ns, nc = len(self.s), len(cloud)
         S = np.repeat(self.s, nc)
         Y = np.tile(cloud, (ns, 1))
-        # the lattice points in spacetime, kept for potentials fitted later
+        # the lattice points in spacetime, kept for `potential_at`
         self._pts, J = self.bchart.jacobian(S, Y)
         g = chart_metric(self.bchart.metric, self._pts,
                          J).reshape(ns, nc, dim, dim)
@@ -348,21 +345,22 @@ class ChartJets:
         self._sp = {
             "ginv": CubicSpline(self.s, self.ginv_c, axis=0),
             "rho": CubicSpline(self.s, self.rho_c, axis=0),
-            "rho_inv": CubicSpline(self.s, self.rho_inv_c, axis=0),
             "w": CubicSpline(self.s, self.w_c, axis=0),
             "D": CubicSpline(self.s, self.D, axis=0),
         }
-        self.attach_potential(V)
 
-    def attach_potential(self, V):
-        """Fit (or clear) jets of a potential closure on the same lattice."""
+    def potential_at(self, V, s):
+        """The cube of a potential closure V pulled back to the chart, at s.
+
+        V is called once on the lattice points of the fit, fitted with the
+        metric's pseudo-inverse and splined over the s-nodes; a zero cube for
+        V=None.  The jets are not changed.
+        """
         if V is None:
-            self.V_c = None
-            self._sp.pop("V", None)
-            return
+            return PolyCube.zeros(self.n, self.deg)
         vals = np.asarray(V(self._pts), dtype=float).reshape(len(self.s), -1)
-        self.V_c = self._cubes(vals @ self._pinv.T)
-        self._sp["V"] = CubicSpline(self.s, self.V_c, axis=0)
+        sp = CubicSpline(self.s, self._cubes(vals @ self._pinv.T), axis=0)
+        return PolyCube(self.n, self.deg, sp(np.asarray(s, dtype=float)) + 0j)
 
     # -- access -------------------------------------------------------------
 
@@ -389,11 +387,6 @@ class ChartJets:
 
     def D_at(self, s):
         return self._sp["D"](s)
-
-    def V_at(self, s):
-        if self.V_c is None:
-            return PolyCube.zeros(self.n, self.deg)
-        return self.cube_at("V", s)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +438,7 @@ class PhaseJet:
         phi.c[(slice(None),) + e1] = 1.0
         dsphi = PolyCube.zeros(n, deg, lead=(ns,))
         C = _c_matrix(n)
-        D = self.jets._sp["D"](self.s)
+        D = self.jets.D_at(self.s)
         Hdot = -(np.einsum("sij,jk,skl->sil", self.H, C, self.H) + D)
         for i in range(n):
             for j in range(i, n):
@@ -734,9 +727,9 @@ class AmplitudeJet:
         if self.N + 2 > phase.order:
             raise BeamError("phase must be solved to order N+2 before "
                             "amplitudes")
-        phase.jets.attach_potential(V)
         self._i0 = phase.stages.i0
         st, jets = phase.stages.params, phase.jets
+        self._V_stages = jets.potential_at(V, st)
         self._pieces = _TransportPieces(
             jets.ginv_at(st), jets.w_at(st),
             *(PolyCube(self.n, phase.phi_c.deg, phase._sp[key](st))
@@ -745,7 +738,6 @@ class AmplitudeJet:
         self._forcing = []
         self.detY_root = phase.detY_sqrt()
         self.v = []
-        self.dsv = []
         self._v_sp = []
         self._dsv_sp = []
         self._ddsv_sp = []
@@ -765,7 +757,7 @@ class AmplitudeJet:
         vprev, dsprev, ddsprev = (PolyCube(self.n, deg, sp[k - 1](st)) for sp in
                                   (self._v_sp, self._dsv_sp, self._ddsv_sp))
         P = self._pieces.box(vprev, dsprev, ddsprev)
-        P = P + self.phase.jets.V_at(st).mulp(vprev)
+        P = P + self._V_stages.mulp(vprev)
         return P.scaled(-1j)
 
     def _solve_level(self, k):
@@ -808,7 +800,6 @@ class AmplitudeJet:
             raise BeamError(
                 f"on-axis transport residual {defect:.2e} at level {k}")
         self.v.append(vk)
-        self.dsv.append(dsvk)
         self._v_sp.append(CubicSpline(self.s, vk.c, axis=0))
         sp = CubicSpline(self.s, dsvk.c, axis=0)
         self._dsv_sp.append(sp)
@@ -820,11 +811,10 @@ class AmplitudeJet:
         if self.N < 1:
             self.b10 = self.c10 = None
             return
-        axis_pts = self.phase.bchart.forward(
-            self.s, np.zeros((len(self.s), self.n)))
         if self.V is None:
             Vax = np.zeros(len(self.s))
         else:
+            axis_pts = self.phase.chart.geodesic.point(self.s)
             Vax = np.asarray(self.V(axis_pts), dtype=float)
         root_inv = 1.0 / self.detY_root
         self.c10 = -0.5j * root_inv * cumint(self.s, Vax + 0j, self._i0)
@@ -955,7 +945,7 @@ class _ResidualData:
     tau-dependence reduces to scalar weights on precomputed cubes.
     """
 
-    def __init__(self, beam: GaussianBeam, jets_m: ChartJets):
+    def __init__(self, beam: GaussianBeam, jets_m: ChartJets, V):
         phase, amp = beam.phase, beam.amp
         n, deg, s = phase.n, jets_m.deg, phase.s
         self.s, self.n, self.deg = s, n, deg
@@ -972,7 +962,7 @@ class _ResidualData:
         self.rho = jets_m.cube_at("rho", s)
         pieces = _TransportPieces(G, jets_m.w_at(s), phi, ds, dds)
         Hphi = _eikonal(_eikonal_pieces(G, phi), ds)
-        Vc = jets_m.V_at(s)
+        Vc = jets_m.potential_at(V, s)
         self.levels = []
         for k in range(amp.N + 1):
             vk, dsvk, ddsvk = (lattice(sp[k]) for sp in (
@@ -1020,14 +1010,17 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
     bchart = phase.bchart
     jets_m = ChartJets(bchart, _jets_lattice(beam.chart), deg=_MEAS_DEG,
                        r_fit=_MEAS_R_FIT)
-    jets_m.attach_potential(V)
-    data = _ResidualData(beam, jets_m)
+    data = _ResidualData(beam, jets_m, V)
     C = beam.measured_C()
     dprime = beam.delta_prime
     # plateau box in beam coordinates: |z'| <= delta'/4 at the corners
     a0 = dprime / (4 * np.sqrt(n))
     plateau = np.array([2 * a0] + [a0] * (n - 1))
     ds_w = np.gradient(phase.s)
+    # the full tube for the C^0 size of the beam, its cutoff and Im phi
+    yfull, _ = _tensor_grid([dprime] * n, _MEAS_NW)
+    imf = data.phi.eval_grid(yfull).imag
+    cut = chi_plateau(np.linalg.norm(yfull * bchart.scale, axis=-1) / dprime)
     norms, sups = [], []
     for tau in tau_list:
         half = np.minimum(plateau, _MEAS_KW / np.sqrt(C * tau))
@@ -1044,11 +1037,7 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
         l2 = np.sqrt(np.sum(dens * wy[None, :] * ds_w[:, None]))
         norms.append(float(l2) * tau**k_norm)
         # C^0 size of the beam itself over the full tube
-        yfull, _ = _tensor_grid([dprime] * n, _MEAS_NW)
         af = data.amp_cube(tau).eval_grid(yfull)
-        imf = data.phi.eval_grid(yfull).imag
-        znorm = np.linalg.norm(yfull * bchart.scale, axis=-1)
-        cut = chi_plateau(znorm / dprime)
         sups.append(float(np.max(np.abs(af) * np.exp(-tau * imf)
                                  * cut[None, :])))
     slope, fitres = loglog_fit(tau_list, norms)

@@ -257,7 +257,8 @@ class FermiChart:
 
         Returns (s, z, inside) where points that diverge or land outside the
         tube radius are flagged inside=False (their s, z entries are not
-        meaningful); never raises.
+        meaningful); never raises.  Each step makes one `jacobian` call on the
+        unconverged points, which gives the residual and the Newton matrix.
         """
         pts = np.asarray(pts, dtype=float)
         m = pts.shape[0]
@@ -269,16 +270,16 @@ class FermiChart:
             act = alive & ~converged
             if not act.any():
                 break
-            sa, za, pa = s[act], z[act], pts[act]
-            r = self.forward(sa, za) - pa
+            sa, za = s[act], z[act]
+            F, J = self.jacobian(sa, za)
+            r = F - pts[act]
             done = np.max(np.abs(r), axis=-1) < _NEWTON_TOL
             idx = np.flatnonzero(act)
             converged[idx[done]] = True
             if done.all():
                 continue
-            sa, za, pa, r = sa[~done], za[~done], pa[~done], r[~done]
+            sa, za, r, J = sa[~done], za[~done], r[~done], J[~done]
             idx = idx[~done]
-            J = self.jacobian(sa, za)[1]
             try:
                 step = np.linalg.solve(J, r[..., None])[..., 0]
             except np.linalg.LinAlgError:

@@ -444,12 +444,13 @@ class _Leapfrog:
 
     The three time levels live in rotating zero-ghosted buffers, each with
     its 4n shifted band views, so N and F are read from the level itself
-    and every intermediate goes to a buffer made once: a step allocates no
-    array.  Every term but f runs over the contiguous band, an array v
-    copied first into a zero-ghosted buffer (made on the first step with
-    one), and f is added on the source's box (slices; () is the whole
-    grid).  The result equals its array formula above bit for bit (up to
-    the sign of zeros).
+    and every intermediate goes to a buffer made once.  Every term but f
+    runs over the contiguous band, an array v copied first into a
+    zero-ghosted buffer (made on the first step with one), and f is added
+    on the source's box (slices; () is the whole grid).  That add writes
+    into a non-contiguous view, for which numpy takes a temporary of the
+    box's size each step: the only array a step allocates.  The result
+    equals its array formula above bit for bit (up to the sign of zeros).
     """
 
     def __init__(self, grid, dtype, u1, nonlinear, box=()):

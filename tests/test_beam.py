@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from diamondwave import beam, fermi
 from diamondwave import geometry as geo
@@ -392,13 +393,73 @@ def test_chart_jets_map_the_lattice_once(monkeypatch):
         monkeypatch.setattr(fermi.FermiChart, name, counting(name))
     bch = beam.BeamChart(flat_chart(2))
     V = gaussian_V()
-    jets = beam.ChartJets(bch, np.linspace(0.0, 2.0, 8), deg=4, V=V)
+    jets = beam.ChartJets(bch, np.linspace(0.0, 2.0, 8), deg=4)
     # one Jacobian call gives the lattice points and the chart metric
     assert calls == {"forward": 0, "jacobian": 1}
-    first = jets.V_c.copy()
-    jets.attach_potential(lambda x: 2.0 * V(x))
+    s = np.linspace(0.0, 2.0, 13)
+    one = jets.potential_at(V, s)
+    two = jets.potential_at(lambda x: 2.0 * V(x), s)
+    # potentials are fitted on the stored lattice points
     assert calls == {"forward": 0, "jacobian": 1}
-    assert np.array_equal(jets.V_c, 2.0 * first)
+    assert np.array_equal(two.c, 2.0 * one.c)
+    assert not np.any(jets.potential_at(None, s).c)
+
+
+def jets_state(jets):
+    """Every attribute of chart jets, with arrays and spline data copied."""
+    def snap(v):
+        if isinstance(v, np.ndarray):
+            return v.copy()
+        if isinstance(v, dict):
+            return {k: snap(x) for k, x in v.items()}
+        if isinstance(v, CubicSpline):
+            return (v.x.copy(), v.c.copy())
+        return v
+    return {k: snap(v) for k, v in vars(jets).items()}
+
+
+def assert_same_state(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            assert_same_state(a[k], b[k])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_state(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a is b or a == b
+
+
+def test_amplitudes_leave_the_phase_jets_unchanged(flat_phase):
+    _, jet = flat_phase
+    before = jets_state(jet.jets)
+    beam.solve_amplitudes(jet, gaussian_V(center=(1.0, 1.0, 0.0)), 2)
+    assert_same_state(jets_state(jet.jets), before)
+
+
+def test_amplitudes_from_one_phase_equal_separate_phases():
+    # two potentials built one after the other on one phase give the
+    # amplitudes of two phases built apart, bit for bit
+    ch = flat_chart()
+
+    def phase():
+        return beam.solve_phase_higher(beam.solve_riccati(ch, 1.0), 4)
+
+    Vs = (gaussian_V(center=(1.0, 1.0, 0.0)),
+          gaussian_V(center=(0.5, 0.7, 0.1), amp=2.0, width=0.3))
+    shared = phase()
+    amps = [beam.solve_amplitudes(shared, V, 2) for V in Vs]
+    for amp, V in zip(amps, Vs):
+        alone = beam.solve_amplitudes(phase(), V, 2)
+        for k in range(amp.N + 1):
+            assert np.array_equal(amp.v[k].c, alone.v[k].c)
+            assert np.array_equal(amp._forcing[k].c, alone._forcing[k].c)
+        assert np.array_equal(amp.c10, alone.c10)
+        assert np.array_equal(amp.b10, alone.b10)
 
 
 @given(n=st.integers(1, 3), deg=st.integers(0, 6),
@@ -440,7 +501,7 @@ def test_transport_pieces_on_lattice_equal_per_node(pert_beam):
     # RK4 stage from one lattice construction over the stage parameters
     # (nodes and midpoints); each equals the construction at that stage
     # alone, and so does the residual's construction over the nodes
-    b, _ = pert_beam
+    b, V = pert_beam
     jet, amp = b.phase, b.amp
     s, n, deg, jets = jet.s, jet.n, jet.phi_c.deg, jet.jets
     levels = (amp._v_sp, amp._dsv_sp, amp._ddsv_sp)
@@ -459,10 +520,10 @@ def test_transport_pieces_on_lattice_equal_per_node(pert_beam):
         one, stage = pieces_at(float(t)), amp._stage[j]
         for w, c in zip(stage.E + [stage.boxphi], one.E + [one.boxphi]):
             assert np.array_equal(w.c, c.c)
+        Vt = jets.potential_at(V, float(t))
         for k in range(1, amp.N + 1):
             v, dsv, ddsv = (lattice(sp[k - 1], float(t)) for sp in levels)
-            F = (one.box(v, dsv, ddsv)
-                 + jets.V_at(float(t)).mulp(v)).scaled(-1j)
+            F = (one.box(v, dsv, ddsv) + Vt.mulp(v)).scaled(-1j)
             assert np.array_equal(amp._forcing[k].c[j], F.c)
 
     whole = pieces_at(s)

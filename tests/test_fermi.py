@@ -264,3 +264,69 @@ def test_flat_jacobi_fields_closed_form():
     expect = np.stack([[1.0, 1.0, 0.0], E[1], E[2]], axis=-1)
     assert np.max(np.abs(J - expect)) <= 1e-12
     assert np.max(np.abs(F - ch.forward(s, z))) <= 1e-12
+
+
+def newton_reference(ch, pts):
+    """The Newton inverse with a `forward` call for the residual and a
+    `jacobian` call on the unconverged rest; returns (s, z, inside) and the
+    number of Newton iterations."""
+    m = len(pts)
+    s = ch._seed(pts)
+    z = np.zeros((m, ch.n))
+    alive = np.ones(m, dtype=bool)
+    converged = np.zeros(m, dtype=bool)
+    iters = 0
+    for _ in range(fermi._NEWTON_MAXITER):
+        act = alive & ~converged
+        if not act.any():
+            break
+        iters += 1
+        sa, za, pa = s[act], z[act], pts[act]
+        r = ch.forward(sa, za) - pa
+        done = np.max(np.abs(r), axis=-1) < fermi._NEWTON_TOL
+        idx = np.flatnonzero(act)
+        converged[idx[done]] = True
+        if done.all():
+            continue
+        sa, za, r, idx = sa[~done], za[~done], r[~done], idx[~done]
+        J = ch.jacobian(sa, za)[1]
+        step = np.linalg.solve(J, r[..., None])[..., 0]
+        sa = sa - step[:, 0]
+        za = za - step[:, 1:]
+        bad = (~np.isfinite(sa)) | (np.linalg.norm(za, axis=-1)
+                                    > 4 * ch.delta_prime)
+        alive[idx[bad]] = False
+        s[idx[~bad]] = sa[~bad]
+        z[idx[~bad]] = za[~bad]
+    inside = (converged & alive
+              & (np.linalg.norm(z, axis=-1) < ch.delta_prime))
+    return (s, z, inside), iters
+
+
+@pytest.mark.parametrize("make_chart", [flat_chart, perturbed_chart])
+def test_newton_inverse_takes_residual_from_jacobian(monkeypatch, make_chart):
+    # one `jacobian` call per Newton step gives both the residual and the
+    # matrix; the result is the forward-residual loop's, bit for bit
+    ch = make_chart()
+    rng = np.random.default_rng(8)
+    pts = (ch.geodesic.point(rng.uniform(0.1, 1.4, 200))
+           + rng.normal(scale=0.6 * ch.delta_prime, size=(200, ch.n + 1)))
+    ref, iters = newton_reference(ch, pts)
+    calls = {"forward": 0, "jacobian": 0}
+
+    def counting(name):
+        original = getattr(fermi.FermiChart, name)
+
+        def wrapped(self, s, z):
+            calls[name] += 1
+            return original(self, s, z)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(fermi.FermiChart, name, counting(name))
+    got = ch.inverse_many(pts)
+    assert calls == {"forward": 0, "jacobian": iters}
+    # points inside and outside the tube
+    assert 0 < ref[2].sum() < len(pts)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)

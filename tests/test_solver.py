@@ -186,7 +186,7 @@ def _neighbour_sums(u, n):
 @pytest.mark.parametrize("potential", [False, True])
 @pytest.mark.parametrize("source", [False, True])
 def test_leapfrog_step_is_its_array_formula(potential, source):
-    # the allocation-free step on the band equals the fused array formula,
+    # the buffered step on the band equals the fused array formula,
     # dt^2 folded into the stencil weights
     g = slv.Grid.for_ball(2, 0.3, 0.5, 0.05, 0.0125)
     rng = np.random.default_rng(11)
