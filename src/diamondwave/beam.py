@@ -992,7 +992,7 @@ def _tensor_grid(half_widths, nw):
     return pts.reshape(-1, len(half_widths)), axes
 
 
-def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
+def beam_residual_scaling(beam: GaussianBeam, V, tau_list):
     """Grid norms of P_V u_tau over the cutoff plateau, with a log-log fit.
 
     The residual is evaluated through the conjugation identity on metric jets
@@ -1001,9 +1001,9 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
     same chart Jacobian.  The norm runs over a tau-adapted transverse window
     inside the chi = 1 plateau.  The cutoff shell itself only contributes
     terms of size exp(-C tau (delta'/4)^2), which are excluded from the norm
-    and documented rather than measured.  H^k norms for k in {1, 2} use the
-    surrogate tau^k * L2 (each derivative of the oscillatory factor costs one
-    power of tau).
+    and documented rather than measured.  The H^k surrogate of the residual
+    is tau^k times the returned L2 norm (each derivative of the oscillatory
+    factor costs one power of tau).
     """
     phase, amp = beam.phase, beam.amp
     n = phase.n
@@ -1035,7 +1035,7 @@ def beam_residual_scaling(beam: GaussianBeam, V, tau_list, k_norm=0):
         rho = data.rho.eval_grid(ypts).real
         dens = np.abs(br) ** 2 * np.exp(-2 * tau * imphi) * rho
         l2 = np.sqrt(np.sum(dens * wy[None, :] * ds_w[:, None]))
-        norms.append(float(l2) * tau**k_norm)
+        norms.append(float(l2))
         # C^0 size of the beam itself over the full tube
         af = data.amp_cube(tau).eval_grid(yfull)
         sups.append(float(np.max(np.abs(af) * np.exp(-tau * imf)

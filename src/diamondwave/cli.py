@@ -626,6 +626,8 @@ def cmd_verify(args):
 
 def cmd_recover(args):
     cfg = ExperimentConfig(parse_config(args.config))
+    if not cfg.points:
+        raise ConfigError("pipeline.points is empty")
     os.makedirs(args.out, exist_ok=True)
     report = RunReport()
     mode = cfg.mode
@@ -633,8 +635,6 @@ def cmd_recover(args):
         mode = "fast"
     if args.full:
         mode = "full"
-    if not cfg.points:
-        raise ConfigError("pipeline.points is empty")
 
     t0 = time.perf_counter()
     rec = recovery.recover_region(cfg.metric, cfg.V, cfg.points, cfg.r, cfg.T,
@@ -709,10 +709,8 @@ def cmd_recover(args):
 def _dump_beam(ident, outdir):
     if ident == "flat":
         ch = _flat_chart(span=(0.0, 1.5))
-    elif ident == "perturbed":
-        ch = _split_chart(amp=0.03)
     else:
-        raise UsageError(f"unknown beam id {ident!r} (flat|perturbed)")
+        ch = _split_chart(amp=0.03)
     b = beam.make_beam(ch, V=None, N=2, s0=0.5)
     path = os.path.join(outdir, f"beam_{ident}.txt")
     with open(path, "w") as fh:
@@ -723,11 +721,9 @@ def _dump_beam(ident, outdir):
 def _dump_packet(ident, outdir):
     if ident == "free":
         V = None
-    elif ident == "potential":
+    else:
         def V(pts):
             return 0.3 * np.exp(-np.asarray(pts)[..., 1] ** 2 / 0.1)
-    else:
-        raise UsageError(f"unknown packet id {ident!r} (free|potential)")
     p = go.GOPacket(1, np.array([0.5, 0.0]), np.array([-1.0, 1.0]),
                     delta=0.2, V=V, N=2, s_range=(-1.0, 1.5))
     ss = np.linspace(-1.0, 1.5, 251)
@@ -741,8 +737,6 @@ def _dump_packet(ident, outdir):
 
 
 def _dump_source(ident, outdir):
-    if ident != "surgery":
-        raise UsageError(f"unknown source id {ident!r} (surgery)")
     m = geo.minkowski(1)
     grid = solver.Grid.for_ball(1, 1.0, 1.5, h=0.01, dt=0.004, pad=0.5)
     p = go.GOPacket(1, np.array([0.5, 0.0]), np.array([-1.0, 1.0]),
@@ -758,14 +752,12 @@ def _dump_solution(ident, outdir):
     grid = solver.Grid.for_ball(1, 0.5, 1.0, h=0.01, dt=0.004)
     if ident == "zero":
         U = solver.GridField.zeros(grid)
-    elif ident == "forced":
+    else:
         x = grid.axis(0)
         fld = np.zeros((grid.nt,) + grid.shape)
         fld[: grid.nt // 4] = np.exp(-x**2 / 0.01) * (np.abs(x) < 0.2)
         U = solver.solve_forward(m, grid, None,
                                  solver.SourceTerm(grid, field=fld))
-    else:
-        raise UsageError(f"unknown solution id {ident!r} (zero|forced)")
     path = os.path.join(outdir, f"solution_{ident}.snap")
     solver.write_snapshot(path, U)
     back = solver.read_snapshot(path)
@@ -774,10 +766,19 @@ def _dump_solution(ident, outdir):
     return path
 
 
+# each kind of object: its writer and the ids it takes
+_DUMPS = {"beam": (_dump_beam, ("flat", "perturbed")),
+          "packet": (_dump_packet, ("free", "potential")),
+          "source": (_dump_source, ("surgery",)),
+          "solution": (_dump_solution, ("zero", "forced"))}
+
+
 def cmd_dump(args):
+    handler, ids = _DUMPS[args.what]
+    if args.ident not in ids:
+        raise UsageError(
+            f"unknown {args.what} id {args.ident!r} ({'|'.join(ids)})")
     os.makedirs(args.out, exist_ok=True)
-    handler = {"beam": _dump_beam, "packet": _dump_packet,
-               "source": _dump_source, "solution": _dump_solution}[args.what]
     path = handler(args.ident, args.out)
     print(path)
     return EXIT_OK
@@ -852,7 +853,7 @@ def build_parser():
 
     d = sub.add_parser("dump", parents=[common],
                        help="materialize a named object")
-    d.add_argument("what", choices=["beam", "packet", "source", "solution"])
+    d.add_argument("what", choices=list(_DUMPS))
     d.add_argument("ident")
 
     sub.add_parser("bench", parents=[common],

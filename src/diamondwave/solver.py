@@ -13,6 +13,10 @@ returns the source to rounding error.  Boundaries are
 handled by padding the domain so that the light cone of the source never
 reaches the edge (free space up to machine precision inside the causal
 diamond).
+
+One loop (`_march_fields`) marches every field: one for `solve_forward`
+and `solve_backward`, four for the eps1 eps2 eps3 coefficient
+(`solve_cross_coefficient`), sharing each potential slice.
 """
 
 from __future__ import annotations
@@ -109,11 +113,16 @@ class Grid:
     def cell_volume(self):
         return self.h ** self.n
 
-    def same_layout(self, other):
+    def same_steps(self, other):
+        """Same cells and time step: rank, shape, spatial origin, spacing
+        and dt agree, whatever the time origins."""
         return (self.n == other.n and self.shape == other.shape
                 and np.allclose(self.lo, other.lo)
-                and abs(self.t0 - other.t0) < 1e-14
-                and abs(self.h - other.h) < 1e-14 and abs(self.dt - other.dt) < 1e-14)
+                and abs(self.h - other.h) < 1e-14
+                and abs(self.dt - other.dt) < 1e-14)
+
+    def same_layout(self, other):
+        return self.same_steps(other) and abs(self.t0 - other.t0) < 1e-14
 
     def embed(self, data):
         """`data` on this grid; a crop grid embeds it in its parent."""
@@ -376,10 +385,7 @@ def _window_offset(window, grid, what):
     number of steps from the grid's."""
     offset = (window.t0 - grid.t0) / grid.dt
     k = int(round(offset))
-    if not (window.n == grid.n and window.shape == grid.shape
-            and np.allclose(window.lo, grid.lo)
-            and abs(window.h - grid.h) < 1e-14
-            and abs(window.dt - grid.dt) < 1e-14 and abs(offset - k) < 1e-9):
+    if not (window.same_steps(grid) and abs(offset - k) < 1e-9):
         raise SolverError(f"{what} is not a time window of the march grid")
     return k
 
@@ -420,14 +426,21 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
     of `grid` inside it (default: `grid`); the march keeps no other slice
     and stops at the window's last one.
     """
-    return _march(metric, grid, V, f, nonlinear, backward=False,
-                  window=window)
+    window, k = _checked_window(metric, grid, window)
+    order, dtype = range(grid.nt), _dtype([f])
+    u = _field(grid, f, order[0], dtype, nonlinear, _smallness_bound(f))
+    out = _march_fields(grid, V, window, k, order, dtype, [u])
+    return GridField(window, out, name=f.name or "solution")
 
 
 def solve_backward(metric, grid, V, f: SourceTerm):
     """Solve the linear backward problem with zero data at the last slice,
     keeping every slice."""
-    return _march(metric, grid, V, f, False, backward=True)
+    window, k = _checked_window(metric, grid, None)
+    order, dtype = range(grid.nt - 1, -1, -1), _dtype([f])
+    u = _field(grid, f, order[0], dtype, False, _smallness_bound(f))
+    out = _march_fields(grid, V, window, k, order, dtype, [u])
+    return GridField(window, out, name=f.name or "solution")
 
 
 class _Leapfrog:
@@ -553,29 +566,6 @@ def _checked_window(metric, grid, window):
     return window, k
 
 
-def _first_level(f, f0, dt, shape, dtype):
-    """The first marched slice of a march from zero data: u(0)=0, u_t(0)=0
-    => u(+-dt) = dt^2/2 * u_tt(0), and on the zero slice the equation gives
-    u_tt = f, here the slice f0 on f's box (None for zero)."""
-    u = np.zeros(shape, dtype=dtype)
-    if f0 is not None:
-        u[f.box] = 0.5 * dt * dt * f0.astype(dtype)
-    return u
-
-
-def _window_store(window, k, dtype, time_index):
-    """(out, emit): zeros for the slices of `window`, k steps into the
-    march grid, and emit(m, sl), which stores the slice sl of marching
-    step m (physical slice time_index(m)) when the window holds it."""
-    out = np.zeros((window.nt,) + window.shape, dtype=dtype)
-
-    def emit(m, sl):
-        j = time_index(m) - k
-        if 0 <= j < window.nt:
-            out[j] = sl
-    return out, emit
-
-
 def _smallness_bound(f):
     """BLOWUP_FACTOR max|f|, the largest max|u| a march of f may reach.
     Taken before a march allocates, so its temporary |f| does not add to
@@ -583,51 +573,61 @@ def _smallness_bound(f):
     return BLOWUP_FACTOR * max(f.scale(), 1e-300)
 
 
-def _level_guard(leapfrog, bound):
-    """new level -> `_check_smallness` of it against `bound`."""
-    cplx = np.iscomplexobj(leapfrog.levels[0])
-    absbuf = np.empty(leapfrog.inner[0].shape)
+def _dtype(fs):
+    """The dtype of a march of the sources fs: complex if any of them is."""
+    return complex if any(np.iscomplexobj(f.field) for f in fs) else float
 
-    def check(u_next):
+
+def _field(grid, f, i0, dtype, nonlinear, bound):
+    """A march of f from zero data on slice i0: (leapfrog, read, check).
+
+    read(i) is f on slice i (`_source_slices`), and check(u) guards a new
+    level u with `_check_smallness` against `bound`.  The first marched
+    level is u(+-dt) = dt^2/2 u_tt, where u_tt = f on slice i0.
+    """
+    read = _source_slices(f, grid)
+    first = np.zeros(grid.shape, dtype=dtype)
+    f0 = read(i0)
+    if f0 is not None:
+        first[f.box] = 0.5 * grid.dt * grid.dt * f0.astype(dtype)
+    leapfrog = _Leapfrog(grid, dtype, first, nonlinear, f.box)
+    cplx = np.iscomplexobj(first)
+    absbuf = np.empty(grid.shape)
+
+    def check(u):
         # the new level's band: its ghost cells are zero
         parts = leapfrog.bands[1].view(float) if cplx else None
-        _check_smallness(u_next, parts, bound, absbuf)
-    return check
+        _check_smallness(u, parts, bound, absbuf)
+    return leapfrog, read, check
 
 
-def _march(metric, grid, V, f, nonlinear, backward, window=None):
-    window, k = _checked_window(metric, grid, window)
+def _march_fields(grid, V, window, k, order, dtype, fields):
+    """March `fields`, each (leapfrog, read, check) with check None for no
+    guard, up to the last slice of `window`, k steps into the march grid,
+    and return the first field's slices on the window.  Marching step m is
+    slice order[m].  Each step reads the potential slice once for all the
+    fields and steps them in list order, each reading its source slice
+    just before its own step.
+    """
     Vs = _as_potential_slices(V, grid)
-    source = _source_slices(f, grid)
-    dt, nt = grid.dt, grid.nt
-    dtype = complex if np.iscomplexobj(f.field) else float
-    bound = _smallness_bound(f)
-    shape = grid.shape
+    out = np.zeros((window.nt,) + window.shape, dtype=dtype)
 
-    def time_index(m):
-        return (nt - 1 - m) if backward else m
+    def emit(m, sl):
+        j = order[m] - k
+        if 0 <= j < window.nt:
+            out[j] = sl
 
-    def src(m):
-        return source(time_index(m))
-
-    out, emit = _window_store(window, k, dtype, time_index)
-
-    # u[m] in marching order, physical slice index time_index(m); u[0] is
-    # zero, as `out` already is
-    u_curr = _first_level(f, src(0), dt, shape, dtype)
-    emit(1, u_curr)
-
-    leapfrog = _Leapfrog(grid, dtype, u_curr, nonlinear, f.box)
-    guard = _level_guard(leapfrog, bound)
-    # the march stops at the window's last slice (a backward march returns
-    # the whole grid)
+    lead = fields[0][0]
+    emit(1, lead.inner[1])
     for m in range(1, k + window.nt - 1):
-        u_next = leapfrog.step(None if V is None else Vs(time_index(m)),
-                               src(m))
-        guard(u_next)
-        emit(m + 1, u_next)
-
-    return GridField(window, out, name=f.name or "solution")
+        i = order[m]
+        v = None if V is None else Vs(i)
+        for leapfrog, read, check in fields:
+            u = leapfrog.step(v, read(i))
+            if check is not None:
+                check(u)
+        emit(m + 1, lead.inner[1])
+    return out
 
 
 def solve_cross_coefficient(metric, grid, V, fs, window=None):
@@ -640,6 +640,8 @@ def solve_cross_coefficient(metric, grid, V, fs, window=None):
     u^3) and zero first two slices.  So w = -c/6 is marched here, with the
     source u1 u2 u3 of each slice, next to the three u_j: the eps -> 0
     limit of the third cross derivative on the same grid, with no eps step.
+    w marches first, so its source is the product of the u_j's levels
+    before they advance.
 
     `fs` holds the three sources, each on its box and possibly on a time
     window of `grid` (`_source_slices`).  Each u_j keeps the guard of its
@@ -648,29 +650,21 @@ def solve_cross_coefficient(metric, grid, V, fs, window=None):
     slice.
     """
     window, k = _checked_window(metric, grid, window)
-    Vs = _as_potential_slices(V, grid)
-    sources = [_source_slices(f, grid) for f in fs]
-    dt, shape = grid.dt, grid.shape
-    dtype = complex if any(np.iscomplexobj(f.field) for f in fs) else float
+    order, dtype = range(grid.nt), _dtype(fs)
     bounds = [_smallness_bound(f) for f in fs]
+    us = [_field(grid, f, order[0], dtype, False, bound)
+          for f, bound in zip(fs, bounds)]
+    product = np.empty(grid.shape, dtype=dtype)
 
-    marches, guards = [], []
-    for f, source, bound in zip(fs, sources, bounds):
-        first = _first_level(f, source(0), dt, shape, dtype)
-        marches.append(_Leapfrog(grid, dtype, first, False, f.box))
-        guards.append(_level_guard(marches[-1], bound))
-    # w is zero on the first two slices, as `out` already is
-    w = _Leapfrog(grid, dtype, np.zeros(shape, dtype), False)
-    out, emit = _window_store(window, k, dtype, lambda m: m)
-    product = np.empty(shape, dtype=dtype)
-    for m in range(1, k + window.nt - 1):
-        v = None if V is None else Vs(m)
-        u1, u2, u3 = (lf.inner[1] for lf in marches)
+    def read_product(i):
+        u1, u2, u3 = (leapfrog.inner[1] for leapfrog, _, _ in us)
         np.multiply(u1, u2, out=product)
-        np.multiply(product, u3, out=product)
-        emit(m + 1, w.step(v, product))
-        for lf, source, guard in zip(marches, sources, guards):
-            guard(lf.step(v, source(m)))
+        return np.multiply(product, u3, out=product)
+
+    # w is zero on the first two slices
+    w = _Leapfrog(grid, dtype, np.zeros(grid.shape, dtype), False)
+    out = _march_fields(grid, V, window, k, order, dtype,
+                        [(w, read_product, None)] + us)
     if not np.all(np.isfinite(out)):
         raise SolverError("eps1 eps2 eps3 coefficient is not finite")
     return GridField(window, out, name="cross coefficient")

@@ -291,12 +291,12 @@ def _line_margin(vm, vp, exclude):
     return float(exclude * np.sqrt(max(2.0 - 2.0 * cos, 0.0)))
 
 
-def find_returning_geodesics(metric, p, r, T, anchors=None):
+def find_returning_geodesics(metric, p, r, T):
     """Null geodesics gamma_-/gamma_+ through p returning to the cylinder.
 
     Only flat backgrounds are supported: there the geodesics are the null
-    lines from p to each anchor's world line, in closed form.  An anchor
-    qualifies when its margin is at least 1e-3.
+    lines from p to the world line of the cylinder's axis, in closed form.
+    They qualify when their margin is at least 1e-3.
     """
     if not geo.is_flat(metric):
         raise SourceError("returning geodesics need a flat background")
@@ -304,28 +304,19 @@ def find_returning_geodesics(metric, p, r, T, anchors=None):
     n = len(p) - 1
     if np.linalg.norm(p[1:]) < r and 0 < p[0] < T:
         raise SourceError("p must lie outside the measurement cylinder")
-    if anchors is None:
-        anchors = [np.zeros(n)]
-    last_err = None
-    for a in anchors:
-        a = np.asarray(a, dtype=float)
-        try:
-            d = float(np.linalg.norm(p[1:] - a))
-            tm, tp = p[0] - d, p[0] + d
-            if not (0 <= tm < tp <= T):
-                raise SourceError("anchor cone times leave the slab")
-            qm = np.concatenate([[tm], a])
-            qp = np.concatenate([[tp], a])
-            u = (p[1:] - a) / d
-            vm = np.concatenate([[1.0], u])
-            vp = np.concatenate([[1.0], -u])
-            margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
-            if margin < 1e-3:
-                raise SourceError("returning geodesics fail transversality")
-            return ReturningGeodesics(p, qm, qp, margin)
-        except SourceError as exc:
-            last_err = exc
-    raise SourceError(f"no returning geodesic configuration found: {last_err}")
+    none = "no returning geodesic configuration found: "
+    d = float(np.linalg.norm(p[1:]))
+    tm, tp = p[0] - d, p[0] + d
+    if not (0 <= tm < tp <= T):
+        raise SourceError(none + "anchor cone times leave the slab")
+    u = p[1:] / d
+    vm = np.concatenate([[1.0], u])
+    vp = np.concatenate([[1.0], -u])
+    margin = _line_margin(vm, vp, exclude=0.1 * (tp - tm))
+    if margin < 1e-3:
+        raise SourceError(none + "returning geodesics fail transversality")
+    return ReturningGeodesics(p, np.concatenate([[tm], np.zeros(n)]),
+                              np.concatenate([[tp], np.zeros(n)]), margin)
 
 
 # ---------------------------------------------------------------------------

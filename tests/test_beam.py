@@ -310,14 +310,6 @@ def test_residual_scaling_flat(flat_beam):
     assert max(res["sup_u"]) / min(res["sup_u"]) < 1.5
 
 
-def test_residual_hk_surrogate_shifts_slope(flat_beam):
-    b, V = flat_beam
-    taus = [20, 40, 80]
-    r0 = beam.beam_residual_scaling(b, V, taus, k_norm=0)
-    r1 = beam.beam_residual_scaling(b, V, taus, k_norm=1)
-    assert r1["slope"] == pytest.approx(r0["slope"] + 1.0, abs=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # polynomial cubes and metric jets
 

@@ -139,8 +139,13 @@ def test_missing_config_is_io_error(tmp_path, capsys):
 
 
 def test_unknown_dump_id_is_usage_error(tmp_path, capsys):
-    code = cli.main(["dump", "solution", "nosuch", "--out", str(tmp_path)])
-    assert code == cli.EXIT_USAGE
+    # a rejected id leaves no output directory behind
+    out = tmp_path / "out"
+    for what in ("solution", "beam"):
+        code = cli.main(["dump", what, "nosuch", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert f"unknown {what} id 'nosuch'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- verify ------------------------------------------------------------------
@@ -417,7 +422,7 @@ def test_recover_non_numeric_value_is_config_error(tmp_path, capsys, section,
     ("pipeline", "ds0", "nan"), ("packets", "delta", "-0.1"),
     ("packets", "delta", "0"), ("grid", "dt", "0"), ("grid", "dt", "-0.004"),
     ("grid", "h", "0"), ("grid", "h", "-0.012"), ("grid", "pad", "-0.1"),
-    ("full", "tau", "0")])
+    ("full", "tau", "0"), ("pipeline", "points", "")])
 def test_recover_degenerate_step_is_config_error(tmp_path, capsys, section,
                                                  key, value):
     base = RECOVER_CFG + (GRID_CFG if section == "grid" else "")

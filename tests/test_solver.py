@@ -530,6 +530,10 @@ def test_static_potential_evaluated_once_per_march(text, static):
     # a plain closure takes the per-slice path: the same solution bit for bit
     ref = slv.solve_forward(m, g, lambda pts: V(pts), f, nonlinear=True)
     assert np.array_equal(u.data, ref.data)
+    # the coefficient march's four fields share each slice it reads
+    V.calls = 0
+    slv.solve_cross_coefficient(m, g, V, three_boxed_sources(g))
+    assert V.calls == (1 if static else g.nt - 2)
 
 
 def test_stencil_group_velocity():
@@ -633,7 +637,7 @@ def three_boxed_sources(g, scale=1.0):
 
 
 @pytest.mark.parametrize("V", [None, 0.3])
-def test_cross_coefficient_is_the_march_of_the_triple_product(V):
+def test_cross_coefficient_is_the_march_of_the_triple_product(V, monkeypatch):
     # -c/6 is the linear march whose source is the product of the three
     # linear marches, slice by slice
     g = small_grid()
@@ -645,11 +649,23 @@ def test_cross_coefficient_is_the_march_of_the_triple_product(V):
     assert np.array_equal(w.data, ref.data)
     assert np.any(w.data != 0)
     assert not np.any(w.data[:2])
-    # on a time window it is the same field's slices
-    wg = slv.Grid(2, g.lo, g.shape, g.h, g.dt, 5 * g.dt, t0=g.time(20))
+    # on a time window it is the same field's slices, and each of the four
+    # fields steps up to the window's last slice and no further
+    k, nw = 20, 6
+    wg = slv.Grid(2, g.lo, g.shape, g.h, g.dt, (nw - 1) * g.dt, t0=g.time(k))
+    steps = []
+    step = slv._Leapfrog.step
+
+    def counted(self, v, f):
+        steps.append(self)
+        return step(self, v, f)
+
+    monkeypatch.setattr(slv._Leapfrog, "step", counted)
     part = slv.solve_cross_coefficient(m, g, V, fs, window=wg)
     assert part.grid is wg
-    assert np.array_equal(part.data, w.data[20:26])
+    assert np.array_equal(part.data, w.data[k:k + nw])
+    assert len(steps) == 4 * (k + nw - 2)
+    assert len(set(steps)) == 4
 
 
 def test_cross_coefficient_is_the_eps_limit_of_the_cross_derivative():
