@@ -19,7 +19,6 @@ import functools
 import itertools
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fermi import FermiChart, chart_metric
 from .geometry import _rk4_span, _rk4_stages
@@ -36,6 +35,13 @@ _HS_JET = 0.02    # spacing of the s-nodes of the fitted metric jets
 # cloud radius, window points per axis and window half-width in units of
 # the beam's decay length 1/sqrt(C tau)
 _MEAS_DEG, _MEAS_R_FIT, _MEAS_NW, _MEAS_KW = 8, 0.10, 17, 6.0
+
+
+def _spline(s, values):
+    """Cubic spline of `values` over the nodes s along axis 0.  scipy is
+    imported here, so the flat routes, which build no beam, never load it."""
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(s, values, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +340,7 @@ class ChartJets:
         for l in range(dim):
             acc = PolyCube.zeros(n, self.deg, lead=(ns,))
             # time-slot derivative of the coefficient series
-            dP0 = CubicSpline(self.s, P[0][l].c.real, axis=0).derivative()(self.s)
+            dP0 = _spline(self.s, P[0][l].c.real).derivative()(self.s)
             acc.c += dP0
             for k in range(1, dim):
                 acc = acc + P[k][l].diff(k)
@@ -343,10 +349,10 @@ class ChartJets:
 
         # splines for everything (real data; complex never enters the fits)
         self._sp = {
-            "ginv": CubicSpline(self.s, self.ginv_c, axis=0),
-            "rho": CubicSpline(self.s, self.rho_c, axis=0),
-            "w": CubicSpline(self.s, self.w_c, axis=0),
-            "D": CubicSpline(self.s, self.D, axis=0),
+            "ginv": _spline(self.s, self.ginv_c),
+            "rho": _spline(self.s, self.rho_c),
+            "w": _spline(self.s, self.w_c),
+            "D": _spline(self.s, self.D),
         }
 
     def potential_at(self, V, s):
@@ -359,7 +365,7 @@ class ChartJets:
         if V is None:
             return PolyCube.zeros(self.n, self.deg)
         vals = np.asarray(V(self._pts), dtype=float).reshape(len(self.s), -1)
-        sp = CubicSpline(self.s, self._cubes(vals @ self._pinv.T), axis=0)
+        sp = _spline(self.s, self._cubes(vals @ self._pinv.T))
         return PolyCube(self.n, self.deg, sp(np.asarray(s, dtype=float)) + 0j)
 
     # -- access -------------------------------------------------------------
@@ -453,9 +459,9 @@ class PhaseJet:
 
     def _splines(self):
         self._sp = {
-            "H": CubicSpline(self.s, self.H, axis=0),
-            "phi": CubicSpline(self.s, self.phi_c.c, axis=0),
-            "dsphi": CubicSpline(self.s, self.dsphi_c.c, axis=0),
+            "H": _spline(self.s, self.H),
+            "phi": _spline(self.s, self.phi_c.c),
+            "dsphi": _spline(self.s, self.dsphi_c.c),
         }
         self._sp["ddsphi"] = self._sp["dsphi"].derivative()
 
@@ -800,8 +806,8 @@ class AmplitudeJet:
             raise BeamError(
                 f"on-axis transport residual {defect:.2e} at level {k}")
         self.v.append(vk)
-        self._v_sp.append(CubicSpline(self.s, vk.c, axis=0))
-        sp = CubicSpline(self.s, dsvk.c, axis=0)
+        self._v_sp.append(_spline(self.s, vk.c))
+        sp = _spline(self.s, dsvk.c)
         self._dsv_sp.append(sp)
         self._ddsv_sp.append(sp.derivative())
 

@@ -3,12 +3,17 @@
 Expressions use numbers, +, -, *, /, ^ (or **), the one-argument functions
 sin, cos, exp, sqrt and the variables t, x1..xn.  Python's parser reads the
 text, each node of the syntax tree is checked against this grammar, and the
-checked tree is compiled once and evaluated with numpy and no builtins.
+checked tree is compiled once.  A `ScalarField` runs the compiled code once
+on stand-ins for the variables, which records the numpy ufunc calls that
+evaluating it on arrays makes (`_Tape`); each evaluation replays them into
+reused buffers.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+import threading
 
 import numpy as np
 
@@ -78,24 +83,145 @@ def parse_expression(text: str, n: int):
     return code
 
 
+def _operators(ufunc):
+    """The operator and its reflection, recording `ufunc`."""
+    return (lambda a, b: a.tape.record(ufunc, a, b),
+            lambda a, b: a.tape.record(ufunc, b, a))
+
+
+class _Value:
+    """Stand-in for an array value of the expression while its code runs
+    once: each operator records, on the tape, the ufunc that it calls on a
+    float array."""
+
+    __array_ufunc__ = None      # numpy scalars defer to these operators
+
+    def __init__(self, tape, slot):
+        self.tape, self.slot = tape, slot
+
+    __add__, __radd__ = _operators(np.add)
+    __sub__, __rsub__ = _operators(np.subtract)
+    __mul__, __rmul__ = _operators(np.multiply)
+    __truediv__, __rtruediv__ = _operators(np.true_divide)
+    __rpow__ = _operators(np.power)[1]
+
+    def __pow__(self, other):
+        # numpy's ** calls square, reciprocal or sqrt for these exponents
+        if type(other) is int and other in (2, -1) \
+                or type(other) is float and other == 0.5:
+            ufunc = {2: np.square, -1: np.reciprocal, 0.5: np.sqrt}[other]
+            return self.tape.record(ufunc, self)
+        return self.tape.record(np.power, self, other)
+
+    def __neg__(self):
+        return self.tape.record(np.negative, self)
+
+    def __pos__(self):
+        return self.tape.record(np.positive, self)
+
+
+def _recording(func):
+    def call(a):
+        return a.tape.record(func, a) if isinstance(a, _Value) else func(a)
+    return call
+
+
+_RECORDING = {"__builtins__": {},
+              **{name: _recording(f) for name, f in _FUNCS.items()}}
+
+
+def _copy(src, out):
+    np.copyto(out, src)
+
+
+class _Tape:
+    """The ufunc calls that evaluate compiled code on float arrays.
+
+    The code runs once with a `_Value` for each variable.  Python evaluates
+    the constant parts itself, as it does in every evaluation, and each
+    operation on a `_Value` appends a step (ufunc, input slots, output
+    slot).  A replay reads the slots from one list: the variables' columns,
+    the output, the registers, then the constants, which count from the
+    end.  A register whose value has been read is reused, so the steps
+    need few of them.  The last step writes the output; an expression that
+    is a bare variable or constant is copied into it.
+    """
+
+    def __init__(self, code, names):
+        self.steps, self._consts, self._free = [], [], []
+        self._out = len(names)
+        self.nregs = 0
+        with np.errstate(all="ignore"):
+            root = eval(code, _RECORDING,
+                        {name: _Value(self, i) for i, name in enumerate(names)})
+        if isinstance(root, _Value) and root.slot > self._out:
+            ufunc, ins, _ = self.steps[-1]
+            self.steps[-1] = (ufunc, ins, self._out)
+        else:
+            self.steps.append((_copy, [self._slot(root)], self._out))
+        # the root's own register, if it took a new one, is not needed
+        self.nregs = max(s for _, ins, dst in self.steps
+                         for s in ins + [dst]) - self._out
+        self._consts.reverse()
+
+    def _slot(self, value):
+        if not isinstance(value, _Value):
+            self._consts.append(value)
+            return -len(self._consts)
+        if value.slot > self._out:
+            self._free.append(value.slot)
+        return value.slot
+
+    def record(self, ufunc, *args):
+        ins = [self._slot(a) for a in args]
+        if self._free:
+            dst = self._free.pop()
+        else:
+            self.nregs += 1
+            dst = self._out + self.nregs
+        self.steps.append((ufunc, ins, dst))
+        return _Value(self, dst)
+
+    def run(self, cols, out, regs):
+        env = [*cols, out, *regs, *self._consts]
+        for ufunc, ins, dst in self.steps:
+            ufunc(*[env[i] for i in ins], out=env[dst])
+        return out
+
+
 class ScalarField:
     """Callable scalar field of (t, x') from a compiled expression.
 
     Accepts points of shape (1+n,) or batched (..., 1+n).  `time_dependent`
-    tells whether t occurs in the expression.
+    tells whether t occurs in the expression.  The values are those of
+    evaluating the code with numpy, bit for bit; the expression's
+    intermediate arrays are registers kept per thread and reused by calls
+    of the same or a smaller size.
     """
 
     def __init__(self, expr, n: int):
-        self._code = expr
         self._names = coordinate_names(n)
         self.time_dependent = "t" in expr.co_names
+        self._tape = _Tape(expr, self._names)
+        self._local = threading.local()
 
     @classmethod
     def from_text(cls, text: str, n: int) -> "ScalarField":
         return cls(parse_expression(text, n), n)
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """Values at the points x, written into `out` (shape x.shape[:-1])
+        when given, and returned."""
         x = np.asarray(x, dtype=float)
-        cols = {name: x[..., i] for i, name in enumerate(self._names)}
-        out = eval(self._code, _NAMESPACE, cols)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1]).copy()
+        if out is None:
+            out = np.empty(x.shape[:-1])
+        cols = [x[..., i] for i in range(len(self._names))]
+        return self._tape.run(cols, out, self._registers(x.shape[:-1]))
+
+    def _registers(self, shape):
+        size = math.prod(shape)
+        buf = getattr(self._local, "buf", None)
+        if buf is None or len(buf) < size * self._tape.nregs:
+            buf = self._local.buf = np.empty(size * self._tape.nregs)
+        return [buf[k * size:(k + 1) * size].reshape(shape)
+                for k in range(self._tape.nregs)]

@@ -15,8 +15,6 @@ finite differences anywhere.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import RegularGridInterpolator
 
 from .solver import _shift
 
@@ -66,6 +64,7 @@ def resolve_chi(spec):
 def cumint(s, f, i0):
     """int_{s[i0]}^{s} f ds~ along the first axis by cumulative Simpson
     (complex ok)."""
+    from scipy.integrate import cumulative_simpson
     out = (cumulative_simpson(f.real, x=s, axis=0, initial=0.0)
            + 1j * cumulative_simpson(f.imag, x=s, axis=0, initial=0.0))
     return out - np.take(out, [i0], axis=0)
@@ -182,6 +181,7 @@ class GOPacket:
         self.i_s0 = int(i0)
 
     def _build_amplitudes(self, V):
+        from scipy.interpolate import RegularGridInterpolator
         shape = (len(self.s_grid),) + (len(self.w_grid),) * self.n
         W = np.meshgrid(*self._axes[1:], indexing="ij")
         a0_slice = np.ones(W[0].shape)

@@ -23,12 +23,13 @@ any wave type.
 
 import csv
 import itertools
+import math
+import threading
 
 import numpy as np
-from scipy.integrate import simpson
 
+from . import exprs, go, solver, sources
 from . import geometry as geo
-from . import go, solver, sources
 
 
 class RecoveryError(RuntimeError):
@@ -107,11 +108,12 @@ def pairing_integral(grid, vtau, test_source):
 # quadrature
 # ---------------------------------------------------------------------------
 
-def tensor_quadrature(center, half_widths, nq):
-    """Trapezoid nodes and weights on a box around `center`.
+def quadrature_box(center, half_widths, nq):
+    """Trapezoid rule on a box around `center`, kept as per-axis factors.
 
-    Returns (points (M, dim), weights (M,), boundary mask (M,)); the mask
-    marks nodes on the box faces, used for localization checks.
+    Returns (axes, weights, edges): per axis its nq nodes, their trapezoid
+    weights and a mask of its two end nodes.  The box's nodes are the
+    tensor product of the axes in C order (`box_nodes`).
     """
     center = np.asarray(center, dtype=float)
     half_widths = np.broadcast_to(np.asarray(half_widths, dtype=float),
@@ -127,16 +129,29 @@ def tensor_quadrature(center, half_widths, nq):
         e = np.zeros(nq, dtype=bool)
         e[0] = e[-1] = True
         edges.append(e)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, len(axes))
-    weight = np.ones(mesh[0].shape)
-    boundary = np.zeros(mesh[0].shape, dtype=bool)
-    for i, (w, e) in enumerate(zip(wts, edges)):
-        shape = [1] * len(axes)
-        shape[i] = nq
-        weight = weight * w.reshape(shape)
-        boundary = boundary | e.reshape(shape)
-    return pts, weight.ravel(), boundary.ravel()
+    return axes, wts, edges
+
+
+def box_nodes(box, numbers):
+    """(points (M, dim), weights (M,), boundary mask (M,)) of the nodes of a
+    `quadrature_box` with the given C-order `numbers`.  The weight of node
+    (i, j, ...) is ((1 w0[i]) w1[j]) ... and its mask e0[i] | e1[j] | ...,
+    marking nodes on the box faces for the localization checks."""
+    axes, wts, edges = box
+    index = np.unravel_index(numbers, [len(ax) for ax in axes])
+    pts = np.stack([ax[i] for ax, i in zip(axes, index)], axis=-1)
+    weight, boundary = 1.0, False
+    for w, e, i in zip(wts, edges, index):
+        weight = weight * w[i]
+        boundary = boundary | e[i]
+    return pts, weight, boundary
+
+
+def tensor_quadrature(center, half_widths, nq):
+    """Every node of the `quadrature_box` around `center`, in box order:
+    (points (M, dim), weights (M,), boundary mask (M,))."""
+    box = quadrature_box(center, half_widths, nq)
+    return box_nodes(box, np.arange(nq ** len(box[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +163,41 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_FRACTIONS = (_GL_NODES + 1.0) / 2.0 - 1.0
 _GL_BLOCK = 32          # Gauss nodes per call of V in the potential integral
 _ORACLE_NODES = 4001    # Simpson nodes of the line-integral oracles
+# this thread's buffer of the potential integral (`_scratch`)
+_SCRATCH = threading.local()
+
+
+def _scratch(size):
+    """`size` floats of this thread's buffer, grown when too small and
+    reused across calls: block-sized arrays allocated afresh on every call
+    cost more in the allocator (freed heap returned to the system and
+    faulted back) than the arithmetic on them."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size]
+
+
+def _writer(V):
+    """V as a function `write(x, out)` that stores its values at the points
+    x in `out`: a parsed `ScalarField` writes them itself, any other
+    callable's values are copied in."""
+    if isinstance(V, exprs.ScalarField):
+        return V
+
+    def write(x, out):
+        np.copyto(out, V(x))
+        return out
+    return write
+
+
+def _simpson(y, length):
+    """Composite Simpson rule of the samples y at an odd number of
+    equispaced nodes on [0, length] (a negative length integrates
+    backwards)."""
+    h = length / (len(y) - 1)
+    return h / 3.0 * (y[0] + 4.0 * np.sum(y[1:-1:2])
+                      + 2.0 * np.sum(y[2:-1:2]) + y[-1])
 
 
 def _chi_bump_d2(u):
@@ -242,32 +292,67 @@ class LinePacket:
         V is called once per block of `_GL_BLOCK` Gauss nodes.  The block's
         points are stored component-first, (1+n, B, ...), and passed to V
         as the (B, ..., 1+n) view, so each coordinate V reads is one
-        contiguous plane.  The nodes are summed one by one in
-        Gauss-Legendre order.
+        contiguous plane; V writes its values into a block-sized buffer
+        (`_writer`).  Points, offsets and values live in this thread's
+        `_scratch`.  The nodes are summed one by one in Gauss-Legendre
+        order.
         """
         if self.V is None:
             return np.zeros_like(s)
+        write = _writer(self.V)
         xs = np.moveaxis(np.asarray(x, dtype=float), -1, 0)[:, None]
         ks = self.xi_sharp.reshape((-1,) + (1,) * (s.ndim + 1))
+        block = (_GL_BLOCK,) + s.shape
+        m = math.prod(block)
+        buf = _scratch(s.size + (2 + len(ks)) * m)
+        term = buf[:s.size].reshape(s.shape)
+        off, vals = buf[s.size:s.size + 2 * m].reshape((2,) + block)
+        pts = buf[s.size + 2 * m:].reshape((len(ks),) + block)
         out = np.zeros(s.shape)
-        # one points buffer for all blocks: fresh ones per block cost more
-        # in the allocator than in the arithmetic
-        buf = np.empty((len(ks), _GL_BLOCK) + s.shape)
-        for b in range(0, len(_GL_NODES), _GL_BLOCK):
-            fr = _GL_FRACTIONS[b:b + _GL_BLOCK]
+        for fr, wts in zip(_GL_FRACTIONS.reshape(-1, _GL_BLOCK),
+                           _GL_WEIGHTS.reshape(-1, _GL_BLOCK)):
             # node s~ = s (t+1)/2 on [0, s], offset from x by (s~ - s) xi^#
-            off = s * fr.reshape(fr.shape + (1,) * s.ndim)
-            pts = buf[:, :len(fr)]
+            np.multiply(s, fr.reshape(fr.shape + (1,) * s.ndim), out=off)
             np.multiply(ks, off, out=pts)
             np.add(xs, pts, out=pts)
-            vals = np.broadcast_to(self.V(np.moveaxis(pts, 0, -1)), off.shape)
-            for wi, vi in zip(_GL_WEIGHTS[b:b + _GL_BLOCK], vals):
-                out += wi * vi
+            write(np.moveaxis(pts, 0, -1), out=vals)
+            for wi, vi in zip(wts, vals):
+                out += np.multiply(wi, vi, out=term)
         return out * s / 2.0
 
     def flow_point(self, s):
         """The flow line through q: s maps to q + s * xi_sharp."""
         return np.asarray(s)[..., None] * self.xi_sharp + self.q
+
+    def tube(self, box):
+        """Numbers (C order, ascending) of the `quadrature_box` nodes where
+        |w0| and every |w_t| are below 1.01 delta: the support of a0 (the
+        bump vanishes outside (-1, 1)) with a margin for rounding.
+
+        A flow coordinate is the sum of its term along axis 0, monotone in
+        the node's index there, and its term across.  So on each line of
+        nodes along axis 0 the tube is one run of nodes, found by bisection
+        per coordinate; no bump is evaluated and no array spans the whole
+        lattice.
+        """
+        axes = box[0]
+        rows = np.vstack([self._w0_row, self._omegas])
+        # flip coordinates that fall along axis 0, so every term rises
+        sign = np.where(rows[:, 0] < 0, -1.0, 1.0)
+        along = np.outer(sign * rows[:, 0], axes[0] - self.q[0])
+        lines = np.stack(np.meshgrid(*axes[1:], indexing="ij"), axis=-1)
+        across = (lines.reshape(-1, len(axes) - 1) - self.q[1:]) \
+            @ (rows[:, 1:].T * sign)
+        bound = 1.01 * self.delta
+        lo = np.max([np.searchsorted(a, -bound - c, side="right")
+                     for a, c in zip(along, across.T)], axis=0)
+        hi = np.min([np.searchsorted(a, bound - c, side="left")
+                     for a, c in zip(along, across.T)], axis=0)
+        # the run lo..hi-1 of each line, numbered in C order
+        count = np.maximum(hi - lo, 0)
+        line = np.repeat(np.arange(len(count)), count)
+        first = np.repeat(lo - np.cumsum(count) + count, count)
+        return np.sort((first + np.arange(len(line))) * len(count) + line)
 
     def support(self, x):
         """Mask of the spacetime points x where a0 is nonzero: the product
@@ -361,7 +446,7 @@ class PacketQuad:
             pk = self.packets[j]
             s = np.linspace(0.0, self.s_at_p[j], _ORACLE_NODES)
             vals = np.asarray(V(pk.flow_point(s)))
-            out.append(simpson(vals, x=s) / 2j)
+            out.append(_simpson(vals, self.s_at_p[j]) / 2j)
         return np.array(out)
 
     def target_line_integral(self, V):
@@ -369,7 +454,7 @@ class PacketQuad:
         s = np.linspace(0.0, self.s0, _ORACLE_NODES)
         seg = self.anchors[0] + s[:, None] * np.concatenate(
             [[-1.0], self.xi[1][1:] / self.kappa[1]])
-        return float(simpson(np.asarray(V(seg)), x=s))
+        return float(_simpson(np.asarray(V(seg)), self.s0))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +509,9 @@ def asymptotic_I(waves, tau, nodes, loc_tol=_LOC_TOL):
 def interaction_series(packets, nodes):
     """Exact leading coefficients (I0, Im1, csum) of I(tau) for line packets.
 
-    With covectors summing to zero the quadrature of I(tau) on the box
-    `nodes` (a `tensor_quadrature` result) carries no phase, so it is a
-    polynomial in 1/tau with
+    With covectors summing to zero the quadrature of I(tau) on `nodes`
+    (a `box_nodes` result: the whole box, or any part of it that holds the
+    joint support) carries no phase, so it is a polynomial in 1/tau with
         I0 = sum w prod_j a0_j,   Im1 = sum w sum_j a1_j prod_{k != j} a0_k.
     The potential enters a1_j only as a0_j c_j, so the V-dependent part of
     Im1 over I0 is the weighted c-sum
@@ -574,11 +659,14 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
         # the upper anchor stays fixed; p slides down its null geodesic
         pp = np.concatenate([[q_plus[0] - s0], q_plus[1:] + s0 * direction])
         # one box per s0 serves its three sigmas
-        nodes = tensor_quadrature(pp, 3.0 * delta, BOX_NQ)
+        box = quadrature_box(pp, 3.0 * delta, BOX_NQ)
         sig_vals = []
         sigmas = [sigma0, sigma0 / 2, sigma0 / 4]
         for sig in sigmas:
             quad = PacketQuad(pp, s0, direction, sig, V=V, delta=delta)
+            # the joint support lies in packet 0's tube: the series reads
+            # the same nodes, in the same order, as on the whole box
+            nodes = box_nodes(box, quad.packets[0].tube(box))
             I0, Im1, csum = interaction_series(quad.packets, nodes)
             # the reversal packet integrates from its anchor backwards along
             # the flow (its parameter at p is negative), so the rescaled
@@ -596,8 +684,6 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
         if abs(L.imag) > 0.05 * max(abs(L.real), 1e-6):
             all_flags.append("line integral not real")
         Ls.append(L.real)
-        # drop this box before the next one is built
-        del nodes
     v_rec = differentiate_line_integral(s0_grid, Ls)
     row = dict(p_t=p[0], p_x1=p[1], p_x2=p[2] if len(p) > 2 else "",
                sigma=0.0, s0=s0c, line_integral=Ls[1], V_recovered=v_rec,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import diamondwave
 from diamondwave import fermi
@@ -610,6 +610,65 @@ def test_scalar_field_evaluates_as_written(text, ref):
     assert f.time_dependent == ("t" in text)
 
 
+def _expressions():
+    # the grammar's pieces, with the exponents numpy's ** treats apart
+    # (2, -1 and 0.5: square, reciprocal and sqrt) beside ones it does not,
+    # and constant subtrees that Python folds or evaluates itself
+    leaves = st.sampled_from(["t", "x1", "x2", "1.1", "0.16", "3", "-2.5",
+                              "(1/3)", "sqrt(0.25)", "sin(1)", "2^0.5"])
+    exponents = st.sampled_from(["2", "-1", "0.5", "(1/2)", "2.0", "-0.5",
+                                 "3", "0", "1", "sqrt(0.25)", "(1+1)"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+                lambda a: f"({a[0]} {a[1]} {a[2]})"),
+            st.tuples(inner, exponents).map(lambda a: f"({a[0]})^{a[1]}"),
+            st.tuples(st.sampled_from("-+"), inner).map("".join),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]),
+                      inner).map(lambda a: f"{a[0]}({a[1]})"))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_expressions(), seed=st.integers(0, 2**16))
+@example(text="x1^0.5 + (x2 - t)^-1 * -x2^2 - (1/3)", seed=0)
+@example(text="(2*x1)^(1/2) + x2^3 + 2^t", seed=1)
+def test_scalar_field_tape_is_eval_bit_for_bit(text, seed):
+    # the tape replays the ufuncs that eval of the compiled code calls on
+    # arrays, with or without out=, and its registers carry nothing from
+    # call to call; a single point takes the values of a one-point batch
+    # (eval on a single point would do its arithmetic on numpy scalars,
+    # whose ** differs from the arrays' in the last bit)
+    try:
+        code = parse_expression(text, 2)
+    except ExpressionError:
+        return
+    f = ScalarField(code, 2)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (3, 5, 3))
+    # signed zeros and infinities, where the sign bits and NaNs show
+    x[0, :3] = [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [np.inf, -np.inf, 0.5]]
+    namespace = {"__builtins__": {}, "sin": np.sin, "cos": np.cos,
+                 "exp": np.exp, "sqrt": np.sqrt}
+    with np.errstate(all="ignore"):
+        for pts in (x, x[1], x[0, 0], x):
+            batch = pts.reshape(-1, 3)
+            cols = {name: batch[:, i] for i, name in
+                    enumerate(["t", "x1", "x2"])}
+            ref = np.broadcast_to(
+                np.asarray(eval(code, namespace, cols), dtype=float),
+                batch.shape[:-1]).reshape(pts.shape[:-1])
+            out = np.full(pts.shape[:-1], 7.0)
+            assert f(pts, out=out) is out
+            assert _bits(out) == _bits(ref)
+            assert _bits(f(pts)) == _bits(ref)
+
+
 def test_parse_expression_rejects_a_complex_constant():
     # (-8)^(1/3) is complex in Python; its real part is not the potential
     with pytest.raises(ExpressionError, match="complex"):
@@ -639,3 +698,37 @@ def test_import_loads_no_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_recovery_routes_load_no_scipy():
+    # scipy is imported where it is used (the beam's splines, go's
+    # cumulative Simpson and interpolators); the package, the CLI and both
+    # recovery routes run on numpy alone
+    src = str(Path(diamondwave.__file__).resolve().parents[1])
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+import diamondwave
+seen = [scipy_loaded()]
+import diamondwave.cli
+seen.append(scipy_loaded())
+from diamondwave import exprs, recovery
+from diamondwave import geometry as geo
+m = geo.minkowski(2)
+V = exprs.ScalarField.from_text("exp(-((x1-1.1)^2 + x2^2)/0.16)", 2)
+recovery.recover_point(m, V, np.array([2.5, 1.05, 0.0]), 1.0, 5.0)
+seen.append(scipy_loaded())
+recovery.full_path_interaction(m, None, p=(1.0, 0.9, 0.0), r=0.8, T=2.0,
+                               tau=10.0, sigma=0.6, delta=0.1, h=0.04,
+                               rho=0.06, check=True)
+seen.append(scipy_loaded())
+print(seen)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == str([False] * 4)

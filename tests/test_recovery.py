@@ -1,6 +1,8 @@
 """Cross-difference, pairing, quadrature pipeline, and recovery tests."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -338,6 +340,65 @@ def test_potential_integral_in_blocks_is_the_per_node_sum(V, shape, j):
     assert np.all(np.reshape(got, -1)[:k] == 0)
 
 
+def test_potential_integral_reuses_its_buffers():
+    # a second call on as many nodes, here from another packet, allocates
+    # no block-sized array: points, offsets, V's values and V's own
+    # intermediates are buffers kept from the first call
+    V = exprs.ScalarField.from_text("exp(-((x1-1.1)^2 + x2^2)/0.16)", 2)
+    quad = rc.PacketQuad(np.array([1.1, 0.9, 0.0]), 0.9, [1.0, 0.0],
+                         sigma=0.3, V=V, delta=0.1)
+    x = quad.p + 0.05 * np.random.default_rng(0).standard_normal((1100, 3))
+    first, second = quad.packets[1], quad.packets[2]
+    first._potential_integral(x, first.coords(x)[0])
+    s = second.coords(x)[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = second._potential_integral(x, s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _per_node_potential_integral(second, x, s))
+    assert peak < rc._GL_BLOCK * len(x) * 8
+
+
+def test_potential_integral_buffers_are_per_thread():
+    # each thread keeps its own buffers (the integral's and V's registers):
+    # threads integrating different packets at once, switching as often as
+    # the interpreter allows, get the serial results bit for bit
+    V = exprs.ScalarField.from_text("exp(-((x1-1.1)^2 + x2^2)/0.16)", 2)
+    quad = rc.PacketQuad(np.array([1.1, 0.9, 0.0]), 0.9, [1.0, 0.0],
+                         sigma=0.3, V=V, delta=0.1)
+    rng = np.random.default_rng(3)
+    jobs = []
+    for j in range(4):
+        x = quad.p + 0.05 * rng.standard_normal((200 + 50 * j, 3))
+        s = quad.packets[j].coords(x)[0]
+        jobs.append((quad.packets[j], x, s))
+    serial = [pk._potential_integral(x, s) for pk, x, s in jobs]
+    results = [[] for _ in jobs]
+
+    def work(k):
+        pk, x, s = jobs[k]
+        for _ in range(100):
+            results[k].append(pk._potential_integral(x, s))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(jobs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for ref, got in zip(serial, results):
+        assert len(got) == 100
+        assert all(np.array_equal(g, ref) for g in got)
+
+
 def test_potential_integral_calls_V_once_per_block():
     calls = []
     V = gaussian_V([1.1, 0.9, 0.0])
@@ -530,19 +591,62 @@ def test_flat_route_shoots_no_geodesic(monkeypatch):
     assert abs(v) < 5e-3
 
 
+def _series_or_error(packets, nodes):
+    try:
+        return np.array(rc.interaction_series(packets, nodes)).tobytes()
+    except rc.RecoveryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.tuples(st.floats(1.0, 3.0), st.floats(-1.0, 1.0),
+                   st.floats(-1.0, 1.0)),
+       angle=st.floats(0.0, 2 * np.pi), sigma=st.floats(0.01, 0.6),
+       s0=st.floats(0.3, 1.5), nq=st.sampled_from([17, 25, 41]))
+def test_tube_nodes_are_the_dense_box_nodes_inside_it(p, angle, sigma, s0,
+                                                      nq):
+    # packet 0's tube holds its support; its nodes, weights and boundary
+    # are the dense box's own entries, in box order, so the series reads
+    # the same numbers from both
+    p = np.array(p)
+    quad = rc.PacketQuad(p, s0, [np.cos(angle), np.sin(angle)], sigma,
+                         V=gaussian_V(p), delta=0.1)
+    box = rc.quadrature_box(p, 0.3, nq)
+    dense = rc.tensor_quadrature(p, 0.3, nq)
+    tube = quad.packets[0].tube(box)
+    nodes = rc.box_nodes(box, tube)
+    assert np.all(np.diff(tube) > 0)
+    for got, full in zip(nodes, dense):
+        assert got.tobytes() == full[tube].tobytes()
+    support = np.flatnonzero(quad.packets[0].support(dense[0]))
+    assert np.all(np.isin(support, tube))
+    assert _series_or_error(quad.packets, nodes) \
+        == _series_or_error(quad.packets, dense)
+
+
 def test_recover_point_builds_one_box_per_segment_length(monkeypatch):
-    # the three sigmas of one s0 share its quadrature box
-    calls = []
-    build = rc.tensor_quadrature
+    # the three sigmas of one s0 share its quadrature box: each sigma takes
+    # its nodes from the one box object of its s0
+    calls, used = [], []
+    build, nodes = rc.quadrature_box, rc.box_nodes
 
     def counting(*args):
         calls.append(args)
         return build(*args)
-    monkeypatch.setattr(rc, "tensor_quadrature", counting)
+
+    def recording(box, index):
+        used.append(box)
+        return nodes(box, index)
+    monkeypatch.setattr(rc, "quadrature_box", counting)
+    monkeypatch.setattr(rc, "box_nodes", recording)
     rc.recover_point(geo.minkowski(2), None, np.array([1.8, 1.1, 0.0]),
                      r=1.0, T=5.0)
     assert len(calls) == 3
     assert len({args[0].tobytes() for args in calls}) == 3
+    assert len(used) == 9
+    assert [len({id(b) for b in used[k:k + 3]}) for k in (0, 3, 6)] \
+        == [1, 1, 1]
+    assert len({id(b) for b in used}) == 3
 
 
 def test_recover_point_gaussian_bump():
