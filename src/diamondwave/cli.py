@@ -568,7 +568,7 @@ def _suite_recovery(rng):
                                 / 0.3)
 
         quad = recovery.PacketQuad(p, 0.9, [1.0, 0.0], sigma=0.1, V=V)
-        _, _, csum = recovery.interaction_series(
+        _, csum = recovery.interaction_series(
             quad.packets, recovery.tensor_quadrature(p, 0.3, recovery.BOX_NQ))
         oracle = np.sum(quad.c_values(V))
         err = abs(csum - oracle) / abs(oracle)
@@ -696,6 +696,8 @@ def cmd_recover(args):
                               f"{res.I_check:.6g}")
             report.diagnostic("eps truncation |I_full - I_check|/|I_check|",
                               f"{res.eps_truncation:.3g}")
+            report.diagnostic("|I_k tau^-k| of I_fast, k = 0..4",
+                              " ".join(f"{abs(x):.3g}" for x in res.I_orders))
 
     report.write(os.path.join(args.out, "run_report.txt"))
     print(os.path.join(args.out, "report.csv"))

@@ -15,10 +15,11 @@ the source-to-solution map is odd, so the other four corners are exact
 negatives), gated against the exact eps1 eps2 eps3 coefficient
 (`solver.solve_cross_coefficient`), and a data-side pairing
 (`pairing_integral`).  The fast route
-skips the solver entirely: `interaction_series` reads the exact 1/tau
-coefficients off the closed-form packets by quadrature, which is what
-`recover_region` uses, and `asymptotic_I` evaluates I(tau) at one tau for
-any wave type.
+skips the solver entirely.  Both read the quadrature of the closed-form
+packets off `interaction_series`, every coefficient of their polynomial in
+1/tau: `recover_region` uses the two leading ones, and the full route's
+`I_fast` is its value at tau.  `asymptotic_I` evaluates I(tau) from the
+waves' own `eval`, for any wave type.
 """
 
 import csv
@@ -375,10 +376,6 @@ class LinePacket:
         a1 = (s * lap + a0 * vint) / 2j
         return a0, a1, vint / 2j
 
-    def amplitude_sum(self, tau, x):
-        a0, a1, _ = self.amplitudes(x)
-        return a0 + a1 / tau
-
     def phase(self, x):
         return np.asarray(x, dtype=float) @ self.xi
 
@@ -389,8 +386,8 @@ class LinePacket:
         inside = self.support(x)
         out = np.zeros(x.shape[:-1], dtype=complex)
         xin = x[inside]
-        out[inside] = np.exp(1j * tau * self.phase(xin)) * \
-            self.amplitude_sum(tau, xin)
+        a0, a1, _ = self.amplitudes(xin)
+        out[inside] = np.exp(1j * tau * self.phase(xin)) * (a0 + a1 / tau)
         return out
 
 
@@ -482,37 +479,28 @@ def _require_localized(values, boundary, tol):
 def asymptotic_I(waves, tau, nodes, loc_tol=_LOC_TOL):
     """Quadrature of the product of the given waves on the box `nodes`.
 
-    `nodes` is a `tensor_quadrature` result.  When every wave exposes a
-    linear phase (GO packets), the total covector is assembled once so an
-    exact linear dependence cancels the phase grid-exactly; otherwise the
-    full complex evaluations are multiplied.  A localization check requires
-    the integrand to be negligible on the box boundary.
+    `nodes` is a `tensor_quadrature` result, and each wave is evaluated
+    there by its own `eval(tau, x)`, so this is the reference for waves of
+    any type.  A localization check requires the integrand to be negligible
+    on the box boundary.
     """
     pts, w, boundary = nodes
-    go_like = all(hasattr(wv, "xi") and hasattr(wv, "amplitude_sum")
-                  for wv in waves)
-    if go_like:
-        xi_tot = sum(wv.xi for wv in waves)
-        integrand = np.ones(len(pts), dtype=complex)
-        for wv in waves:
-            integrand = integrand * wv.amplitude_sum(tau, pts)
-        if np.any(xi_tot):
-            integrand = integrand * np.exp(1j * tau * (pts @ xi_tot))
-    else:
-        integrand = np.ones(len(pts), dtype=complex)
-        for wv in waves:
-            integrand = integrand * wv.eval(tau, pts)
+    integrand = np.ones(len(pts), dtype=complex)
+    for wv in waves:
+        integrand = integrand * wv.eval(tau, pts)
     _require_localized(integrand, boundary, loc_tol)
     return complex(np.sum(w * integrand))
 
 
 def interaction_series(packets, nodes):
-    """Exact leading coefficients (I0, Im1, csum) of I(tau) for line packets.
+    """Every coefficient of I(tau) in 1/tau for line packets: (orders, csum).
 
     With covectors summing to zero the quadrature of I(tau) on `nodes`
     (a `box_nodes` result: the whole box, or any part of it that holds the
-    joint support) carries no phase, so it is a polynomial in 1/tau with
-        I0 = sum w prod_j a0_j,   Im1 = sum w sum_j a1_j prod_{k != j} a0_k.
+    joint support) carries no phase, so it is the polynomial in 1/tau
+        sum w prod_j (a0_j + a1_j / tau) = sum_k orders[k] tau^-k,
+    k = 0..len(packets), formed per node in one pass over the packets, with
+        I0 = orders[0] = sum w prod_j a0_j,   Im1 = orders[1].
     The potential enters a1_j only as a0_j c_j, so the V-dependent part of
     Im1 over I0 is the weighted c-sum
         csum = sum w prod_j a0_j sum_j c_j / I0,
@@ -532,18 +520,17 @@ def interaction_series(packets, nodes):
         joint = joint[pk.support(pts[joint])]
     levels = [pk.amplitudes(pts[joint]) for pk in packets]
     w, boundary = w[joint], boundary[joint]
-    a0s = [a0 for a0, _, _ in levels]
-    a0_prod = np.prod(a0s, axis=0)
-    _require_localized(a0_prod, boundary, _LOC_TOL)
-    I0 = complex(np.sum(w * a0_prod))
-    if abs(I0) < 1e-300:
+    poly = list(levels[0][:2])      # per node, the coefficients of tau^-k
+    for a0, a1, _ in levels[1:]:
+        poly = [poly[0] * a0] + [hi * a0 + lo * a1 for hi, lo in
+                                 zip(poly[1:], poly)] + [poly[-1] * a1]
+    _require_localized(poly[0], boundary, _LOC_TOL)
+    orders = [complex(np.sum(w * term)) for term in poly]
+    if abs(orders[0]) < 1e-300:
         raise RecoveryError("vanishing interaction weight I0")
-    Im1 = 0j
-    for j, (_, a1, _) in enumerate(levels):
-        others = np.prod(a0s[:j] + a0s[j + 1:], axis=0)
-        Im1 += complex(np.sum(w * a1 * others))
-    csum = complex(np.sum(w * a0_prod * sum(c for _, _, c in levels))) / I0
-    return I0, Im1, csum
+    csum = complex(np.sum(w * poly[0] * sum(c for _, _, c in levels))) \
+        / orders[0]
+    return orders, csum
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +654,7 @@ def recover_point(metric, V, p, r, T, sigma0=0.1, delta=0.1, ds0=0.05,
             # the joint support lies in packet 0's tube: the series reads
             # the same nodes, in the same order, as on the whole box
             nodes = box_nodes(box, quad.packets[0].tube(box))
-            I0, Im1, csum = interaction_series(quad.packets, nodes)
+            (I0, Im1, *_), csum = interaction_series(quad.packets, nodes)
             # the reversal packet integrates from its anchor backwards along
             # the flow (its parameter at p is negative), so the rescaled
             # c-sum carries a minus sign relative to the down-segment
@@ -712,16 +699,20 @@ class FullPathResult:
     `envelope_error` the stencil's error on the bump at that resolution
     (`bump_d2_error`; small for a resolved envelope).
 
+    `I_orders[k]` is the term I_k tau^-k of the quadrature's polynomial in
+    1/tau (`interaction_series`), k = 0..4, and `I_fast` their sum.
+
     `I_check`, computed whenever the epsilon gate runs (`check`), is the
     eps -> 0 limit of `I_full` on the same grid (the coefficient march),
     and `eps_truncation` = |I_full - I_check| / |I_check| the measured
     truncation of the eps-stencil; both are None without the gate.
     """
 
-    def __init__(self, I_full, I_fast, quad, grid, go_ratios, kh,
+    def __init__(self, I_full, I_orders, quad, grid, go_ratios, kh,
                  delta_over_h, I_check=None):
         self.I_full = complex(I_full)
-        self.I_fast = complex(I_fast)
+        self.I_orders = [complex(term) for term in I_orders]
+        self.I_fast = sum(self.I_orders)
         self.rel_diff = abs(self.I_full - self.I_fast) / \
             max(abs(self.I_fast), 1e-300)
         self.quad = quad
@@ -831,9 +822,11 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                              limit=coefficient if check else None) / 6.0
     vfield = solver.GridField(tgrid, vtau)
     I_full = pairing_integral(tgrid, vfield, fplus)
-    I_fast = asymptotic_I(quad.packets, tau,
-                          tensor_quadrature(p, 3.0 * delta, BOX_NQ))
-    return FullPathResult(I_full, I_fast, quad, grid, go_ratios, k_top * h,
+    box = quadrature_box(p, 3.0 * delta, BOX_NQ)
+    orders, _ = interaction_series(
+        quad.packets, box_nodes(box, quad.packets[0].tube(box)))
+    I_orders = [I_k / tau**k for k, I_k in enumerate(orders)]
+    return FullPathResult(I_full, I_orders, quad, grid, go_ratios, k_top * h,
                           delta / h, I_check=I_check)
 
 

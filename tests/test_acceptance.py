@@ -357,7 +357,8 @@ def test_full_route_matches_quadrature():
     assert res.rel_diff < 0.15, (
         f"rel diff {res.rel_diff:.4g}; GO ratios {np.round(res.go_ratios, 3)}"
         f", kappa_top tau h {res.kh:.3g}, stencil group velocity "
-        f"{res.group_velocity:.3g}")
+        f"{res.group_velocity:.3g}; |I_k tau^-k| of I_fast, k = 0..4: "
+        + " ".join(f"{abs(x):.3g}" for x in res.I_orders))
 
 
 # -- 11: distinguishability ----------------------------------------------------

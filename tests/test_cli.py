@@ -347,11 +347,11 @@ def test_recover_full_stage_failure_keeps_reports(tmp_path, monkeypatch,
 
 def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
                                                 capsys):
-    # the full-route stage reports the GO ratios, kh and the stencil's
-    # group velocity next to its failing gate
+    # the full-route stage reports the GO ratios, kh, the stencil's group
+    # velocity and I_fast order by order in 1/tau next to its failing gate
     def fake(*args, **kwargs):
         return recovery.FullPathResult(
-            4.1e-6 + 0j, 0.2, None, None,
+            4.1e-6 + 0j, [3.8e-4, 4.2e-3j, -7.2e-3, 4.5e-2j, 0.2], None, None,
             np.array([6.25, 0.694, 1.25, 1.25]), 1.56, 0.1 / 0.012,
             I_check=4e-6 + 0j)
     monkeypatch.setattr(recovery, "full_path_interaction", fake)
@@ -369,7 +369,9 @@ def test_recover_full_writes_regime_diagnostics(tmp_path, monkeypatch,
     assert "stencil error on the bump at delta/h: 0.277" in rr
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
     assert "I_check (eps -> 0 coefficient march): 4e-06+0j" in rr
-    assert "eps truncation |I_full - I_check|/|I_check|: 0.025" in rr
+    assert "eps truncation |I_full - I_check|/|I_check|: 0.025\n" \
+        "  |I_k tau^-k| of I_fast, k = 0..4: " \
+        "0.00038 0.0042 0.0072 0.045 0.2\n" in rr
 
 
 def test_recover_full_without_grid_section_uses_library_defaults(
@@ -514,6 +516,10 @@ def test_recover_full_end_to_end_is_deterministic(tmp_path, capsys):
     trunc = re.search(r"eps truncation \|I_full - I_check\|/\|I_check\|: "
                       r"(\S+)", rr)
     assert 0 < float(trunc.group(1)) < 1e-3
+    # each order's term, on the line after the eps truncation
+    orders = re.search(r"eps truncation .*\n  \|I_k tau\^-k\| of I_fast, "
+                       r"k = 0\.\.4: (.*)\n", rr)
+    assert len(orders.group(1).split()) == 5
     assert "full vs fast interaction: FAIL (rel diff 1)" in rr
     header, row = (tmp_path / "a" / "full_path.csv").read_text().splitlines()
     assert header == "tau,I_full,I_fast,rel_diff,I_check,eps_truncation"

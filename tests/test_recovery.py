@@ -297,7 +297,7 @@ def test_line_packet_a1_inside_a0_support(theta, scale, delta, seed, tau):
     assert np.all(a1[off] == 0)
     assert np.array_equal(lp.support(pts), ~off)
     # so eval, which computes on that support only, is the plain formula
-    plain = np.exp(1j * tau * (pts @ lp.xi)) * lp.amplitude_sum(tau, pts)
+    plain = np.exp(1j * tau * (pts @ lp.xi)) * (a0 + a1 / tau)
     assert np.array_equal(lp.eval(tau, pts), plain)
 
 
@@ -470,13 +470,44 @@ def test_interaction_series_matches_asymptotic_I(go_quad):
     # remainder shrinks like tau^-2
     p, V, quad, cal = go_quad
     nodes = rc.tensor_quadrature(p, 0.3, 25)
-    I0, Im1, _ = rc.interaction_series(quad.packets, nodes)
+    (I0, Im1, *_), _ = rc.interaction_series(quad.packets, nodes)
     taus = np.array([400.0, 800.0, 1600.0, 3200.0])
     rest = [abs(rc.asymptotic_I(quad.packets, t, nodes)
                 - I0 - Im1 / t) for t in taus]
     slope = np.polyfit(np.log(taus), np.log(rest), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.1)
     assert rest[-1] < 0.1 * abs(Im1 / taus[-1])
+
+
+@pytest.mark.parametrize("with_V", [True, False])
+def test_interaction_series_orders_are_the_subset_sums(go_quad, with_V):
+    # orders[k] = sum w sum_{|S| = k} prod_{j in S} a1_j prod_{j not in S}
+    # a0_j, written out over the 16 subsets S on the whole box
+    p, V, quad, cal = go_quad
+    packets = (quad if with_V else cal).packets
+    nodes = rc.tensor_quadrature(p, 0.3, 25)
+    pts, w, _ = nodes
+    levels = [pk.amplitudes(pts)[:2] for pk in packets]
+    ref = np.zeros(len(packets) + 1, dtype=complex)
+    for S in itertools.product((0, 1), repeat=len(packets)):
+        ref[sum(S)] += np.sum(w * np.prod(
+            [lv[s] for lv, s in zip(levels, S)], axis=0))
+    orders, _ = rc.interaction_series(packets, nodes)
+    assert len(orders) == len(ref)
+    assert np.all(np.abs(np.array(orders) - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_interaction_series_sums_to_the_evaluated_waves(go_quad):
+    # sum_k orders[k] tau^-k is I(tau) of the packets' own `eval`; the gap
+    # is the rounding of the four phases, which grows like tau (measured
+    # 4.5e-16 tau relative at tau = 400 to 3200)
+    p, V, quad, cal = go_quad
+    nodes = rc.tensor_quadrature(p, 0.3, 25)
+    orders, _ = rc.interaction_series(quad.packets, nodes)
+    for tau in (400.0, 800.0, 1600.0, 3200.0):
+        series = sum(I_k / tau**k for k, I_k in enumerate(orders))
+        waves = rc.asymptotic_I(quad.packets, tau, nodes)
+        assert abs(series - waves) <= 2e-15 * tau * abs(waves)
 
 
 def test_interaction_series_evaluates_the_joint_support_in_box_order(
@@ -504,16 +535,16 @@ def test_interaction_series_evaluates_the_joint_support_in_box_order(
 
 def test_extraction_matches_c_oracle(go_quad):
     p, V, quad, cal = go_quad
-    _, _, csum = rc.interaction_series(quad.packets,
-                                       rc.tensor_quadrature(p, 0.3, 41))
+    _, csum = rc.interaction_series(quad.packets,
+                                    rc.tensor_quadrature(p, 0.3, 41))
     oracle = np.sum(quad.c_values(V))
     assert abs(csum - oracle) < 0.01 * abs(oracle)
 
 
 def test_extraction_zero_potential_is_exact(go_quad):
     p, V, quad, cal = go_quad
-    _, _, csum = rc.interaction_series(cal.packets,
-                                       rc.tensor_quadrature(p, 0.3, 33))
+    _, csum = rc.interaction_series(cal.packets,
+                                    rc.tensor_quadrature(p, 0.3, 33))
     assert csum == 0.0
 
 
@@ -527,7 +558,7 @@ def test_extraction_shift_by_constant(go_quad):
                           V=lambda pts: np.ones(np.asarray(pts).shape[:-1]),
                           delta=0.1)
     nodes = rc.tensor_quadrature(p, 0.3, 33)
-    c_v, c_v1, c_one = (rc.interaction_series(q.packets, nodes)[2]
+    c_v, c_v1, c_one = (rc.interaction_series(q.packets, nodes)[1]
                         for q in (quad, quad1, quadc))
     assert abs((c_v1 - c_v) - c_one) < 1e-3 * abs(c_one)
 
@@ -593,7 +624,8 @@ def test_flat_route_shoots_no_geodesic(monkeypatch):
 
 def _series_or_error(packets, nodes):
     try:
-        return np.array(rc.interaction_series(packets, nodes)).tobytes()
+        orders, csum = rc.interaction_series(packets, nodes)
+        return np.array(orders + [csum]).tobytes()
     except rc.RecoveryError as exc:
         return str(exc)
 
@@ -749,7 +781,36 @@ def test_full_route_outputs_are_pinned():
                                    **COARSE_FULL_ROUTE)
     assert res.I_full == -5.605382049278151e-07 + 3.9259568277524104e-07j
     assert res.I_check == -5.60539094276904e-07 + 3.926116862574251e-07j
-    assert res.I_fast == 52.20632528042958 + 2.8693860949536854j
+    assert res.I_fast == 52.20632528042957 + 2.8693860949536845j
+
+
+def test_full_route_quadrature_reads_packet_0s_tube(monkeypatch):
+    # I_fast is the series on packet 0's tube: no dense box is built, and no
+    # packet is evaluated on more nodes than the tube holds (the surgery
+    # samples the packets on slices of the grid)
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense-box quadrature")
+    monkeypatch.setattr(rc, "asymptotic_I", refuse)
+    monkeypatch.setattr(rc, "tensor_quadrature", refuse)
+    tubes, batches = [], []
+    tube, amplitudes = rc.LinePacket.tube, rc.LinePacket.amplitudes
+
+    def recording_tube(self, box):
+        tubes.append(tube(self, box))
+        return tubes[-1]
+
+    def recording_amplitudes(self, x):
+        batches.append(len(x))
+        return amplitudes(self, x)
+    monkeypatch.setattr(rc.LinePacket, "tube", recording_tube)
+    monkeypatch.setattr(rc.LinePacket, "amplitudes", recording_amplitudes)
+    res = rc.full_path_interaction(geo.minkowski(2), None, check=False,
+                                   **COARSE_FULL_ROUTE)
+    assert len(tubes) == 1
+    assert 0 < max(batches) <= len(tubes[0]) < rc.BOX_NQ**3 / 10
+    # the series' four packets, last, on the joint support
+    assert len(set(batches[-4:])) == 1 and batches[-1] > 0
+    assert len(res.I_orders) == 5
 
 
 def test_full_route_eps_stencil_converges_to_the_coefficient(monkeypatch):
