@@ -21,10 +21,28 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
 _NAMESPACE = {"__builtins__": {}, **_FUNCS}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARYOPS = (ast.UAdd, ast.USub)
+# floats (8 MiB) that a thread's reused buffer keeps at most (`thread_buffer`)
+BUFFER_CAP = 1 << 20
 
 
 class ExpressionError(ValueError):
     pass
+
+
+def thread_buffer(local, size):
+    """`size` floats of the buffer kept in the `threading.local` `local`,
+    grown when too small and reused across calls: block-sized arrays
+    allocated afresh on every call cost more in the allocator (freed heap
+    returned to the system and faulted back) than the arithmetic on them.
+    A request above `BUFFER_CAP` gets a fresh array that is not kept, so no
+    call leaves a larger buffer behind for the rest of the process, or for
+    a process forked from it."""
+    if size > BUFFER_CAP:
+        return np.empty(size)
+    buf = getattr(local, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = local.buf = np.empty(size)
+    return buf[:size]
 
 
 def coordinate_names(n: int):
@@ -195,8 +213,7 @@ class ScalarField:
     Accepts points of shape (1+n,) or batched (..., 1+n).  `time_dependent`
     tells whether t occurs in the expression.  The values are those of
     evaluating the code with numpy, bit for bit; the expression's
-    intermediate arrays are registers kept per thread and reused by calls
-    of the same or a smaller size.
+    intermediate arrays are registers in a per-thread `thread_buffer`.
     """
 
     def __init__(self, expr, n: int):
@@ -220,8 +237,6 @@ class ScalarField:
 
     def _registers(self, shape):
         size = math.prod(shape)
-        buf = getattr(self._local, "buf", None)
-        if buf is None or len(buf) < size * self._tape.nregs:
-            buf = self._local.buf = np.empty(size * self._tape.nregs)
+        buf = thread_buffer(self._local, size * self._tape.nregs)
         return [buf[k * size:(k + 1) * size].reshape(shape)
                 for k in range(self._tape.nregs)]

@@ -14,7 +14,9 @@ corner solves of the epsilon stencil (`cross_derivative`; with zero data
 the source-to-solution map is odd, so the other four corners are exact
 negatives), gated against the exact eps1 eps2 eps3 coefficient
 (`solver.solve_cross_coefficient`), and a data-side pairing
-(`pairing_integral`).  The fast route
+(`pairing_integral`).  With two CPUs the coefficient march runs in a
+forked child beside the corner marches (`_forked`), else after them.
+The fast route
 skips the solver entirely.  Both read the quadrature of the closed-form
 packets off `interaction_series`, every coefficient of their polynomial in
 1/tau: `recover_region` uses the two leading ones, and the full route's
@@ -22,9 +24,13 @@ packets off `interaction_series`, every coefficient of their polynomial in
 waves' own `eval`, for any wave type.
 """
 
+import contextlib
 import csv
 import itertools
 import math
+import os
+import pickle
+import struct
 import threading
 
 import numpy as np
@@ -164,19 +170,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_FRACTIONS = (_GL_NODES + 1.0) / 2.0 - 1.0
 _GL_BLOCK = 32          # Gauss nodes per call of V in the potential integral
 _ORACLE_NODES = 4001    # Simpson nodes of the line-integral oracles
-# this thread's buffer of the potential integral (`_scratch`)
+# this thread's buffer of the potential integral (`exprs.thread_buffer`)
 _SCRATCH = threading.local()
-
-
-def _scratch(size):
-    """`size` floats of this thread's buffer, grown when too small and
-    reused across calls: block-sized arrays allocated afresh on every call
-    cost more in the allocator (freed heap returned to the system and
-    faulted back) than the arithmetic on them."""
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or len(buf) < size:
-        buf = _SCRATCH.buf = np.empty(size)
-    return buf[:size]
 
 
 def _writer(V):
@@ -295,7 +290,7 @@ class LinePacket:
         as the (B, ..., 1+n) view, so each coordinate V reads is one
         contiguous plane; V writes its values into a block-sized buffer
         (`_writer`).  Points, offsets and values live in this thread's
-        `_scratch`.  The nodes are summed one by one in Gauss-Legendre
+        `_SCRATCH`.  The nodes are summed one by one in Gauss-Legendre
         order.
         """
         if self.V is None:
@@ -305,7 +300,7 @@ class LinePacket:
         ks = self.xi_sharp.reshape((-1,) + (1,) * (s.ndim + 1))
         block = (_GL_BLOCK,) + s.shape
         m = math.prod(block)
-        buf = _scratch(s.size + (2 + len(ks)) * m)
+        buf = exprs.thread_buffer(_SCRATCH, s.size + (2 + len(ks)) * m)
         term = buf[:s.size].reshape(s.shape)
         off, vals = buf[s.size:s.size + 2 * m].reshape((2,) + block)
         pts = buf[s.size + 2 * m:].reshape((len(ks),) + block)
@@ -728,6 +723,94 @@ class FullPathResult:
 
 
 _H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
+_HEAD = struct.Struct("<Q")     # byte length of a pickled head in the pipe
+
+
+@contextlib.contextmanager
+def _forked(job):
+    """Run `job` beside the caller; yields `wait`, which returns job()'s
+    result, a pair (value, array).
+
+    With at least two CPUs and the fork start method, job starts now in one
+    forked child, which sends its result down a pipe (`_send`); `wait`
+    reads the array's bytes straight into a fresh array (`_receive`) and
+    re-raises an exception of the child's with its type and message.
+    Otherwise `wait` is job itself, run when called.  Leaving the block
+    kills the child, which has nothing left to do once `wait` has read it,
+    and reaps it, so a caller that fails first leaves no process behind.
+    """
+    import multiprocessing
+    # the job is a closure over this process's arrays: only a fork can run
+    # it without sending them
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or not hasattr(os, "sched_getaffinity") \
+            or len(os.sched_getaffinity(0)) < 2:
+        yield job
+        return
+    rfd, wfd = os.pipe()
+    with open(rfd, "rb", buffering=0) as pipe:
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_send, args=(job, wfd))
+            child.start()
+        finally:
+            os.close(wfd)
+        try:
+            yield lambda: _receive(pipe, child)
+        finally:
+            child.kill()
+            child.join()
+
+
+def _send(job, fd):
+    """The child's side of `_forked`: writes to the pipe `fd` the length of
+    a pickled head (error, value, dtype, shape), the head, and then the
+    raw bytes of the array.  An exception of job's, an interrupt too, is
+    the head's error, which the parent raises; one that does not pickle
+    becomes a RecoveryError carrying its repr."""
+    array = None
+    try:
+        value, array = job()
+        array = np.ascontiguousarray(array)
+        head = pickle.dumps((None, value, array.dtype, array.shape))
+    except BaseException as exc:
+        try:
+            head = pickle.dumps((exc, None, None, None))
+            pickle.loads(head)
+        except Exception:
+            head = pickle.dumps((RecoveryError(repr(exc)), None, None, None))
+    with open(fd, "wb") as out:
+        out.write(_HEAD.pack(len(head)) + head)
+        if array is not None:
+            out.write(array.reshape(-1).view(np.uint8))
+
+
+def _receive(pipe, child):
+    """(value, array) as `_send` wrote them to `pipe`, or its error raised."""
+    size = bytearray(_HEAD.size)
+    _read_into(pipe, size, child)
+    head = bytearray(_HEAD.unpack(size)[0])
+    _read_into(pipe, head, child)
+    error, value, dtype, shape = pickle.loads(head)
+    if error is not None:
+        raise error
+    array = np.empty(shape, dtype)
+    _read_into(pipe, array.reshape(-1).view(np.uint8), child)
+    return value, array
+
+
+def _read_into(pipe, buf, child):
+    """Fill the bytes of `buf` from `pipe`; RecoveryError should the
+    pipe end first."""
+    view = memoryview(buf)
+    done = 0
+    while done < len(view):
+        got = pipe.readinto(view[done:])
+        if not got:
+            child.join()
+            raise RecoveryError(f"forked process ended early "
+                                f"(exit code {child.exitcode})")
+        done += got
 
 
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
@@ -750,12 +833,16 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
     With `check`, the exact eps1 eps2 eps3 coefficient of the same
     family's solution (`solver.solve_cross_coefficient`, one linear march
-    of four fields, after the corners) is the stencil's epsilon gate: the
+    of four fields) is the stencil's epsilon gate: the
     stencil must agree with it to 5% on the pairing window, or
     RecoveryError is raised.  Its pairing with the same test function is
     `I_check`, so `I_full` and `I_check` differ only in how the
     coefficient is taken: by the eps-stencil at step _H_EPS, or in the
     limit eps -> 0; the result's `eps_truncation` is their relative gap.
+    With at least two CPUs and the fork start method, that march and its
+    pairing run in one forked child while this process marches the
+    corners (`_forked`), otherwise after the corners; the results are the
+    same bit for bit.  No child outlives the call.
     """
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
@@ -808,18 +895,25 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         return solver.solve_forward(metric, grid, V, fam(eps), nonlinear=True,
                                     window=tgrid).data
 
-    I_check = None
-
     def coefficient():
-        # marched after the corners, so its fields never sit beside them
-        nonlocal I_check
+        # marched in a forked child beside the corners when two CPUs are
+        # free (`_forked`); else after them, so its fields never sit
+        # beside theirs
         wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
                                                 window=tgrid)
-        I_check = pairing_integral(tgrid, wfield, fplus)
-        return np.multiply(wfield.data, -6.0, out=wfield.data)
+        return (pairing_integral(tgrid, wfield, fplus),
+                np.multiply(wfield.data, -6.0, out=wfield.data))
 
-    vtau = -cross_derivative(solve, _H_EPS,
-                             limit=coefficient if check else None) / 6.0
+    I_check = None
+
+    def limit():
+        nonlocal I_check
+        I_check, exact = wait()
+        return exact
+
+    with _forked(coefficient) if check else contextlib.nullcontext() as wait:
+        vtau = -cross_derivative(solve, _H_EPS,
+                                 limit=limit if check else None) / 6.0
     vfield = solver.GridField(tgrid, vtau)
     I_full = pairing_integral(tgrid, vfield, fplus)
     box = quadrature_box(p, 3.0 * delta, BOX_NQ)
