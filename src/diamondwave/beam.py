@@ -20,6 +20,7 @@ import itertools
 
 import numpy as np
 
+from . import parallel
 from .fermi import FermiChart, chart_metric
 from .geometry import _rk4_span, _rk4_stages
 from .go import cumint, loglog_fit, smoothstep7
@@ -270,6 +271,13 @@ class ChartJets:
     first-order wave-operator coefficients w^l and the Riccati matrix D.  A
     potential is fitted on the same lattice by the caller (`potential_at`);
     the jets are never changed after the fit.
+
+    The chart maps the lattice (s-nodes times cloud) in two halves of
+    points, one `BeamChart.jacobian` call each.  With two CPUs and the
+    fork start method the second half is mapped in one forked child
+    (`parallel.forked`, whose failures raise BeamError) while this process
+    maps the first; otherwise after it.  The jets are the same bit for bit,
+    and no child outlives the fit.
     """
 
     def __init__(self, bchart: BeamChart, s_grid, deg=6, r_fit=0.12):
@@ -302,8 +310,21 @@ class ChartJets:
         ns, nc = len(self.s), len(cloud)
         S = np.repeat(self.s, nc)
         Y = np.tile(cloud, (ns, 1))
+        half = len(S) // 2
+
+        def second_half():
+            F, J = self.bchart.jacobian(S[half:], Y[half:])
+            return None, np.concatenate([F[..., None], J], axis=-1)
+
+        # each point is mapped on its own, so the halves are the whole
+        # lattice's map bit for bit; the second is mapped in a forked child
+        # when two CPUs are free
+        with parallel.forked(second_half, BeamError) as wait:
+            F, J = self.bchart.jacobian(S[:half], Y[:half])
+            FJ = wait()[1]
         # the lattice points in spacetime, kept for `potential_at`
-        self._pts, J = self.bchart.jacobian(S, Y)
+        self._pts = np.concatenate([F, FJ[..., 0]])
+        J = np.concatenate([J, FJ[..., 1:]])
         g = chart_metric(self.bchart.metric, self._pts,
                          J).reshape(ns, nc, dim, dim)
         ginv = np.linalg.inv(g)

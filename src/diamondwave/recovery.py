@@ -15,27 +15,23 @@ the source-to-solution map is odd, so the other four corners are exact
 negatives), gated against the exact eps1 eps2 eps3 coefficient
 (`solver.solve_cross_coefficient`), and a data-side pairing
 (`pairing_integral`).  With two CPUs the coefficient march runs in a
-forked child beside the corner marches (`_forked`), else after them.
-The fast route
-skips the solver entirely.  Both read the quadrature of the closed-form
-packets off `interaction_series`, every coefficient of their polynomial in
-1/tau: `recover_region` uses the two leading ones, and the full route's
-`I_fast` is its value at tau.  `asymptotic_I` evaluates I(tau) from the
-waves' own `eval`, for any wave type.
+forked child beside the corner marches (`parallel.forked`), else after
+them.  The fast route skips the solver entirely.  Both read the quadrature
+of the closed-form packets off `interaction_series`, every coefficient of
+their polynomial in 1/tau: `recover_region` uses the two leading ones, and
+the full route's `I_fast` is its value at tau.  `asymptotic_I` evaluates
+I(tau) from the waves' own `eval`, for any wave type.
 """
 
 import contextlib
 import csv
 import itertools
 import math
-import os
-import pickle
-import struct
 import threading
 
 import numpy as np
 
-from . import exprs, go, solver, sources
+from . import exprs, go, parallel, solver, sources
 from . import geometry as geo
 
 
@@ -723,94 +719,6 @@ class FullPathResult:
 
 
 _H_EPS = 0.1    # family-parameter step of the full route's epsilon stencil
-_HEAD = struct.Struct("<Q")     # byte length of a pickled head in the pipe
-
-
-@contextlib.contextmanager
-def _forked(job):
-    """Run `job` beside the caller; yields `wait`, which returns job()'s
-    result, a pair (value, array).
-
-    With at least two CPUs and the fork start method, job starts now in one
-    forked child, which sends its result down a pipe (`_send`); `wait`
-    reads the array's bytes straight into a fresh array (`_receive`) and
-    re-raises an exception of the child's with its type and message.
-    Otherwise `wait` is job itself, run when called.  Leaving the block
-    kills the child, which has nothing left to do once `wait` has read it,
-    and reaps it, so a caller that fails first leaves no process behind.
-    """
-    import multiprocessing
-    # the job is a closure over this process's arrays: only a fork can run
-    # it without sending them
-    if "fork" not in multiprocessing.get_all_start_methods() \
-            or not hasattr(os, "sched_getaffinity") \
-            or len(os.sched_getaffinity(0)) < 2:
-        yield job
-        return
-    rfd, wfd = os.pipe()
-    with open(rfd, "rb", buffering=0) as pipe:
-        try:
-            child = multiprocessing.get_context("fork").Process(
-                target=_send, args=(job, wfd))
-            child.start()
-        finally:
-            os.close(wfd)
-        try:
-            yield lambda: _receive(pipe, child)
-        finally:
-            child.kill()
-            child.join()
-
-
-def _send(job, fd):
-    """The child's side of `_forked`: writes to the pipe `fd` the length of
-    a pickled head (error, value, dtype, shape), the head, and then the
-    raw bytes of the array.  An exception of job's, an interrupt too, is
-    the head's error, which the parent raises; one that does not pickle
-    becomes a RecoveryError carrying its repr."""
-    array = None
-    try:
-        value, array = job()
-        array = np.ascontiguousarray(array)
-        head = pickle.dumps((None, value, array.dtype, array.shape))
-    except BaseException as exc:
-        try:
-            head = pickle.dumps((exc, None, None, None))
-            pickle.loads(head)
-        except Exception:
-            head = pickle.dumps((RecoveryError(repr(exc)), None, None, None))
-    with open(fd, "wb") as out:
-        out.write(_HEAD.pack(len(head)) + head)
-        if array is not None:
-            out.write(array.reshape(-1).view(np.uint8))
-
-
-def _receive(pipe, child):
-    """(value, array) as `_send` wrote them to `pipe`, or its error raised."""
-    size = bytearray(_HEAD.size)
-    _read_into(pipe, size, child)
-    head = bytearray(_HEAD.unpack(size)[0])
-    _read_into(pipe, head, child)
-    error, value, dtype, shape = pickle.loads(head)
-    if error is not None:
-        raise error
-    array = np.empty(shape, dtype)
-    _read_into(pipe, array.reshape(-1).view(np.uint8), child)
-    return value, array
-
-
-def _read_into(pipe, buf, child):
-    """Fill the bytes of `buf` from `pipe`; RecoveryError should the
-    pipe end first."""
-    view = memoryview(buf)
-    done = 0
-    while done < len(view):
-        got = pipe.readinto(view[done:])
-        if not got:
-            child.join()
-            raise RecoveryError(f"forked process ended early "
-                                f"(exit code {child.exitcode})")
-        done += got
 
 
 def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
@@ -841,8 +749,9 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
     limit eps -> 0; the result's `eps_truncation` is their relative gap.
     With at least two CPUs and the fork start method, that march and its
     pairing run in one forked child while this process marches the
-    corners (`_forked`), otherwise after the corners; the results are the
-    same bit for bit.  No child outlives the call.
+    corners (`parallel.forked`, whose failures raise RecoveryError),
+    otherwise after the corners; the results are the same bit for bit.
+    No child outlives the call.
     """
     p = np.asarray(p, dtype=float)
     n = len(p) - 1
@@ -897,8 +806,8 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
 
     def coefficient():
         # marched in a forked child beside the corners when two CPUs are
-        # free (`_forked`); else after them, so its fields never sit
-        # beside theirs
+        # free (`parallel.forked`); else after them, so its fields never
+        # sit beside theirs
         wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
                                                 window=tgrid)
         return (pairing_integral(tgrid, wfield, fplus),
@@ -911,7 +820,8 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
         I_check, exact = wait()
         return exact
 
-    with _forked(coefficient) if check else contextlib.nullcontext() as wait:
+    with parallel.forked(coefficient, RecoveryError) if check \
+            else contextlib.nullcontext() as wait:
         vtau = -cross_derivative(solve, _H_EPS,
                                  limit=limit if check else None) / 6.0
     vfield = solver.GridField(tgrid, vtau)
