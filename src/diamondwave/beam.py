@@ -312,19 +312,15 @@ class ChartJets:
         Y = np.tile(cloud, (ns, 1))
         half = len(S) // 2
 
-        def second_half():
-            F, J = self.bchart.jacobian(S[half:], Y[half:])
-            return None, np.concatenate([F[..., None], J], axis=-1)
-
         # each point is mapped on its own, so the halves are the whole
         # lattice's map bit for bit; the second is mapped in a forked child
-        # when two CPUs are free
-        with parallel.forked(second_half, BeamError) as wait:
-            F, J = self.bchart.jacobian(S[:half], Y[:half])
-            FJ = wait()[1]
-        # the lattice points in spacetime, kept for `potential_at`
-        self._pts = np.concatenate([F, FJ[..., 0]])
-        J = np.concatenate([J, FJ[..., 1:]])
+        # whenever the process may run on two CPUs, busy or not
+        with parallel.forked(lambda: self.bchart.jacobian(S[half:], Y[half:]),
+                             BeamError) as wait:
+            first = self.bchart.jacobian(S[:half], Y[:half])
+            second = wait()
+        # F, the lattice points in spacetime kept for `potential_at`, and J
+        self._pts, J = (np.concatenate(pair) for pair in zip(first, second))
         g = chart_metric(self.bchart.metric, self._pts,
                          J).reshape(ns, nc, dim, dim)
         ginv = np.linalg.inv(g)

@@ -1,31 +1,30 @@
-"""One job beside the caller, in a forked child when two CPUs are free.
+"""One job beside the caller, in a forked child when two CPUs may run it.
 
-`forked(job, error)` runs job, a closure returning a pair (value, array),
-in one forked child while the caller works on; the child sends its result
-down a pipe, the array as raw bytes.  With one CPU, or without the fork
-start method, the job runs in this process when its result is asked for.
-The full route's epsilon gate (`recovery.full_path_interaction`) and the
-chart-jet fit (`beam.ChartJets`) use it.
+`forked(job, error)` runs job, a closure returning any picklable result, in
+one forked child while the caller works on; the child pickles the result
+down a pipe, the bytes of its arrays out of band.  It forks whenever the
+process's affinity mask holds two CPUs, busy or not.  With one CPU, or
+without the fork start method, the job runs in this process when its
+result is asked for.  The full route's epsilon gate
+(`recovery.full_path_interaction`) and the chart-jet fit (`beam.ChartJets`)
+use it.
 """
 
 import contextlib
 import os
 import pickle
-import struct
 
 import numpy as np
-
-_HEAD = struct.Struct("<Q")     # byte length of a pickled head in the pipe
 
 
 @contextlib.contextmanager
 def forked(job, error):
     """Run `job` beside the caller; yields `wait`, which returns job()'s
-    result, a pair (value, array).
+    result.
 
     With at least two CPUs and the fork start method, job starts now in one
     forked child, which sends its result down a pipe (`_send`); `wait`
-    reads the array's bytes straight into a fresh array (`_receive`) and
+    reads each array's bytes straight into a fresh buffer (`_receive`) and
     re-raises an exception of the child's with its type and message.  A
     child that ends without a result, or whose exception does not pickle,
     raises the caller's exception class `error`.
@@ -42,7 +41,7 @@ def forked(job, error):
         yield job
         return
     rfd, wfd = os.pipe()
-    with open(rfd, "rb", buffering=0) as pipe:
+    with open(rfd, "rb") as pipe:
         try:
             child = multiprocessing.get_context("fork").Process(
                 target=_send, args=(job, wfd, error))
@@ -57,51 +56,43 @@ def forked(job, error):
 
 
 def _send(job, fd, error):
-    """The child's side of `forked`: writes to the pipe `fd` the length of
-    a pickled head (error, value, dtype, shape), the head, and then the
-    raw bytes of the array.  An exception of job's, an interrupt too, is
-    the head's error, which the parent raises; one that does not pickle
-    becomes an `error` carrying its repr."""
-    array = None
+    """The child's side of `forked`: pickles (error, result) at protocol 5
+    with the data of contiguous arrays kept out of band, and writes to the
+    pipe `fd` the pickle of (buffer sizes, that pickle), then each buffer's
+    bytes.  An exception of job's, an interrupt too, is the error, which
+    the parent raises; one that does not pickle becomes an `error` carrying
+    its repr."""
+    buffers = []
     try:
-        value, array = job()
-        array = np.ascontiguousarray(array)
-        head = pickle.dumps((None, value, array.dtype, array.shape))
+        body = pickle.dumps((None, job()), protocol=5,
+                            buffer_callback=buffers.append)
     except BaseException as exc:
+        buffers = []
         try:
-            head = pickle.dumps((exc, None, None, None))
-            pickle.loads(head)
+            body = pickle.dumps((exc, None))
+            pickle.loads(body)
         except Exception:
-            head = pickle.dumps((error(repr(exc)), None, None, None))
+            body = pickle.dumps((error(repr(exc)), None))
+    raws = [buffer.raw() for buffer in buffers]
     with open(fd, "wb") as out:
-        out.write(_HEAD.pack(len(head)) + head)
-        if array is not None:
-            out.write(array.reshape(-1).view(np.uint8))
+        pickle.dump(([raw.nbytes for raw in raws], body), out)
+        for raw in raws:
+            out.write(raw)
 
 
 def _receive(pipe, child, error):
-    """(value, array) as `_send` wrote them to `pipe`, or its error raised."""
-    size = bytearray(_HEAD.size)
-    _read_into(pipe, size, child, error)
-    head = bytearray(_HEAD.unpack(size)[0])
-    _read_into(pipe, head, child, error)
-    exc, value, dtype, shape = pickle.loads(head)
+    """job()'s result as `_send` wrote it to `pipe`, or its error raised;
+    `error` should the pipe end first."""
+    try:
+        sizes, body = pickle.load(pipe)
+        buffers = [np.empty(size, np.uint8) for size in sizes]
+        if any(pipe.readinto(buffer) < buffer.size for buffer in buffers):
+            raise EOFError
+    except (EOFError, pickle.UnpicklingError):
+        child.join()
+        raise error(f"forked process ended early "
+                    f"(exit code {child.exitcode})") from None
+    exc, result = pickle.loads(body, buffers=buffers)
     if exc is not None:
         raise exc
-    array = np.empty(shape, dtype)
-    _read_into(pipe, array.reshape(-1).view(np.uint8), child, error)
-    return value, array
-
-
-def _read_into(pipe, buf, child, error):
-    """Fill the bytes of `buf` from `pipe`; `error` should the pipe end
-    first."""
-    view = memoryview(buf)
-    done = 0
-    while done < len(view):
-        got = pipe.readinto(view[done:])
-        if not got:
-            child.join()
-            raise error(f"forked process ended early "
-                        f"(exit code {child.exitcode})")
-        done += got
+    return result

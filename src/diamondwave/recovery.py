@@ -805,9 +805,9 @@ def full_path_interaction(metric, V, p, r, T, tau, sigma=0.6, delta=0.1,
                                     window=tgrid).data
 
     def coefficient():
-        # marched in a forked child beside the corners when two CPUs are
-        # free (`parallel.forked`); else after them, so its fields never
-        # sit beside theirs
+        # marched in a forked child beside the corners whenever the process
+        # may run on two CPUs, busy or not (`parallel.forked`); else after
+        # them, so its fields never sit beside theirs
         wfield = solver.solve_cross_coefficient(metric, grid, V, srcs,
                                                 window=tgrid)
         return (pairing_integral(tgrid, wfield, fplus),

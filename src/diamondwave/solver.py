@@ -166,24 +166,23 @@ class CropGrid(Grid):
 class GridField:
     """Time-sliced field on a Grid; array shape (nt, *grid.shape)."""
 
-    def __init__(self, grid: Grid, data, name=""):
+    def __init__(self, grid: Grid, data):
         self.grid = grid
         self.data = np.asarray(data)
         if self.data.shape != (grid.nt,) + grid.shape:
             raise SolverError(f"field shape {self.data.shape} does not match grid")
-        self.name = name
 
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros((grid.nt,) + grid.shape))
 
     @classmethod
-    def from_closure(cls, grid, func, dtype=float, name=""):
+    def from_closure(cls, grid, func, dtype=float):
         """Sample a closure u(points) with points of shape (*shape, 1+n)."""
         data = np.empty((grid.nt,) + grid.shape, dtype=dtype)
         for m in range(grid.nt):
             data[m] = func(grid.spacetime_slice(m))
-        return cls(grid, data, name=name)
+        return cls(grid, data)
 
     def dense(self):
         """The data on the uncropped grid, zero outside a crop."""
@@ -290,10 +289,9 @@ class SourceTerm:
     grid.shape) outside which it is zero: `field` has shape
     (nt, *box shape).  The default box is the whole grid."""
 
-    def __init__(self, grid, field, name="", box=None):
+    def __init__(self, grid, field, box=None):
         self.grid = grid
         self.field = field
-        self.name = name
         self.box = (tuple(slice(0, s) for s in grid.shape) if box is None
                     else tuple(box))
 
@@ -304,16 +302,16 @@ class SourceTerm:
         return _embed(self.field, self.grid.shape, self.box)
 
     @classmethod
-    def from_closure(cls, grid, func, name=""):
+    def from_closure(cls, grid, func):
         """Sample f(t, points) once per slice, points of shape (*shape, 1+n);
         a scalar value fills the slice."""
         return cls(grid, np.stack([
             np.broadcast_to(func(grid.time(m), grid.spacetime_slice(m)),
-                            grid.shape) for m in range(grid.nt)]), name=name)
+                            grid.shape) for m in range(grid.nt)]))
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, np.zeros((grid.nt,) + grid.shape), name="zero")
+        return cls(grid, np.zeros((grid.nt,) + grid.shape))
 
     def slice(self, m):
         return self.field[m]
@@ -430,7 +428,7 @@ def solve_forward(metric, grid, V, f: SourceTerm, nonlinear=False,
     order, dtype = range(grid.nt), _dtype([f])
     u = _field(grid, f, order[0], dtype, nonlinear, _smallness_bound(f))
     out = _march_fields(grid, V, window, k, order, dtype, [u])
-    return GridField(window, out, name=f.name or "solution")
+    return GridField(window, out)
 
 
 def solve_backward(metric, grid, V, f: SourceTerm):
@@ -440,7 +438,7 @@ def solve_backward(metric, grid, V, f: SourceTerm):
     order, dtype = range(grid.nt - 1, -1, -1), _dtype([f])
     u = _field(grid, f, order[0], dtype, False, _smallness_bound(f))
     out = _march_fields(grid, V, window, k, order, dtype, [u])
-    return GridField(window, out, name=f.name or "solution")
+    return GridField(window, out)
 
 
 class _Leapfrog:
@@ -667,7 +665,7 @@ def solve_cross_coefficient(metric, grid, V, fs, window=None):
                         [(w, read_product, None)] + us)
     if not np.all(np.isfinite(out)):
         raise SolverError("eps1 eps2 eps3 coefficient is not finite")
-    return GridField(window, out, name="cross coefficient")
+    return GridField(window, out)
 
 
 def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
@@ -688,7 +686,7 @@ def apply_wave_operator(metric, grid, V, u: GridField, nonlinear=False):
         if nonlinear:
             val = val + um * (um * um)
         out[m] = val
-    return GridField(grid, out, name="wave_operator")
+    return GridField(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def _packet_on_support(obj, grid, tau):
                  tuple(slice(0, size) for size in grid.shape)):
         u = GridField.from_closure(CropGrid(grid, tube),
                                    lambda pts: obj.eval(tau, pts),
-                                   dtype=complex, name="packet").data
+                                   dtype=complex).data
         box = support_box(u)
         if all((b.start > 0 or t.start == 0)
                and (b.stop < t.stop - t.start or t.stop == size)
@@ -132,8 +132,7 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
     crop = CropGrid(grid, box)
     times = grid.times()
     inner, outer = (cut.zplus, cut.zminus) if test else (cut.zminus, cut.zplus)
-    zu = GridField(crop, u * inner(times).reshape(-1, *([1] * grid.n)),
-                   name="cut packet")
+    zu = GridField(crop, u * inner(times).reshape(-1, *([1] * grid.n)))
     del u
     Pzu = apply_wave_operator(metric, crop, V, zu)
     fdata = Pzu.data * outer(times).reshape(-1, *([1] * grid.n))
@@ -144,8 +143,7 @@ def _surgery(obj, metric, grid, tau, V, r, t0, rho, test):
             np.max(np.abs(fdata), initial=0.0), 1e-300):
         raise SourceError("packet delta too large for aperture")
     fdata[:, outside] = 0.0
-    src = SourceTerm(grid, field=fdata, box=box,
-                     name="test function" if test else "packet source")
+    src = SourceTerm(grid, field=fdata, box=box)
     src.cutoffs = cut
     return src, zu
 

@@ -8,7 +8,6 @@ is the y1*(y2)^2 one with value -4i(s - s0) / (1 + 2i(s - s0))^2.
 """
 
 import itertools
-import multiprocessing
 import os
 
 import numpy as np
@@ -372,30 +371,11 @@ def test_mulp_on_lattice_equals_per_node(n, deg, nodes, seed):
         assert np.array_equal(out.c[i], a.node(i).mulp(b.node(i)).c)
 
 
-def _cpus(monkeypatch, count):
-    """Make the process see `count` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-def _forks(monkeypatch):
-    """The pids of the processes started by fork from here on."""
-    pids = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def recording(self):
-        start(self)
-        pids.append(self.pid)
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                        recording)
-    return pids
-
-
-def test_chart_jets_map_the_lattice_once(monkeypatch):
+def test_chart_jets_map_the_lattice_once(monkeypatch, cpus):
     # with one CPU both halves of the lattice are mapped here: their
     # Jacobian calls cover each point once, and no point is mapped by
     # `forward`
-    _cpus(monkeypatch, 1)
+    cpus(1)
     calls = {"forward": [], "jacobian": []}
 
     def counting(name):
@@ -424,7 +404,8 @@ def test_chart_jets_map_the_lattice_once(monkeypatch):
     assert not np.any(jets.potential_at(None, s).c)
 
 
-def test_chart_jets_forked_fit_is_the_serial_fit_bit_for_bit(monkeypatch):
+def test_chart_jets_forked_fit_is_the_serial_fit_bit_for_bit(monkeypatch,
+                                                            cpus, forks):
     # the construction's jets on the perturbed split metric: one child maps
     # half the lattice with two CPUs, and every array of the fit is the
     # one-CPU fit's, byte for byte; both fits take the chart metric of the
@@ -441,95 +422,31 @@ def test_chart_jets_forked_fit_is_the_serial_fit_bit_for_bit(monkeypatch):
         mapped.append((F.tobytes(), J.tobytes()))
         return chart_metric(metric, F, J)
     monkeypatch.setattr(beam, "chart_metric", recording)
-    pids = _forks(monkeypatch)
     states = []
-    for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+    for count in (2, 1):
+        cpus(count)
         states.append(jets_state(beam.ChartJets(bch, s)))
-    assert len(pids) == 1
+    assert len(forks) == 1
     assert mapped == 2 * [(whole[0].tobytes(), whole[1].tobytes())]
     for name in ("_pts", "ginv_c", "rho_c", "rho_inv_c", "w_c", "D"):
         assert states[0][name].tobytes() == states[1][name].tobytes()
     assert_same_state(states[0], states[1])
 
 
-def test_chart_jets_serial_fit_starts_no_process(monkeypatch):
-    def refuse(self):
-        raise AssertionError("process started")
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                        refuse)
-    _cpus(monkeypatch, 1)
-    jets = beam.ChartJets(beam.BeamChart(flat_chart(2)),
-                          np.linspace(0.0, 2.0, 8), deg=4)
-    assert len(jets._pts) == 8 * (4 + 3) ** 2
-
-
-class _Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("not picklable")
-
-
-def _failing_jacobian(monkeypatch, in_child, fail):
-    """FermiChart.jacobian that calls `fail()` in the forked child
-    (`in_child`) or in this process, and maps points in the other."""
+def test_chart_jets_child_that_dies_is_a_beam_error(monkeypatch, cpus):
     parent = os.getpid()
     original = fermi.FermiChart.jacobian
 
     def jacobian(self, s, z):
-        if (os.getpid() != parent) == in_child:
-            fail()
+        if os.getpid() != parent:
+            os._exit(3)
         return original(self, s, z)
     monkeypatch.setattr(fermi.FermiChart, "jacobian", jacobian)
-
-
-@pytest.mark.parametrize("error, expected", [
-    (fermi.FermiError, fermi.FermiError),
-    (_Unpicklable, beam.BeamError)])
-def test_chart_jets_child_error_is_raised_in_the_parent(monkeypatch, error,
-                                                        expected):
-    # the child's exception reaches the parent with its type and message
-    # (the message names the child's pid); one that does not pickle
-    # arrives as a BeamError carrying its repr
-    def fail():
-        raise error(f"exponential map left the metric domain "
-                    f"(pid {os.getpid()})")
-    _failing_jacobian(monkeypatch, True, fail)
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
-    with pytest.raises(expected) as caught:
-        beam.ChartJets(beam.BeamChart(flat_chart(2)),
-                       np.linspace(0.0, 2.0, 8), deg=4)
-    message = f"exponential map left the metric domain (pid {pids[0]})"
-    assert type(caught.value) is expected
-    assert str(caught.value) == (message if error is expected
-                                 else repr(error(message)))
-
-
-def test_chart_jets_child_that_dies_is_a_beam_error(monkeypatch):
-    _failing_jacobian(monkeypatch, True, lambda: os._exit(3))
-    _cpus(monkeypatch, 2)
+    cpus(2)
     with pytest.raises(beam.BeamError,
                        match=r"forked process ended early \(exit code 3\)"):
         beam.ChartJets(beam.BeamChart(flat_chart(2)),
                        np.linspace(0.0, 2.0, 8), deg=4)
-
-
-@pytest.mark.parametrize("error", [fermi.FermiError, KeyboardInterrupt])
-def test_chart_jets_failed_parent_half_leaves_no_process(monkeypatch, error):
-    # the parent's half fails while the child maps its own: the child is
-    # ended and reaped
-    def fail():
-        raise error("parent half failed")
-    _failing_jacobian(monkeypatch, False, fail)
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
-    with pytest.raises(error, match="parent half failed"):
-        beam.ChartJets(beam.BeamChart(flat_chart(2)),
-                       np.linspace(0.0, 2.0, 8), deg=4)
-    assert len(pids) == 1
-    with pytest.raises(ProcessLookupError):
-        os.kill(pids[0], 0)         # reaped: not even a zombie is left
-    assert multiprocessing.active_children() == []
 
 
 def jets_state(jets):

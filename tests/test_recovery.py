@@ -752,25 +752,6 @@ COARSE_FULL_ROUTE = dict(p=(1.0, 0.9, 0.0), r=0.8, T=2.0, tau=10.0,
                          sigma=0.6, delta=0.1, h=0.04, rho=0.06)
 
 
-def _cpus(monkeypatch, count):
-    """Make the process see `count` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
-
-
-def _forks(monkeypatch):
-    """The pids of the processes started by fork from here on."""
-    pids = []
-    start = multiprocessing.context.ForkProcess.start
-
-    def recording(self):
-        start(self)
-        pids.append(self.pid)
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                        recording)
-    return pids
-
-
 def _counting_marches(monkeypatch):
     """The marches made in this process: `nonlinear` of each forward
     march, and "coefficient" for each coefficient march."""
@@ -792,11 +773,11 @@ def _counting_marches(monkeypatch):
 
 
 @pytest.mark.parametrize("check, marches", [(False, 4), (True, 4)])
-def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
-                                                      marches):
+def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, cpus,
+                                                      check, marches):
     # with one CPU the epsilon gate adds one coefficient march after the
     # corners
-    _cpus(monkeypatch, 1)
+    cpus(1)
     calls = _counting_marches(monkeypatch)
     res = rc.full_path_interaction(geo.minkowski(2), None, check=check,
                                    **COARSE_FULL_ROUTE)
@@ -805,75 +786,47 @@ def test_full_route_marches_one_corner_per_sign_pair(monkeypatch, check,
 
 
 def test_full_route_forked_gate_leaves_the_corners_to_the_parent(
-        monkeypatch):
+        monkeypatch, cpus, forks):
     # with two CPUs the coefficient march runs in one forked child: the
     # parent marches the four corners and receives I_check
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
+    cpus(2)
     calls = _counting_marches(monkeypatch)
     res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
                                    **COARSE_FULL_ROUTE)
-    assert calls == [True] * 4 and len(pids) == 1
+    assert calls == [True] * 4 and len(forks) == 1
     assert res.I_check is not None
 
 
 def test_full_route_forked_gate_is_the_serial_gate_bit_for_bit(
-        monkeypatch):
+        cpus, forks):
     # the child marches the same sources on the same grid as the serial
     # gate, and the corners stay in the parent in their order
     results = []
-    pids = _forks(monkeypatch)
-    for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
+    for count in (2, 1):
+        cpus(count)
         res = rc.full_path_interaction(geo.minkowski(2), None, check=True,
                                        **COARSE_FULL_ROUTE)
         results.append([repr(v) for v in
                         (res.I_full, res.I_check, *res.I_orders)])
-    assert len(pids) == 1
+    assert len(forks) == 1
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("cpus, check", [(1, True), (2, False)])
-def test_full_route_serial_gate_starts_no_process(monkeypatch, cpus, check):
+@pytest.mark.parametrize("count, check", [(2, False)])
+def test_full_route_serial_gate_starts_no_process(monkeypatch, cpus, count,
+                                                  check):
+    # without the gate nothing is forked, even with two CPUs
     def refuse(self):
         raise AssertionError("process started")
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
                         refuse)
-    _cpus(monkeypatch, cpus)
+    cpus(count)
     res = rc.full_path_interaction(geo.minkowski(2), None, check=check,
                                    **COARSE_FULL_ROUTE)
     assert (res.I_check is not None) == check
 
 
-class _Unpicklable(Exception):
-    def __reduce__(self):
-        raise TypeError("not picklable")
-
-
-@pytest.mark.parametrize("error, expected", [
-    (solver.SolverError, solver.SolverError),
-    (_Unpicklable, rc.RecoveryError)])
-def test_full_route_child_error_is_raised_in_the_parent(monkeypatch, error,
-                                                         expected):
-    # the child's exception reaches the parent with its type and message
-    # (the message names the child's pid); one that does not pickle
-    # arrives as a RecoveryError carrying its repr
-    def not_finite(*args, **kwargs):
-        raise error(f"eps1 eps2 eps3 coefficient is not finite "
-                    f"(pid {os.getpid()})")
-    monkeypatch.setattr(solver, "solve_cross_coefficient", not_finite)
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
-    with pytest.raises(expected) as caught:
-        rc.full_path_interaction(geo.minkowski(2), None, check=True,
-                                 **COARSE_FULL_ROUTE)
-    message = f"eps1 eps2 eps3 coefficient is not finite (pid {pids[0]})"
-    assert type(caught.value) is expected
-    assert str(caught.value) == (message if error is expected
-                                 else repr(error(message)))
-
-
-def test_full_route_child_that_dies_is_a_recovery_error(monkeypatch):
+def test_full_route_child_that_dies_is_a_recovery_error(monkeypatch, cpus):
     parent = os.getpid()
 
     def die(*args, **kwargs):
@@ -881,29 +834,11 @@ def test_full_route_child_that_dies_is_a_recovery_error(monkeypatch):
             raise AssertionError("coefficient marched in the parent")
         os._exit(3)
     monkeypatch.setattr(solver, "solve_cross_coefficient", die)
-    _cpus(monkeypatch, 2)
+    cpus(2)
     with pytest.raises(rc.RecoveryError,
                        match=r"forked process ended early \(exit code 3\)"):
         rc.full_path_interaction(geo.minkowski(2), None, check=True,
                                  **COARSE_FULL_ROUTE)
-
-
-@pytest.mark.parametrize("error", [solver.SolverError, KeyboardInterrupt])
-def test_full_route_failed_corner_leaves_no_process(monkeypatch, error):
-    # a corner that fails in the parent while the child marches ends the
-    # child and reaps it
-    def failing(*args, **kwargs):
-        raise error("corner failed")
-    monkeypatch.setattr(solver, "solve_forward", failing)
-    _cpus(monkeypatch, 2)
-    pids = _forks(monkeypatch)
-    with pytest.raises(error, match="corner failed"):
-        rc.full_path_interaction(geo.minkowski(2), None, check=True,
-                                 **COARSE_FULL_ROUTE)
-    assert len(pids) == 1
-    with pytest.raises(ProcessLookupError):
-        os.kill(pids[0], 0)         # reaped: not even a zombie is left
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("factor, fails", [(1.1, True), (1.01, False)])

@@ -22,7 +22,7 @@ def bump_source(grid, t0=0.3, width=0.2, rad=0.4):
         mask = r2 < 1
         out[mask] = np.exp(-1 / (1 - r2[mask])) * np.exp(-1 / (1 - s2))
         return out
-    return slv.SourceTerm.from_closure(grid, f, name="bump")
+    return slv.SourceTerm.from_closure(grid, f)
 
 
 def small_grid(n=2, h=0.1, dt=0.03, T=0.9, radius=0.5):
